@@ -16,14 +16,15 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from kmusec import estimate as est_mod
 from kmusec import fading, montecarlo, secrecy
 from kmusec.errors import ConvergenceError, QuadratureError
-from kmusec.fading import EPSILON_KAPPA, KappaMuParams
+from kmusec.fading import EPSILON_KAPPA, KappaMuParams, integer_mu
 from kmusec.secrecy import EvalResult, WiretapPair
 from kmusec.specfun import SeriesControl
 
@@ -45,8 +46,26 @@ PRESETS["rayleigh"] = PRESETS["fig2-rayleigh"]
 PRESETS["one_sided_gaussian"] = dict(km=EPSILON_KAPPA, um=0.5,
                                      ke=EPSILON_KAPPA, ue=0.5)
 
-SWEEP_VARIABLES = ("gamma_bar_m_db", "gamma_bar_e_db", "kappa_m", "kappa_e",
-                   "mu_m", "mu_e", "rate")
+
+class SweepVariable(NamedTuple):
+    """What a sweep variable sets, and the trend the curves must follow
+    as it increases: +1 nondecreasing, -1 nonincreasing, 0 not checked."""
+
+    channel: str | None  # "main" or "eve"; None sets a field of the pair
+    field: str
+    in_db: bool
+    trend: tuple  # (spsc, sop)
+
+
+SWEEP_VARIABLES = {
+    "gamma_bar_m_db": SweepVariable("main", "gamma_bar", True, (+1, -1)),
+    "gamma_bar_e_db": SweepVariable("eve", "gamma_bar", True, (-1, +1)),
+    "kappa_m": SweepVariable("main", "kappa", False, (+1, -1)),
+    "kappa_e": SweepVariable("eve", "kappa", False, (-1, +1)),
+    "mu_m": SweepVariable("main", "mu", False, (+1, -1)),
+    "mu_e": SweepVariable("eve", "mu", False, (-1, +1)),
+    "rate": SweepVariable(None, "rate", False, (0, +1)),
+}
 
 
 @dataclass(frozen=True)
@@ -72,23 +91,21 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
     def pair_at(self, value):
-        return _sweep_pair(self.fixed, self.variable, float(value))
-
-#: expected trend of (spsc, sop) when the swept variable increases;
-#: +1 nondecreasing, -1 nonincreasing, 0 not checked
-_MONOTONE = {
-    "gamma_bar_m_db": (+1, -1),
-    "kappa_m": (+1, -1),
-    "mu_m": (+1, -1),
-    "gamma_bar_e_db": (-1, +1),
-    "kappa_e": (-1, +1),
-    "mu_e": (-1, +1),
-    "rate": (0, +1),
-}
+        var = SWEEP_VARIABLES[self.variable]
+        value = float(value)
+        if var.in_db:
+            value = db_to_linear(value)
+        if var.channel is None:
+            return replace(self.fixed, **{var.field: value})
+        channel = getattr(self.fixed, var.channel)
+        return replace(self.fixed, **{var.channel: replace(channel, **{var.field: value})})
 
 
 def db_to_linear(db):
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db} dB is beyond the range of a double") from None
 
 
 def _add_channel_args(p):
@@ -114,19 +131,15 @@ def _add_rate_args(p):
 
 def _add_series_args(p):
     p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--max-terms", type=int, default=10000)
 
 
 def _control(args):
-    return SeriesControl(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-                         max_terms=args.max_terms)
+    return SeriesControl(abs_tol=args.abs_tol, max_terms=args.max_terms)
 
 
 def _gbar(db, linear):
     if linear is not None:
-        if linear <= 0.0:
-            raise ValueError("linear mean SNR must be positive")
         return linear
     return db_to_linear(db if db is not None else 0.0)
 
@@ -155,19 +168,17 @@ def pair_from_args(args):
     return WiretapPair(main=main, eve=eve, rate=_resolve_rate(args, preset))
 
 
-def _is_integer_mu(pair):
-    return (abs(pair.main.mu - round(pair.main.mu)) <= 1e-9
-            and abs(pair.eve.mu - round(pair.eve.mu)) <= 1e-9
-            and round(pair.main.mu) >= 1 and round(pair.eve.mu) >= 1)
+def _mc_result(mc):
+    return EvalResult(value=mc.estimate, terms_k=mc.n, terms_l=0,
+                      est_error=mc.std_error, method="monte_carlo")
 
 
 def _spsc_by_method(pair, method, args):
     ctl = _control(args)
     if method == "auto":
-        closed_ok = (_is_integer_mu(pair)
-                     and min(pair.main.kappa, pair.eve.kappa)
-                     >= secrecy.KAPPA_MIN_CLOSED_FORM)
-        method = "closed" if closed_ok else "series"
+        # the closed form itself falls back to the series below its kappa floor
+        both_integer = integer_mu(pair.main.mu) and integer_mu(pair.eve.mu)
+        method = "closed" if both_integer else "series"
     if method == "series":
         return secrecy.spsc_series(pair, ctl)
     if method == "closed":
@@ -178,9 +189,7 @@ def _spsc_by_method(pair, method, args):
                           terms_k=base.terms_k, terms_l=0,
                           est_error=base.est_error, method="quadrature")
     if method == "mc":
-        mc = montecarlo.mc_spsc(pair, args.mc_n, args.seed)
-        return EvalResult(value=mc.estimate, terms_k=mc.n, terms_l=0,
-                          est_error=mc.std_error, method="monte_carlo")
+        return _mc_result(montecarlo.mc_spsc(pair, args.mc_n, args.seed))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -225,47 +234,19 @@ def cmd_spsc(args):
 
 def cmd_sop(args):
     pair = pair_from_args(args)
-    if args.bound == "lower":
-        if args.method == "mc":
-            mc = montecarlo.mc_sop(pair, args.mc_n, args.seed, lower=True)
-            result = EvalResult(value=mc.estimate, terms_k=mc.n, terms_l=0,
-                                est_error=mc.std_error, method="monte_carlo")
-        else:
-            result = secrecy.sop_lower(pair, _control(args))
+    if args.method == "mc":
+        result = _mc_result(montecarlo.mc_sop(pair, args.mc_n, args.seed,
+                                              lower=args.bound == "lower"))
+    elif args.bound == "lower":
+        result = secrecy.sop_lower(pair, _control(args))
     else:
-        if args.method == "mc":
-            mc = montecarlo.mc_sop(pair, args.mc_n, args.seed, lower=False)
-            result = EvalResult(value=mc.estimate, terms_k=mc.n, terms_l=0,
-                                est_error=mc.std_error, method="monte_carlo")
-        else:
-            result = secrecy.sop_exact(pair)
+        result = secrecy.sop_exact(pair)
     _emit_record(args, f"sop_{args.bound}", result, pair)
     return 0
 
 
-def _sweep_pair(base, variable, value):
-    main, eve, rate = base.main, base.eve, base.rate
-    if variable == "gamma_bar_m_db":
-        main = KappaMuParams(main.kappa, main.mu, db_to_linear(value))
-    elif variable == "gamma_bar_e_db":
-        eve = KappaMuParams(eve.kappa, eve.mu, db_to_linear(value))
-    elif variable == "kappa_m":
-        main = KappaMuParams(value, main.mu, main.gamma_bar)
-    elif variable == "kappa_e":
-        eve = KappaMuParams(value, eve.mu, eve.gamma_bar)
-    elif variable == "mu_m":
-        main = KappaMuParams(main.kappa, value, main.gamma_bar)
-    elif variable == "mu_e":
-        eve = KappaMuParams(eve.kappa, value, eve.gamma_bar)
-    elif variable == "rate":
-        rate = value
-    else:
-        raise ValueError(f"unknown sweep variable {variable!r}")
-    return WiretapPair(main=main, eve=eve, rate=rate)
-
-
 def _check_monotone(variable, spsc_vals, sop_vals, tol=1e-9):
-    d_spsc, d_sop = _MONOTONE[variable]
+    d_spsc, d_sop = SWEEP_VARIABLES[variable].trend
     problems = []
     for name, vals, d in (("spsc", spsc_vals, d_spsc),
                           ("sop", sop_vals, d_sop)):
@@ -297,11 +278,8 @@ def cmd_sweep(args):
         row = [args.variable, repr(float(value)), repr(spsc.value),
                repr(sopx.value), repr(sopl.value)]
         if args.with_mc:
-            mc_s = montecarlo.mc_spsc(pair, args.with_mc, args.seed + i)
-            mc_x, mc_l = montecarlo.mc_sop_both(pair, args.with_mc, args.seed + i)
-            row += [repr(mc_s.estimate), repr(mc_s.std_error),
-                    repr(mc_x.estimate), repr(mc_x.std_error),
-                    repr(mc_l.estimate), repr(mc_l.std_error)]
+            for mc in montecarlo.mc_all(pair, args.with_mc, args.seed + i):
+                row += [repr(mc.estimate), repr(mc.std_error)]
         rows.append(row)
         spsc_vals.append(spsc.value)
         sop_vals.append(sopx.value)
@@ -365,7 +343,7 @@ def _validate_grid(which):
 def cmd_validate(args):
     ctl = SeriesControl()
     integer_cfgs, nonint_cfgs = _validate_grid(args.grid)
-    rates = (0.0, 0.5, 10 ** 0.1)
+    rates = (0.5, 10 ** 0.1)  # besides rate 0, whose SOPs are reused from above
 
     max_closed = 0.0
     max_mc = -math.inf
@@ -382,12 +360,13 @@ def cmd_validate(args):
         if is_int:
             c = secrecy.spsc_closed_form(pair).value
             max_closed = max(max_closed, abs(s - c))
-        q = 1.0 - secrecy.sop_exact(pair).value
-        max_quad = max(max_quad, abs(s - q))
+        sop_x = secrecy.sop_exact(pair).value
+        sop_l = secrecy.sop_lower(pair, ctl).value
+        max_quad = max(max_quad, abs(s - (1.0 - sop_x)))
         mc = montecarlo.mc_spsc(pair, args.mc_n, args.seed + idx)
         max_mc = max(max_mc, abs(s - mc.estimate) - 3.0 * mc.std_error)
-        max_comp = max(max_comp, abs(
-            secrecy.sop_lower(pair, ctl).value + s - 1.0))
+        max_comp = max(max_comp, abs(sop_l + s - 1.0))
+        min_gap = min(min_gap, sop_x - sop_l)
         for rate in rates:
             rp = WiretapPair(pair.main, pair.eve, rate)
             gap = secrecy.sop_exact(rp).value - secrecy.sop_lower(rp, ctl).value

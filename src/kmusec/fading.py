@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kmusec import specfun
 from kmusec._backend import kernels as _k
 from kmusec.specfun import DEFAULT_CONTROL
 
@@ -32,12 +31,12 @@ class KappaMuParams:
     gamma_bar: float = 1.0
 
     def __post_init__(self):
-        if not self.kappa >= 0.0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not self.gamma_bar > 0.0:
-            raise ValueError(f"gamma_bar must be > 0, got {self.gamma_bar}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
+        if not 0.0 < self.gamma_bar < math.inf:
+            raise ValueError(f"gamma_bar must be finite and > 0, got {self.gamma_bar}")
 
     def with_kappa_floor(self, floor=EPSILON_KAPPA):
         """Copy with kappa raised to the documented epsilon stand-in,
@@ -45,6 +44,13 @@ class KappaMuParams:
         if self.kappa >= floor:
             return self
         return dataclasses.replace(self, kappa=floor)
+
+
+def integer_mu(mu):
+    """``mu`` as an int when it lies within 1e-9 of an integer >= 1, else
+    None: the cluster construction and the closed form need such a mu."""
+    n = round(mu)
+    return n if n >= 1 and abs(mu - n) <= 1e-9 else None
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,8 @@ class ClusterSpec:
         The dominant power is split evenly, p_i = q_i = d / sqrt(2 mu);
         any placement with the same total d^2 yields the same envelope law.
         """
-        mu_int = int(round(params.mu))
-        if abs(params.mu - mu_int) > 1e-9 or mu_int < 1:
+        mu_int = integer_mu(params.mu)
+        if mu_int is None:
             raise ValueError("cluster construction requires a positive integer mu")
         sigma2 = params.gamma_bar / (2.0 * mu_int * (1.0 + params.kappa))
         d2 = 2.0 * params.kappa * mu_int * sigma2
@@ -133,19 +139,31 @@ class ClusterSpec:
         return (x * x + y * y).sum(axis=1)
 
 
-def _snr_logpdf(kappa, mu, gamma_bar, g):
-    # log of the kappa-mu SNR density, scaled-Bessel form
-    arg = 2.0 * mu * math.sqrt(kappa * (1.0 + kappa) * g / gamma_bar)
+def _origin_coefficient(kappa, mu):
+    # C in the small-gamma law f(gamma) ~ C gamma^(mu-1) / gamma_bar^mu:
+    # mu^mu (1+kappa)^mu e^(-mu kappa) / Gamma(mu)
+    return math.exp(mu * (math.log(mu) + math.log1p(kappa) - kappa) - math.lgamma(mu))
+
+
+def _density(kappa, mu, gbar, g):
+    # kappa-mu SNR density at g > 0, scaled-Bessel form; kappa = 0 is the
+    # exact limit, a gamma law with shape mu and mean gbar
+    if kappa == 0.0:
+        lf = (mu * math.log(mu) + (mu - 1.0) * math.log(g)
+              - mu * g / gbar - math.lgamma(mu) - mu * math.log(gbar))
+        return math.exp(lf)
+    arg = 2.0 * mu * math.sqrt(kappa * (1.0 + kappa) * g / gbar)
     lf = (math.log(mu)
-          + 0.5 * (mu + 1.0) * (math.log1p(kappa) - math.log(gamma_bar))
+          + 0.5 * (mu + 1.0) * (math.log1p(kappa) - math.log(gbar))
           + 0.5 * (mu - 1.0) * (math.log(g) - math.log(kappa))
           - mu * kappa
-          - mu * (1.0 + kappa) * g / gamma_bar
+          - mu * (1.0 + kappa) * g / gbar
           + arg)
     ie = _k.bessel_ie(mu - 1.0, arg)
     if ie <= 0.0:
-        return -math.inf
-    return lf + math.log(ie)
+        return 0.0
+    lf += math.log(ie)
+    return math.exp(lf) if lf > -745.0 else 0.0
 
 
 def _snr_pdf_scalar(params, g):
@@ -156,17 +174,8 @@ def _snr_pdf_scalar(params, g):
         if mu < 1.0:
             raise ValueError("the density diverges at gamma = 0 for mu < 1; "
                              "evaluate at gamma > 0")
-        if mu > 1.0:
-            return 0.0
-        # mu = 1: finite limit
-        return (1.0 + kappa) * math.exp(-kappa) / gbar if kappa > 0.0 else 1.0 / gbar
-    if kappa == 0.0:
-        # exact kappa -> 0 limit: gamma distribution with shape mu, mean gbar
-        lf = (mu * math.log(mu) + (mu - 1.0) * math.log(g)
-              - mu * g / gbar - math.lgamma(mu) - mu * math.log(gbar))
-        return math.exp(lf)
-    lf = _snr_logpdf(kappa, mu, gbar, g)
-    return math.exp(lf) if lf > -745.0 else 0.0
+        return 0.0 if mu > 1.0 else _origin_coefficient(kappa, mu) / gbar
+    return _density(kappa, mu, gbar, g)
 
 
 def snr_pdf(params, gamma):
@@ -222,59 +231,29 @@ def _sample_snr_with(rng, params, n):
 
 
 def envelope_pdf(params, r, r_hat=1.0):
-    """Envelope density at level ``r`` for RMS level ``r_hat``, obtained
-    from the SNR density through r = sqrt(gamma r_hat^2 / gamma_bar)."""
-    arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-
-    kappa, mu = params.kappa, params.mu
+    """Envelope density at level ``r`` for RMS level ``r_hat``: the SNR
+    density with unit mean at rho^2, rho = r / r_hat, times 2 rho / r_hat."""
     if not r_hat > 0.0:
         raise ValueError("r_hat must be positive")
-
-    def one(rv):
+    kappa, mu = params.kappa, params.mu
+    arr = np.asarray(r, dtype=float)
+    out = []
+    for rv in arr.ravel().tolist():
         if rv < 0.0:
             raise ValueError("envelope level must be >= 0")
-        if rv == 0.0:
-            if mu < 0.5:
-                raise ValueError("the envelope density diverges at r = 0 for mu < 0.5")
-            if mu > 0.5:
-                return 0.0
-            return _envelope_pdf_at_origin(kappa, mu, r_hat)
         rho = rv / r_hat
-        if kappa == 0.0:
-            lf = (math.log(2.0) + mu * math.log(mu) + (2.0 * mu - 1.0) * math.log(rho)
-                  - mu * rho * rho - math.lgamma(mu) - math.log(r_hat))
-            return math.exp(lf)
-        arg = 2.0 * mu * math.sqrt(kappa * (1.0 + kappa)) * rho
-        lf = (math.log(2.0 * mu)
-              + 0.5 * (mu + 1.0) * math.log1p(kappa)
-              + mu * math.log(rho)
-              - mu * (1.0 + kappa) * rho * rho
-              - 0.5 * (mu - 1.0) * math.log(kappa)
-              - mu * kappa
-              - math.log(r_hat)
-              + arg)
-        ie = _k.bessel_ie(mu - 1.0, arg)
-        if ie <= 0.0:
-            return 0.0
-        return math.exp(lf + math.log(ie))
-
-    if scalar:
-        return one(float(arr))
-    return np.asarray([one(float(rv)) for rv in arr.ravel()]).reshape(arr.shape)
-
-
-def _envelope_pdf_at_origin(kappa, mu, r_hat):
-    # finite r -> 0 limit, only reached for mu exactly 0.5 where the
-    # density behaves like r^(2 mu - 1); leading Bessel series term
-    if kappa == 0.0:
-        lf = math.log(2.0) + mu * math.log(mu) - math.lgamma(mu) - math.log(r_hat)
-        return math.exp(lf)
-    lf = (math.log(2.0 * mu) + 0.5 * (mu + 1.0) * math.log1p(kappa)
-          - 0.5 * (mu - 1.0) * math.log(kappa) - mu * kappa - math.log(r_hat)
-          + (mu - 1.0) * math.log(mu * math.sqrt(kappa * (1.0 + kappa)))
-          - math.lgamma(mu))
-    return math.exp(lf)
+        g = rho * rho
+        if g == 0.0:
+            # r = 0, or rho^2 below the smallest double: the leading term
+            # 2 C rho^(2 mu - 1) / r_hat of the small-r law is then exact
+            if rho == 0.0 and mu < 0.5:
+                raise ValueError("the envelope density diverges at r = 0 for mu < 0.5")
+            out.append(2.0 * _origin_coefficient(kappa, mu) * rho ** (2.0 * mu - 1.0) / r_hat)
+        else:
+            out.append(2.0 * rho / r_hat * _density(kappa, mu, 1.0, g))
+    if arr.ndim == 0:
+        return out[0]
+    return np.asarray(out).reshape(arr.shape)
 
 
 def make_special_case(name, *, K=None, m=None, kappa=None, mu=None, gamma_bar=1.0):

@@ -43,14 +43,34 @@ def _estimate(count, n, seed):
                       n=n, seed=seed)
 
 
-def mc_spsc(pair, n, seed=0):
-    """Fraction of draws with gamma_M > gamma_E."""
+def _count(pair, n, seed, events):
+    """One pass over the draw stream: ``events(gm, ge)`` returns boolean
+    arrays, and each one's count over all draws becomes an estimate."""
     if n < 1000:
         raise ValueError("n must be at least 1000")
-    count = 0
+    totals = 0
     for gm, ge in _pair_chunks(pair, n, seed):
-        count += int(np.count_nonzero(gm > ge))
-    return _estimate(count, n, seed)
+        totals = totals + np.array([np.count_nonzero(e) for e in events(gm, ge)])
+    return tuple(_estimate(int(c), n, seed) for c in totals)
+
+
+def _outage_events(pair):
+    """Events function for (exact, lower-bound) outage at the pair's rate."""
+    ers = math.exp(pair.rate)
+
+    def events(gm, ge):
+        lower = gm <= ers * ge
+        exact = gm <= ers * (1.0 + ge) - 1.0
+        if bool(np.any(lower & ~exact)):
+            raise AssertionError("lower-bound event escaped the exact event")
+        return exact, lower
+    return events
+
+
+def mc_spsc(pair, n, seed=0):
+    """Fraction of draws with gamma_M > gamma_E."""
+    (spsc,) = _count(pair, n, seed, lambda gm, ge: (gm > ge,))
+    return spsc
 
 
 def mc_sop_both(pair, n, seed=0):
@@ -60,19 +80,15 @@ def mc_sop_both(pair, n, seed=0):
     implies the exact one for R_S >= 0) hold realization by realization,
     so the ordering of the two estimates is exact, not statistical.
     """
-    if n < 1000:
-        raise ValueError("n must be at least 1000")
-    ers = math.exp(pair.rate)
-    count_exact = 0
-    count_lower = 0
-    for gm, ge in _pair_chunks(pair, n, seed):
-        lower = gm <= ers * ge
-        exact = gm <= ers * (1.0 + ge) - 1.0
-        if bool(np.any(lower & ~exact)):
-            raise AssertionError("lower-bound event escaped the exact event")
-        count_lower += int(np.count_nonzero(lower))
-        count_exact += int(np.count_nonzero(exact))
-    return _estimate(count_exact, n, seed), _estimate(count_lower, n, seed)
+    return _count(pair, n, seed, _outage_events(pair))
+
+
+def mc_all(pair, n, seed=0):
+    """SPSC, exact and lower-bound outage estimates from one pass over one
+    draw stream; each equals what ``mc_spsc`` and ``mc_sop_both`` give for
+    the same seed."""
+    outage = _outage_events(pair)
+    return _count(pair, n, seed, lambda gm, ge: (gm > ge,) + outage(gm, ge))
 
 
 def mc_sop(pair, n, seed=0, lower=False):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from kmusec import fading
 from kmusec._backend import kernels as _k
 from kmusec.errors import QuadratureError
-from kmusec.fading import KappaMuParams, PropCoefficients
+from kmusec.fading import KappaMuParams, PropCoefficients, integer_mu
 from kmusec.specfun import DEFAULT_CONTROL
 
 #: below this kappa the closed form is ill-conditioned (powers of A/(Br)
@@ -34,8 +34,8 @@ class WiretapPair:
     rate: float = 0.0
 
     def __post_init__(self):
-        if not self.rate >= 0.0:
-            raise ValueError(f"rate must be >= 0 nats, got {self.rate}")
+        if not 0.0 <= self.rate < math.inf:
+            raise ValueError(f"rate must be finite and >= 0 nats, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,11 @@ class ClosedFormParams:
 
     @classmethod
     def from_pair(cls, pair):
-        mu_m = int(round(pair.main.mu))
-        mu_e = int(round(pair.eve.mu))
-        if abs(pair.main.mu - mu_m) > 1e-9 or mu_m < 1:
+        mu_m = integer_mu(pair.main.mu)
+        if mu_m is None:
             raise ValueError("closed form requires integer mu for the main channel")
-        if abs(pair.eve.mu - mu_e) > 1e-9 or mu_e < 1:
+        mu_e = integer_mu(pair.eve.mu)
+        if mu_e is None:
             raise ValueError("closed form requires integer mu for the eavesdropper")
         c = PropCoefficients.from_channels(pair.main, pair.eve)
         r = math.sqrt(c.beta_m / c.beta_e)

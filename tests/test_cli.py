@@ -55,6 +55,15 @@ class TestSpsc:
         assert rec["value"] == pytest.approx(
             spsc_rice_reference(15.0, 12.0, 1.0, 1.0), abs=1e-10)
 
+    @pytest.mark.parametrize("preset,method", [
+        ("fig2-rice", "closed_form"),      # integer mu, kappa above the floor
+        ("fig2-nakagami", "series"),       # integer mu, kappa below the floor
+        ("fig2-rayleigh", "series"),
+        ("fig4", "series"),                # non-integer mu
+        ("d2d", "series")])
+    def test_auto_method_tags(self, capsys, preset, method):
+        assert run_json(capsys, "spsc", "--preset", preset)["method"] == method
+
     def test_method_override(self, capsys):
         args = ["spsc", "--km", "15", "--um", "1", "--ke", "12", "--ue", "1"]
         series = run_json(capsys, *args, "--method", "series")
@@ -103,6 +112,18 @@ class TestSpsc:
                            "--max-terms", "20")
         assert code == 3
         assert "convergence" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spsc", "--preset", "fig4", "--gbar-m-db", "1e6"),
+    ("spsc", "--preset", "fig2-rice", "--km", "inf"),
+    ("spsc", "--preset", "fig4", "--gbar-m-linear", "inf"),
+    ("sop", "--preset", "fig4", "--rate-nats", "inf")])
+def test_non_finite_input_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
 
 
 class TestSop:

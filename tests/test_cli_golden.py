@@ -1,0 +1,99 @@
+"""Byte-for-byte CLI output on a fixed command list.
+
+The expected stdout and exit code of each command are pinned in
+``data/cli_golden.json``, recorded on the pure-Python kernels. The
+commands run in one child interpreter with ``KMUSEC_BACKEND=python``, so
+the check holds whichever backend the suite itself uses. After a change
+that is meant to alter the output, rewrite the file with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import kmusec
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
+
+COMMANDS = [
+    ["spsc", "--preset", "fig2-rice"],
+    ["spsc", "--preset", "fig2-nakagami"],
+    ["spsc", "--preset", "fig4"],
+    ["spsc", "--preset", "d2d"],
+    ["spsc", "--preset", "fig2-rice", "--gbar-m-db", "5", "--method", "closed"],
+    ["spsc", "--preset", "fig4", "--gbar-m-db", "5", "--method", "series"],
+    ["spsc", "--preset", "ban", "--method", "mc", "--mc-n", "20000", "--seed", "3"],
+    ["sop", "--preset", "fig4", "--gbar-m-db", "7"],
+    ["sop", "--preset", "fig4", "--gbar-m-db", "7", "--bound", "lower"],
+    ["sop", "--preset", "d2d", "--rate-nats", "0.4", "--method", "mc",
+     "--mc-n", "20000", "--seed", "4"],
+    ["sweep", "--preset", "fig4", "--variable", "gamma_bar_m_db",
+     "--start", "-10", "--stop", "30", "--steps", "5", "--assert-monotone"],
+    ["sweep", "--preset", "d2d", "--variable", "gamma_bar_e_db",
+     "--start", "-10", "--stop", "30", "--steps", "5", "--assert-monotone"],
+    ["sweep", "--preset", "ban", "--gbar-m-db", "5", "--variable", "kappa_m",
+     "--start", "0.5", "--stop", "8", "--steps", "4", "--assert-monotone"],
+    ["sweep", "--preset", "ban", "--gbar-e-db", "5", "--variable", "kappa_e",
+     "--start", "0.5", "--stop", "8", "--steps", "4", "--assert-monotone"],
+    ["sweep", "--preset", "v2v", "--gbar-m-db", "5", "--variable", "mu_m",
+     "--start", "0.5", "--stop", "3", "--steps", "4", "--assert-monotone"],
+    ["sweep", "--preset", "v2v", "--gbar-e-db", "5", "--variable", "mu_e",
+     "--start", "0.5", "--stop", "3", "--steps", "4", "--assert-monotone"],
+    ["sweep", "--preset", "fig4", "--gbar-m-db", "10", "--variable", "rate",
+     "--start", "0", "--stop", "2.5", "--steps", "4", "--assert-monotone"],
+    ["sweep", "--preset", "d2d", "--variable", "gamma_bar_m_db",
+     "--start", "0", "--stop", "3", "--steps", "2", "--with-mc", "20000",
+     "--seed", "5"],
+    ["validate", "--grid", "small"],
+]
+
+_RUNNER = """
+import contextlib, io, json, sys
+from kmusec import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    out.append({"argv": argv, "exit": code, "stdout": buf.getvalue()})
+json.dump(out, sys.stdout)
+"""
+
+
+def run_commands(commands):
+    """Run each command through ``cli.main`` in one child interpreter on
+    the pure-Python kernels; return its argv, exit code and stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kmusec.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "KMUSEC_BACKEND": "python", "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _RUNNER, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def outputs():
+    return run_commands(COMMANDS)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("index", range(len(COMMANDS)),
+                         ids=[" ".join(c) for c in COMMANDS])
+def test_stdout_matches_golden(outputs, golden, index):
+    assert outputs[index] == golden[index]
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w") as fh:
+        json.dump(run_commands(COMMANDS), fh, indent=1)
+        fh.write("\n")

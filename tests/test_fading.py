@@ -7,6 +7,7 @@ function.
 """
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -24,10 +25,21 @@ class TestParams:
 
     @pytest.mark.parametrize("kw", [dict(kappa=-0.1, mu=1.0, gamma_bar=1.0),
                                     dict(kappa=1.0, mu=0.0, gamma_bar=1.0),
-                                    dict(kappa=1.0, mu=1.0, gamma_bar=0.0)])
+                                    dict(kappa=1.0, mu=1.0, gamma_bar=0.0),
+                                    dict(kappa=math.inf, mu=1.0, gamma_bar=1.0),
+                                    dict(kappa=1.0, mu=math.inf, gamma_bar=1.0),
+                                    dict(kappa=1.0, mu=1.0, gamma_bar=math.inf),
+                                    dict(kappa=math.nan, mu=1.0, gamma_bar=1.0)])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
             KappaMuParams(**kw)
+
+    @pytest.mark.parametrize("mu,expected", [(1.0, 1), (3.0 + 5e-10, 3),
+                                             (2.0 - 5e-10, 2), (1.5, None),
+                                             (2.0 + 2e-9, None), (0.4, None),
+                                             (1e-12, None)])
+    def test_integer_mu(self, mu, expected):
+        assert fading.integer_mu(mu) == expected
 
     def test_kappa_floor(self):
         assert KappaMuParams(0.0, 1.0, 1.0).with_kappa_floor().kappa == EPSILON_KAPPA
@@ -89,6 +101,48 @@ class TestSnrPdf:
         out = fading.snr_pdf(p, np.asarray([0.5, 1.0, 2.0]))
         assert out.shape == (3,)
         assert out[1] == pytest.approx(0.34723055468776726, rel=1e-12)
+
+
+def _mp_snr_pdf(kappa, mu, gamma_bar, g):
+    # textbook kappa-mu SNR density (kappa = 0: gamma law), 30 digits
+    with mp.workdps(30):
+        k, mu, gb, g = (mp.mpf(v) for v in (kappa, mu, gamma_bar, g))
+        if k == 0:
+            return mu ** mu * g ** (mu - 1) * mp.exp(-mu * g / gb) / (
+                mp.gamma(mu) * gb ** mu)
+        return (mu * (1 + k) ** ((mu + 1) / 2) * g ** ((mu - 1) / 2)
+                / (k ** ((mu - 1) / 2) * mp.exp(mu * k) * gb ** ((mu + 1) / 2))
+                * mp.exp(-mu * (1 + k) * g / gb)
+                * mp.besseli(mu - 1, 2 * mu * mp.sqrt(k * (1 + k) * g / gb)))
+
+
+def _mp_envelope_pdf(kappa, mu, r_hat, r):
+    # textbook kappa-mu envelope density (kappa = 0: Nakagami-m), 30 digits
+    with mp.workdps(30):
+        k, mu, rh = (mp.mpf(v) for v in (kappa, mu, r_hat))
+        rho = mp.mpf(r) / rh
+        if k == 0:
+            return 2 * mu ** mu * rho ** (2 * mu - 1) * mp.exp(-mu * rho ** 2) / (
+                mp.gamma(mu) * rh)
+        return (2 * mu * (1 + k) ** ((mu + 1) / 2) * rho ** mu
+                / (k ** ((mu - 1) / 2) * mp.exp(mu * k) * rh)
+                * mp.exp(-mu * (1 + k) * rho ** 2)
+                * mp.besseli(mu - 1, 2 * mu * mp.sqrt(k * (1 + k)) * rho))
+
+
+_MP_GRID = [(k, mu) for k in (0.0, 1e-6, 2.0, 49.0)
+            for mu in (0.05, 0.5, 1.0, 3.7, 10.0)]
+_MP_RHO = (0.2, 0.6, 0.9, 1.0, 1.1, 1.5)
+
+
+@pytest.mark.parametrize("kappa,mu", _MP_GRID)
+def test_snr_pdf_matches_mpmath(kappa, mu):
+    gbar = 2.5
+    p = KappaMuParams(kappa, mu, gbar)
+    for rho in _MP_RHO:
+        g = rho * rho * gbar
+        ref = _mp_snr_pdf(kappa, mu, gbar, g)
+        assert float(abs(fading.snr_pdf(p, g) - ref) / ref) <= 1e-12, rho
 
 
 class TestSnrCdf:
@@ -292,6 +346,27 @@ class TestEnvelopePdf:
         mass, _ = quad(lambda r: fading.envelope_pdf(p, r, 1.3), 0.0, 15.0,
                        limit=200)
         assert mass == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("kappa,mu", _MP_GRID)
+    def test_matches_mpmath(self, kappa, mu):
+        r_hat = 1.3
+        p = KappaMuParams(kappa, mu, 1.0)
+        for rho in _MP_RHO:
+            ref = _mp_envelope_pdf(kappa, mu, r_hat, rho * r_hat)
+            got = fading.envelope_pdf(p, rho * r_hat, r_hat)
+            assert float(abs(got - ref) / ref) <= 1e-12, rho
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-6, 2.0, 49.0])
+    def test_origin(self, kappa):
+        r_hat = 1.3
+        with pytest.raises(ValueError):
+            fading.envelope_pdf(KappaMuParams(kappa, 0.45, 1.0), 0.0, r_hat)
+        assert fading.envelope_pdf(KappaMuParams(kappa, 0.7, 1.0), 0.0, r_hat) == 0.0
+        # mu = 0.5: the density tends to a finite value as r -> 0; at
+        # r = 1e-20 r_hat the 30-digit value equals that limit to 1e-40
+        ref = _mp_envelope_pdf(kappa, 0.5, r_hat, mp.mpf("1e-20") * r_hat)
+        got = fading.envelope_pdf(KappaMuParams(kappa, 0.5, 1.0), 0.0, r_hat)
+        assert float(abs(got - ref) / ref) <= 1e-13
 
     def test_rms_scaling(self):
         p = KappaMuParams(2.0, 1.5, 1.0)

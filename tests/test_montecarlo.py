@@ -26,6 +26,12 @@ class TestReproducibility:
         b = montecarlo.mc_spsc(p, 50_000, seed=4)
         assert a.estimate != b.estimate
 
+    def test_all_metrics_in_one_pass(self):
+        p = pair(1.07, 0.91, 2.0, 1.11, 0.92, 1.0, rate=0.3)
+        spsc, exact, lower = montecarlo.mc_all(p, 1_200_000, seed=6)
+        assert spsc == montecarlo.mc_spsc(p, 1_200_000, seed=6)
+        assert (exact, lower) == montecarlo.mc_sop_both(p, 1_200_000, seed=6)
+
     def test_chunking_invisible(self):
         # one chunk vs several (n above the internal chunk size)
         p = pair(2.0, 1.0, 1.0, 1.0, 1.0, 1.0)
