@@ -4,7 +4,8 @@
 Times the three hot paths on representative workloads: the Marcum-Q
 series (distribution evaluations), the survival double series (one
 metric point), and a 41-point mean-SNR sweep. Run from a checkout with
-the extension built:
+the extension built (``python setup.py build_ext --inplace`` compiles the
+shipped ``_ckernels.c``; Cython is not needed):
 
     python benchmarks/bench_backends.py
 """
@@ -67,8 +68,8 @@ def main():
         else:
             print(f"{name:<22}{t_py * 1e3:>10.3f}ms{'n/a':>12}{'':>10}")
     if _ckernels is None:
-        print("\ncompiled backend unavailable; build it with "
-              "'pip install -e . --no-build-isolation'")
+        print("\ncompiled backend unavailable; compile the shipped "
+              "_ckernels.c with 'python setup.py build_ext --inplace'")
 
 
 if __name__ == "__main__":

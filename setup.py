@@ -1,29 +1,11 @@
 """Build hook for the optional compiled kernel extension.
 
-The package is fully functional without the extension (a pure-Python
-twin is selected at import time); building it just makes the hot series
-kernels much faster. Set KMUSEC_PURE_PYTHON=1 to skip compilation.
+The extension is compiled from the shipped, generated ``_ckernels.c``
+with any C compiler; no code generator is needed at install time. If
+the compile fails the package still works on the pure-Python twin, and
+``KMUSEC_BACKEND=python`` selects that twin at run time regardless.
 """
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if not os.environ.get("KMUSEC_PURE_PYTHON") and os.path.exists("src/kmusec/_ckernels.pyx"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "kmusec._ckernels",
-                    ["src/kmusec/_ckernels.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            language_level=3,
-        )
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("kmusec._ckernels", ["src/kmusec/_ckernels.c"],
+                             extra_compile_args=["-O3"], optional=True)])

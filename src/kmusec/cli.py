@@ -49,7 +49,12 @@ PRESETS["one_sided_gaussian"] = dict(km=EPSILON_KAPPA, um=0.5,
 
 class SweepVariable(NamedTuple):
     """What a sweep variable sets, and the trend the curves must follow
-    as it increases: +1 nondecreasing, -1 nonincreasing, 0 not checked."""
+    as it increases: +1 nondecreasing, -1 nonincreasing, 0 not checked.
+
+    Only laws of the model carry a trend. A shape parameter has none: a
+    steadier eavesdropper (larger kappa_e or mu_e) can raise SPSC when the
+    main link is the stronger one, and a steadier main link can lower it
+    when the eavesdropper is the stronger one."""
 
     channel: str | None  # "main" or "eve"; None sets a field of the pair
     field: str
@@ -60,10 +65,10 @@ class SweepVariable(NamedTuple):
 SWEEP_VARIABLES = {
     "gamma_bar_m_db": SweepVariable("main", "gamma_bar", True, (+1, -1)),
     "gamma_bar_e_db": SweepVariable("eve", "gamma_bar", True, (-1, +1)),
-    "kappa_m": SweepVariable("main", "kappa", False, (+1, -1)),
-    "kappa_e": SweepVariable("eve", "kappa", False, (-1, +1)),
-    "mu_m": SweepVariable("main", "mu", False, (+1, -1)),
-    "mu_e": SweepVariable("eve", "mu", False, (-1, +1)),
+    "kappa_m": SweepVariable("main", "kappa", False, (0, 0)),
+    "kappa_e": SweepVariable("eve", "kappa", False, (0, 0)),
+    "mu_m": SweepVariable("main", "mu", False, (0, 0)),
+    "mu_e": SweepVariable("eve", "mu", False, (0, 0)),
     "rate": SweepVariable(None, "rate", False, (0, +1)),
 }
 
@@ -462,8 +467,11 @@ def build_parser():
     sw.add_argument("--with-mc", type=int, default=0, metavar="N",
                     help="add Monte Carlo columns with N draws per point")
     sw.add_argument("--seed", type=int, default=0)
+    laws = ", ".join(name for name, var in SWEEP_VARIABLES.items() if any(var.trend))
     sw.add_argument("--assert-monotone", action="store_true",
-                    help="fail (exit 4) unless the curves are monotone")
+                    help="fail (exit 4) unless the curves follow the model's "
+                         f"monotone laws, which exist over {laws}; other "
+                         "variables are not checked")
     sw.add_argument("--output", help="write CSV atomically to this file")
     sw.set_defaults(func=cmd_sweep)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kmusec.fading import _sample_snr_with
+from kmusec.secrecy import _RATE_SATURATION
 
 _CHUNK = 1_000_000
 
@@ -55,7 +56,14 @@ def _count(pair, n, seed, events):
 
 
 def _outage_events(pair):
-    """Events function for (exact, lower-bound) outage at the pair's rate."""
+    """Events function for (exact, lower-bound) outage at the pair's rate.
+    Beyond the rate at which the analytic paths saturate, every draw is in
+    outage, as there."""
+    if pair.rate > _RATE_SATURATION:
+        def saturated(gm, ge):
+            every = np.ones(gm.shape, dtype=bool)
+            return every, every
+        return saturated
     ers = math.exp(pair.rate)
 
     def events(gm, ge):

@@ -1,34 +1,51 @@
 """Agreement between the compiled and pure-Python kernel backends.
 
 Both implement the same algorithms; values must match to a few ulp
-(the only permitted difference is the platform lgamma vs CPython's)."""
-import math
+(the only permitted difference is the platform lgamma vs CPython's).
+The compiled twin is the session build of the shipped ``_ckernels.c``
+(``conftest.compiled_package``), whichever backend the rest of the suite
+runs on."""
+import importlib.util
+import os
+import re
 import subprocess
 import sys
+import sysconfig
 
 import pytest
 
 from kmusec import _pykernels as pyk
 
-ck = pytest.importorskip("kmusec._ckernels")
-
 REL = 5e-13
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "kmusec")
+
+
+@pytest.fixture(scope="module")
+def ck(compiled_package):
+    """The compiled kernels, loaded by file path from the session build
+    and kept out of ``sys.modules``."""
+    path = compiled_package / "kmusec" / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    spec = importlib.util.spec_from_file_location("kmusec._ckernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestScalarAgreement:
     @pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 7.3, 171.6, 1e6])
-    def test_log_gamma(self, x):
+    def test_log_gamma(self, ck, x):
         assert ck.log_gamma(x) == pytest.approx(pyk.log_gamma(x), rel=REL, abs=1e-13)
 
     @pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 5.5, 40.0])
     @pytest.mark.parametrize("x", [0.0, 0.2, 1.7, 6.0, 80.0])
-    def test_gammainc(self, s, x):
+    def test_gammainc(self, ck, s, x):
         assert ck.gammainc_upper_reg(s, x) == pytest.approx(
             pyk.gammainc_upper_reg(s, x), rel=REL, abs=1e-300)
 
     @pytest.mark.parametrize("v", [-0.5, 0.0, 0.2, 1.0, 2.5, 9.0])
     @pytest.mark.parametrize("x", [0.0, 0.1, 3.4, 31.0, 140.0])
-    def test_bessel_ie(self, v, x):
+    def test_bessel_ie(self, ck, v, x):
         if v < 0.0 and x == 0.0:
             return
         assert ck.bessel_ie(v, x) == pytest.approx(pyk.bessel_ie(v, x), rel=REL)
@@ -36,27 +53,27 @@ class TestScalarAgreement:
     @pytest.mark.parametrize("b,c,z", [
         (2.0, 2.0, 0.25), (4.1, 2.6, 0.62), (7.4, 3.3, 0.93),
         (12.2, 4.92, 0.999), (3.0, 2.0, 0.9), (0.5, 4.0, 0.3)])
-    def test_gauss_2f1(self, b, c, z):
+    def test_gauss_2f1(self, ck, b, c, z):
         assert ck.gauss_2f1(1.0, b, c, z) == pytest.approx(
             pyk.gauss_2f1(1.0, b, c, z), rel=REL)
 
     @pytest.mark.parametrize("p,q,x", [
         (1.5, 2.0, 0.3), (0.92, 2.4, 0.68), (40.0, 1.2, 0.95)])
-    def test_betainc(self, p, q, x):
+    def test_betainc(self, ck, p, q, x):
         assert ck.betainc_reg(p, q, x) == pytest.approx(
             pyk.betainc_reg(p, q, x), rel=REL)
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 1.4, 3.5])
     @pytest.mark.parametrize("alpha", [0.0, 1.1, 4.0])
     @pytest.mark.parametrize("beta", [0.0, 0.9, 2.0, 40.0])
-    def test_marcum(self, m, alpha, beta):
+    def test_marcum(self, ck, m, alpha, beta):
         cv, cn, ce = ck.marcum_q_series(m, alpha, beta)
         pv, pn, pe = pyk.marcum_q_series(m, alpha, beta)
         assert cv == pytest.approx(pv, rel=REL, abs=1e-300)
         assert cn == pn
         assert ce == pytest.approx(pe, rel=1e-9, abs=1e-300)
 
-    def test_marcum_large_intensity(self):
+    def test_marcum_large_intensity(self, ck):
         cv, _, _ = ck.marcum_q_series(2.0, 38.0, 37.0)
         pv, _, _ = pyk.marcum_q_series(2.0, 38.0, 37.0)
         assert cv == pytest.approx(pv, rel=1e-11)
@@ -74,12 +91,23 @@ SURVIVAL_CASES = [
 
 class TestSurvivalAgreement:
     @pytest.mark.parametrize("args", SURVIVAL_CASES)
-    def test_value_and_counts(self, args):
+    def test_value_and_counts(self, ck, args):
         cv, ck_, cl, ce = ck.survival_series(*args)
         pv, pk_, pl, pe = pyk.survival_series(*args)
         assert cv == pytest.approx(pv, rel=1e-12, abs=1e-15)
         assert (ck_, cl) == (pk_, pl)
         assert ce == pytest.approx(pe, rel=1e-6, abs=1e-300)
+
+
+def _import_kmusec(code, backend, first_on_path=None):
+    """Run ``code`` in a child interpreter with only ``KMUSEC_BACKEND``,
+    ``PATH`` and this process's ``PYTHONPATH`` (after ``first_on_path``)."""
+    path = [str(first_on_path)] if first_on_path else []
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = {"KMUSEC_BACKEND": backend, "PATH": "/usr/bin:/bin",
+           "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
 
 
 class TestBackendSelection:
@@ -88,17 +116,64 @@ class TestBackendSelection:
         assert backend_name() in ("c", "python")
 
     @pytest.mark.parametrize("forced", ["python", "c"])
-    def test_env_override(self, forced):
+    def test_env_override(self, forced, request):
+        first = request.getfixturevalue("compiled_package") if forced == "c" else None
         code = ("import kmusec, sys; "
                 f"sys.exit(0 if kmusec.backend_name() == '{forced}' else 1)")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              env={"KMUSEC_BACKEND": forced, "PATH": "/usr/bin:/bin"},
-                              capture_output=True)
+        proc = _import_kmusec(code, forced, first)
         assert proc.returncode == 0, proc.stderr
 
     def test_bad_env_value_rejected(self):
-        code = "import kmusec"
-        proc = subprocess.run([sys.executable, "-c", code],
-                              env={"KMUSEC_BACKEND": "fortran", "PATH": "/usr/bin:/bin"},
-                              capture_output=True)
+        proc = _import_kmusec("import kmusec", "fortran")
         assert proc.returncode != 0
+        assert b"KMUSEC_BACKEND must be" in proc.stderr, proc.stderr
+
+
+def _public_callables(module):
+    # the names ``kmubench/tracer.py`` (``_kernel_proxy``) wraps
+    return {attr for attr in dir(module)
+            if not attr.startswith("_") and callable(getattr(module, attr))
+            and not isinstance(getattr(module, attr), type)}
+
+
+def test_twins_expose_same_callables(ck):
+    assert _public_callables(ck) == _public_callables(pyk)
+    assert "survival_series" in _public_callables(pyk)
+
+
+#: Cython quotes the .pyx around each statement it compiles: a header
+#: ``/* "kmusec/_ckernels.pyx":N``, then `` * `` lines up to ``*/``, the
+#: one ending in MARK being line N and the others its neighbours
+_HEADER = re.compile(r'^\s*/\* "kmusec/_ckernels\.pyx":(\d+)$')
+_MARK = "             # <<<<<<<<<<<<<<"
+
+
+def test_generated_c_matches_pyx():
+    """The shipped ``_ckernels.c`` was generated from the current
+    ``_ckernels.pyx``; after editing the .pyx, regenerate it with
+    ``cython -3 src/kmusec/_ckernels.pyx``."""
+    with open(os.path.join(PACKAGE, "_ckernels.c")) as fh:
+        c_lines = fh.read().splitlines()
+    with open(os.path.join(PACKAGE, "_ckernels.pyx")) as fh:
+        pyx = fh.read().splitlines()
+    marked = 0
+    mismatches = {}
+    for i, line in enumerate(c_lines):
+        header = _HEADER.match(line)
+        if not header:
+            continue
+        body = []
+        for quoted in c_lines[i + 1:]:
+            if quoted.startswith("*/"):
+                break
+            body.append(quoted)
+        at = [j for j, quoted in enumerate(body) if quoted.endswith(_MARK)]
+        assert len(at) == 1, f"_ckernels.c line {i + 1}: {len(at)} marked lines"
+        marked += 1
+        for j, quoted in enumerate(body):
+            n = int(header.group(1)) + j - at[0]
+            text = quoted[3:-len(_MARK)] if j == at[0] else quoted[3:]
+            if not 1 <= n <= len(pyx) or pyx[n - 1] != text:
+                mismatches[n] = f"_ckernels.pyx:{n}: the .c quotes {text!r}"
+    assert marked > 0
+    assert not mismatches, "\n".join(mismatches[n] for n in sorted(mismatches)[:10])

@@ -152,6 +152,13 @@ class TestSop:
         rec = run_json(capsys, "sop", "--preset", "fig4")
         assert rec["params"]["rate_nats"] == pytest.approx(10 ** 0.1)
 
+    @pytest.mark.parametrize("bound", ["exact", "lower"])
+    def test_mc_rate_beyond_exp_overflow(self, capsys, bound):
+        rec = run_json(capsys, "sop", "--preset", "d2d", "--rate-nats", "800",
+                       "--method", "mc", "--mc-n", "1000", "--bound", bound)
+        assert rec["value"] == 1.0
+        assert rec["metric"] == f"sop_{bound}"
+
 
 class TestSweep:
     def test_constant_for_identical_channels(self, capsys):
@@ -182,6 +189,25 @@ class TestSweep:
                              "--start", "-10", "--stop", "30", "--steps", "9",
                              "--assert-monotone")
         assert code == 0, err
+
+    @pytest.mark.parametrize("argv", [
+        ("--preset", "ban", "--gbar-m-db", "5", "--variable", "kappa_e",
+         "--start", "0.5", "--stop", "8"),
+        ("--preset", "v2v", "--gbar-m-db", "5", "--variable", "mu_e",
+         "--start", "0.5", "--stop", "3"),
+        ("--preset", "ban", "--gbar-m-db", "-5", "--variable", "kappa_m",
+         "--start", "0.5", "--stop", "8"),
+        ("--preset", "v2v", "--gbar-m-db", "-5", "--variable", "mu_m",
+         "--start", "0.5", "--stop", "3"),
+    ])
+    def test_assert_monotone_skips_shape_variables(self, capsys, argv):
+        # on these correct curves SPSC moves against the trend once expected
+        # of the swept shape parameter; that trend is no law of the model,
+        # so --assert-monotone must pass them
+        code, _, err = run(capsys, "sweep", *argv, "--steps", "4",
+                             "--assert-monotone")
+        assert code == 0, err
+        assert err == ""
 
     def test_csv_round_trip_lossless(self, capsys):
         code, out, _ = run(capsys, "sweep", "--preset", "d2d",

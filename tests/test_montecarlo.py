@@ -93,6 +93,17 @@ class TestSharedDraws:
         est = montecarlo.mc_sop(p, 1_000_000, seed=23, lower=True)
         assert abs(est.estimate - 0.5) <= 4.0 * est.std_error
 
+    def test_rate_beyond_exp_overflow_saturates(self):
+        # e^800 overflows a double; outage is 1, as in the analytic paths,
+        # while the spsc event on the same draws is counted as usual
+        p = pair(1.07, 0.91, 1.0, 1.11, 0.92, 1.0, rate=800.0)
+        spsc, exact, lower = montecarlo.mc_all(p, 20_000, seed=24)
+        assert exact.estimate == lower.estimate == 1.0
+        assert exact.std_error == lower.std_error == 0.0
+        assert spsc == montecarlo.mc_spsc(p, 20_000, seed=24)
+        assert 0.0 < spsc.estimate < 1.0
+        assert secrecy.sop_exact(p).value == secrecy.sop_lower(p).value == 1.0
+
 
 class TestConvergence:
     def test_doubling_n_halves_std_error(self):
