@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kmusec._backend import kernels as _k
-from kmusec.specfun import DEFAULT_CONTROL
+# the model's own formulas run on scipy.special; this binding is the one
+# kmubench/tracer.py swaps for its kernel proxy in every model module
+from kmusec._backend import kernels as _k  # noqa: F401
 
 #: stand-in for kappa -> 0 limits in series paths; the exact kappa = 0
 #: PDF/CDF take the gamma-distribution fast path instead
@@ -146,67 +147,72 @@ def _origin_coefficient(kappa, mu):
 
 
 def _density(kappa, mu, gbar, g):
-    # kappa-mu SNR density at g > 0, scaled-Bessel form; kappa = 0 is the
-    # exact limit, a gamma law with shape mu and mean gbar
-    if kappa == 0.0:
-        lf = (mu * math.log(mu) + (mu - 1.0) * math.log(g)
-              - mu * g / gbar - math.lgamma(mu) - mu * math.log(gbar))
-        return math.exp(lf)
-    arg = 2.0 * mu * math.sqrt(kappa * (1.0 + kappa) * g / gbar)
-    lf = (math.log(mu)
-          + 0.5 * (mu + 1.0) * (math.log1p(kappa) - math.log(gbar))
-          + 0.5 * (mu - 1.0) * (math.log(g) - math.log(kappa))
-          - mu * kappa
-          - mu * (1.0 + kappa) * g / gbar
-          + arg)
-    ie = _k.bessel_ie(mu - 1.0, arg)
-    if ie <= 0.0:
-        return 0.0
-    lf += math.log(ie)
-    return math.exp(lf) if lf > -745.0 else 0.0
+    # kappa-mu SNR density at an array g > 0, log domain with the scaled
+    # Bessel function; kappa = 0 is the exact limit, a gamma law with
+    # shape mu and mean gbar
+    from scipy.special import ive
+
+    # beyond the range of a double, terms overflow to the density's limits
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if kappa == 0.0:
+            return np.exp(mu * math.log(mu) + (mu - 1.0) * np.log(g)
+                          - mu * g / gbar - math.lgamma(mu) - mu * math.log(gbar))
+        arg = 2.0 * mu * np.sqrt(kappa * (1.0 + kappa) * g / gbar)
+        lf = (math.log(mu)
+              + 0.5 * (mu + 1.0) * (math.log1p(kappa) - math.log(gbar))
+              + 0.5 * (mu - 1.0) * (np.log(g) - math.log(kappa))
+              - mu * kappa
+              - mu * (1.0 + kappa) * g / gbar
+              + arg
+              + np.log(ive(mu - 1.0, arg)))
+    return np.where(lf > -745.0, np.exp(lf), 0.0)
 
 
-def _snr_pdf_scalar(params, g):
-    if g < 0.0:
-        raise ValueError(f"snr_pdf requires gamma >= 0, got {g}")
-    kappa, mu, gbar = params.kappa, params.mu, params.gamma_bar
-    if g == 0.0:
-        if mu < 1.0:
-            raise ValueError("the density diverges at gamma = 0 for mu < 1; "
-                             "evaluate at gamma > 0")
-        return 0.0 if mu > 1.0 else _origin_coefficient(kappa, mu) / gbar
-    return _density(kappa, mu, gbar, g)
+def _as_input(name, x):
+    # float array of a nonnegative argument, the scalar error message kept
+    arr = np.asarray(x, dtype=float)
+    negative = arr < 0.0
+    if negative.any():
+        raise ValueError(f"{name} requires gamma >= 0, got {arr[negative].flat[0]}")
+    return arr
+
+
+def _as_output(arr):
+    # a Python float for scalar input, the array otherwise
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def snr_pdf(params, gamma):
     """SNR density of a kappa-mu channel at ``gamma`` (scalar or array)."""
-    arr = np.asarray(gamma, dtype=float)
-    if arr.ndim == 0:
-        return _snr_pdf_scalar(params, float(arr))
-    flat = [_snr_pdf_scalar(params, float(g)) for g in arr.ravel()]
-    return np.asarray(flat).reshape(arr.shape)
-
-
-def snr_cdf(params, gamma, ctl=None):
-    """SNR distribution function, 1 - Q_mu(sqrt(2 kappa mu),
-    sqrt(2 (1+kappa) mu gamma / gamma_bar))."""
-    ctl = ctl or DEFAULT_CONTROL
-    g = float(gamma)
-    if g < 0.0:
-        raise ValueError(f"snr_cdf requires gamma >= 0, got {g}")
-    if g == 0.0:
-        return 0.0
+    g = _as_input("snr_pdf", gamma)
     kappa, mu, gbar = params.kappa, params.mu, params.gamma_bar
-    if kappa == 0.0:
-        return 1.0 - _k.gammainc_upper_reg(mu, mu * g / gbar)
-    value, _, _ = _k.marcum_q_series(
-        mu,
-        math.sqrt(2.0 * kappa * mu),
-        math.sqrt(2.0 * (1.0 + kappa) * mu * g / gbar),
-        ctl.abs_tol,
-        ctl.max_terms,
-    )
-    return min(max(1.0 - value, 0.0), 1.0)
+    origin = g == 0.0
+    if not origin.any():
+        return _as_output(_density(kappa, mu, gbar, g))
+    if mu < 1.0:
+        raise ValueError("the density diverges at gamma = 0 for mu < 1; "
+                         "evaluate at gamma > 0")
+    at_origin = 0.0 if mu > 1.0 else _origin_coefficient(kappa, mu) / gbar
+    dens = _density(kappa, mu, gbar, np.where(origin, 1.0, g))
+    return _as_output(np.where(origin, at_origin, dens))
+
+
+def snr_cdf(params, gamma):
+    """SNR distribution function at ``gamma`` (scalar or array),
+    1 - Q_mu(sqrt(2 kappa mu), sqrt(2 (1+kappa) mu gamma / gamma_bar)):
+    the noncentral chi-square law with 2 mu degrees of freedom and
+    noncentrality 2 kappa mu at 2 (1+kappa) mu gamma / gamma_bar, and the
+    gamma law at kappa = 0."""
+    from scipy.special import chndtr, gammainc
+
+    g = _as_input("snr_cdf", gamma)
+    kappa, mu, gbar = params.kappa, params.mu, params.gamma_bar
+    with np.errstate(over="ignore"):  # an infinite argument gives 1
+        if kappa == 0.0:
+            out = gammainc(mu, mu * g / gbar)
+        else:
+            out = chndtr(2.0 * (1.0 + kappa) * mu * g / gbar, 2.0 * mu, 2.0 * kappa * mu)
+    return _as_output(np.clip(out, 0.0, 1.0))
 
 
 def sample_snr(params, n, seed):
@@ -231,29 +237,28 @@ def _sample_snr_with(rng, params, n):
 
 
 def envelope_pdf(params, r, r_hat=1.0):
-    """Envelope density at level ``r`` for RMS level ``r_hat``: the SNR
-    density with unit mean at rho^2, rho = r / r_hat, times 2 rho / r_hat."""
+    """Envelope density at level ``r`` (scalar or array) for RMS level
+    ``r_hat``: the SNR density with unit mean at rho^2, rho = r / r_hat,
+    times 2 rho / r_hat."""
     if not r_hat > 0.0:
         raise ValueError("r_hat must be positive")
     kappa, mu = params.kappa, params.mu
-    arr = np.asarray(r, dtype=float)
-    out = []
-    for rv in arr.ravel().tolist():
-        if rv < 0.0:
-            raise ValueError("envelope level must be >= 0")
-        rho = rv / r_hat
-        g = rho * rho
-        if g == 0.0:
-            # r = 0, or rho^2 below the smallest double: the leading term
-            # 2 C rho^(2 mu - 1) / r_hat of the small-r law is then exact
-            if rho == 0.0 and mu < 0.5:
-                raise ValueError("the envelope density diverges at r = 0 for mu < 0.5")
-            out.append(2.0 * _origin_coefficient(kappa, mu) * rho ** (2.0 * mu - 1.0) / r_hat)
-        else:
-            out.append(2.0 * rho / r_hat * _density(kappa, mu, 1.0, g))
-    if arr.ndim == 0:
-        return out[0]
-    return np.asarray(out).reshape(arr.shape)
+    rv = np.asarray(r, dtype=float)
+    if (rv < 0.0).any():
+        raise ValueError("envelope level must be >= 0")
+    rho = rv / r_hat
+    g = rho * rho
+    under = g == 0.0
+    if not under.any():
+        return _as_output(2.0 * rho / r_hat * _density(kappa, mu, 1.0, g))
+    # r = 0, or rho^2 below the smallest double: the leading term
+    # 2 C rho^(2 mu - 1) / r_hat of the small-r law is then exact
+    if mu < 0.5 and (rho[under] == 0.0).any():
+        raise ValueError("the envelope density diverges at r = 0 for mu < 0.5")
+    with np.errstate(divide="ignore"):
+        small = 2.0 * _origin_coefficient(kappa, mu) * rho ** (2.0 * mu - 1.0) / r_hat
+    dens = 2.0 * rho / r_hat * _density(kappa, mu, 1.0, np.where(under, 1.0, g))
+    return _as_output(np.where(under, small, dens))
 
 
 def make_special_case(name, *, K=None, m=None, kappa=None, mu=None, gamma_bar=1.0):

@@ -1,6 +1,7 @@
 """CLI behavior: flag handling, output formats, exit codes, sweeps,
 validation runs and trace fitting, exercised in process through main()."""
 import csv
+import functools
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from kmusec import estimate as em
+from kmusec import secrecy
 from kmusec.cli import main
 from kmusec.estimate import EnvelopeTrace, sample_envelope, write_trace_binary
 from kmusec.fading import KappaMuParams
@@ -112,6 +114,14 @@ class TestSpsc:
                            "--max-terms", "20")
         assert code == 3
         assert "convergence" in err
+
+    def test_quadrature_limit_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(secrecy, "QuadSpec", functools.partial(secrecy.QuadSpec, limit=1))
+        for argv in (("sop", "--preset", "fig4"),
+                     ("spsc", "--preset", "d2d", "--method", "quadrature")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert "convergence error: secure outage quadrature" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,19 +3,22 @@ special-case factories.
 
 Frozen values come from 30-digit mpmath evaluations of the density
 formula and numerical integration of the density for the distribution
-function.
+function; live 30-digit references come from ``mpref``.
 """
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import kstest, ncx2
+from scipy.stats import kstest
 
-from kmusec import fading
+from kmusec import fading, secrecy
 from kmusec.fading import (EPSILON_KAPPA, ClusterSpec, KappaMuParams,
                            PropCoefficients, make_special_case)
+
+import mpref
 
 
 class TestParams:
@@ -103,33 +106,6 @@ class TestSnrPdf:
         assert out[1] == pytest.approx(0.34723055468776726, rel=1e-12)
 
 
-def _mp_snr_pdf(kappa, mu, gamma_bar, g):
-    # textbook kappa-mu SNR density (kappa = 0: gamma law), 30 digits
-    with mp.workdps(30):
-        k, mu, gb, g = (mp.mpf(v) for v in (kappa, mu, gamma_bar, g))
-        if k == 0:
-            return mu ** mu * g ** (mu - 1) * mp.exp(-mu * g / gb) / (
-                mp.gamma(mu) * gb ** mu)
-        return (mu * (1 + k) ** ((mu + 1) / 2) * g ** ((mu - 1) / 2)
-                / (k ** ((mu - 1) / 2) * mp.exp(mu * k) * gb ** ((mu + 1) / 2))
-                * mp.exp(-mu * (1 + k) * g / gb)
-                * mp.besseli(mu - 1, 2 * mu * mp.sqrt(k * (1 + k) * g / gb)))
-
-
-def _mp_envelope_pdf(kappa, mu, r_hat, r):
-    # textbook kappa-mu envelope density (kappa = 0: Nakagami-m), 30 digits
-    with mp.workdps(30):
-        k, mu, rh = (mp.mpf(v) for v in (kappa, mu, r_hat))
-        rho = mp.mpf(r) / rh
-        if k == 0:
-            return 2 * mu ** mu * rho ** (2 * mu - 1) * mp.exp(-mu * rho ** 2) / (
-                mp.gamma(mu) * rh)
-        return (2 * mu * (1 + k) ** ((mu + 1) / 2) * rho ** mu
-                / (k ** ((mu - 1) / 2) * mp.exp(mu * k) * rh)
-                * mp.exp(-mu * (1 + k) * rho ** 2)
-                * mp.besseli(mu - 1, 2 * mu * mp.sqrt(k * (1 + k)) * rho))
-
-
 _MP_GRID = [(k, mu) for k in (0.0, 1e-6, 2.0, 49.0)
             for mu in (0.05, 0.5, 1.0, 3.7, 10.0)]
 _MP_RHO = (0.2, 0.6, 0.9, 1.0, 1.1, 1.5)
@@ -141,8 +117,68 @@ def test_snr_pdf_matches_mpmath(kappa, mu):
     p = KappaMuParams(kappa, mu, gbar)
     for rho in _MP_RHO:
         g = rho * rho * gbar
-        ref = _mp_snr_pdf(kappa, mu, gbar, g)
+        ref = mpref.snr_pdf(kappa, mu, gbar, g)
         assert float(abs(fading.snr_pdf(p, g) - ref) / ref) <= 1e-12, rho
+
+
+@pytest.mark.parametrize("kappa,mu", _MP_GRID)
+def test_snr_cdf_matches_mpmath(kappa, mu):
+    # the error model sop_exact's est_error rests on: relative
+    # secrecy._CDF_REL_ERR, or absolute secrecy._CDF_ABS_ERR for values
+    # the special function flushes to zero; deep lower tail to upper tail
+    gbar = 2.5
+    p = KappaMuParams(kappa, mu, gbar)
+    for rho in (1e-4, 0.05) + _MP_RHO + (2.5, 4.0):
+        g = rho * rho * gbar
+        ref = mpref.snr_cdf(kappa, mu, gbar, g)
+        miss = float(abs(fading.snr_cdf(p, g) - ref))
+        assert miss <= secrecy._CDF_REL_ERR * float(ref) + secrecy._CDF_ABS_ERR, rho
+
+
+class TestArrayPaths:
+    """Array input gives the scalar results element by element, in the
+    input's shape; scalar input gives a Python float."""
+
+    PARAMS = [KappaMuParams(0.0, 0.7, 1.3), KappaMuParams(2.0, 1.0, 0.5),
+              KappaMuParams(49.0, 3.7, 2.0), KappaMuParams(1e-9, 0.5, 1.0)]
+
+    @pytest.mark.parametrize("p", PARAMS)
+    def test_snr_pdf_and_cdf(self, p):
+        g = np.geomspace(1e-6, 30.0, 12).reshape(3, 4) * p.gamma_bar
+        for fn in (fading.snr_pdf, fading.snr_cdf):
+            out = fn(p, g)
+            assert out.shape == g.shape
+            assert out.tolist() == [[fn(p, float(v)) for v in row] for row in g]
+
+    @pytest.mark.parametrize("p", PARAMS)
+    def test_envelope_pdf(self, p):
+        r = np.linspace(0.05, 3.0, 12).reshape(2, 6)
+        out = fading.envelope_pdf(p, r, 1.3)
+        assert out.shape == r.shape
+        assert out.tolist() == [[fading.envelope_pdf(p, float(v), 1.3) for v in row]
+                                for row in r]
+
+    def test_origin_inside_arrays(self):
+        one = KappaMuParams(1.0, 1.0, 2.0)
+        assert fading.snr_pdf(one, np.array([0.0, 1.0])).tolist() == [
+            fading.snr_pdf(one, 0.0), fading.snr_pdf(one, 1.0)]
+        half = KappaMuParams(2.0, 0.5, 1.0)
+        assert fading.envelope_pdf(half, np.array([0.0, 1e-300, 0.4])).tolist() == [
+            fading.envelope_pdf(half, v) for v in (0.0, 1e-300, 0.4)]
+        with pytest.raises(ValueError):
+            fading.snr_pdf(KappaMuParams(1.0, 0.7, 1.0), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            fading.snr_cdf(one, np.array([1.0, -0.5]))
+        with pytest.raises(ValueError):
+            fading.envelope_pdf(KappaMuParams(1.0, 0.4, 1.0), np.array([0.3, 0.0]))
+
+    def test_scalar_returns_float(self):
+        p = KappaMuParams(2.0, 1.5, 2.0)
+        for value in (fading.snr_pdf(p, 1.0), fading.snr_pdf(p, np.float64(1.0)),
+                      fading.snr_cdf(p, 1.0), fading.snr_cdf(p, 0.0),
+                      fading.envelope_pdf(p, 0.8), fading.envelope_pdf(p, 0.0),
+                      fading.snr_pdf(KappaMuParams(0.0, 1.0, 1.0), 0.0)):
+            assert type(value) is float
 
 
 class TestSnrCdf:
@@ -202,21 +238,6 @@ class TestSnrCdf:
                 fading.snr_cdf(eps, g), abs=1e-7)
 
 
-def _cdf_callable(p):
-    """Vectorized distribution bridge through the noncentral chi-square,
-    verified against snr_cdf before use."""
-    scale = 2.0 * (1.0 + p.kappa) * p.mu / p.gamma_bar
-    df = 2.0 * p.mu
-    nc = 2.0 * p.kappa * p.mu
-
-    def cdf(g):
-        return ncx2.cdf(np.asarray(g) * scale, df, nc)
-
-    for g in np.geomspace(0.05, 20.0, 25):
-        assert abs(float(cdf(g)) - fading.snr_cdf(p, float(g))) < 1e-10
-    return cdf
-
-
 class TestSampler:
     def test_mean_rayleigh(self):
         p = KappaMuParams(EPSILON_KAPPA, 1.0, 3.0)
@@ -237,7 +258,7 @@ class TestSampler:
     ])
     def test_ks_against_cdf(self, p, seed):
         draws = fading.sample_snr(p, 1_000_000, seed=seed)
-        stat = kstest(draws, _cdf_callable(p)).statistic
+        stat = kstest(draws, functools.partial(fading.snr_cdf, p)).statistic
         assert stat < 1.95 / math.sqrt(draws.size)
 
     @pytest.mark.parametrize("p,seed", [
@@ -288,7 +309,7 @@ class TestClusterSpec:
         params = KappaMuParams(1.5, 2.0, 1.0)
         spec = ClusterSpec.from_params(params)
         draws = spec.sample_snr(200_000, seed=21)
-        stat = kstest(draws, _cdf_callable(params)).statistic
+        stat = kstest(draws, functools.partial(fading.snr_cdf, params)).statistic
         assert stat < 1.95 / math.sqrt(draws.size)
 
 
@@ -352,7 +373,7 @@ class TestEnvelopePdf:
         r_hat = 1.3
         p = KappaMuParams(kappa, mu, 1.0)
         for rho in _MP_RHO:
-            ref = _mp_envelope_pdf(kappa, mu, r_hat, rho * r_hat)
+            ref = mpref.envelope_pdf(kappa, mu, r_hat, rho * r_hat)
             got = fading.envelope_pdf(p, rho * r_hat, r_hat)
             assert float(abs(got - ref) / ref) <= 1e-12, rho
 
@@ -364,7 +385,7 @@ class TestEnvelopePdf:
         assert fading.envelope_pdf(KappaMuParams(kappa, 0.7, 1.0), 0.0, r_hat) == 0.0
         # mu = 0.5: the density tends to a finite value as r -> 0; at
         # r = 1e-20 r_hat the 30-digit value equals that limit to 1e-40
-        ref = _mp_envelope_pdf(kappa, 0.5, r_hat, mp.mpf("1e-20") * r_hat)
+        ref = mpref.envelope_pdf(kappa, 0.5, r_hat, mp.mpf("1e-20") * r_hat)
         got = fading.envelope_pdf(KappaMuParams(kappa, 0.5, 1.0), 0.0, r_hat)
         assert float(abs(got - ref) / ref) <= 1e-13
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from kmusec import secrecy
+from kmusec.errors import QuadratureError
 from kmusec.fading import EPSILON_KAPPA, KappaMuParams, make_special_case
 from kmusec.secrecy import (ClosedFormParams, EvalResult, QuadSpec,
                             WiretapPair, secrecy_capacity, sop_exact,
@@ -18,6 +19,8 @@ from kmusec.secrecy import (ClosedFormParams, EvalResult, QuadSpec,
                             spsc_rayleigh_reference, spsc_rice_reference,
                             spsc_series)
 from kmusec.specfun import SeriesControl
+
+import mpref
 
 RS_1DB = 10.0 ** 0.1  # the "1 dB" target rate read as 10^(1/10) nats
 
@@ -253,6 +256,35 @@ class TestSopExact:
         p = pair(4.0, 1.4, 5.0, 2.0, 1.2, 1.0, rate=RS_1DB)
         res = sop_exact(p, QuadSpec(abs_tol=1e-11, rel_tol=1e-11, limit=300))
         assert res.value == pytest.approx(0.6262002931212224, abs=2e-10)
+
+    @pytest.mark.parametrize("main,rate", [
+        ((15.0, 1.0, 10.0 ** -0.4), 0.0),   # Rice/Rice at -4 dB
+        ((15.0, 1.0, 10.0 ** 1.4), 0.0),    # 14 dB
+        ((15.0, 1.0, 10.0 ** 3.8), 0.0),    # 38 dB, outage 7.9e-10
+        ((4.0, 1.4, 10.0 ** 0.7), RS_1DB),  # fig4 at 7 dB
+    ])
+    def test_error_bound_against_mpmath(self, main, rate):
+        eve = (12.0, 1.0, 1.0) if rate == 0.0 else (2.0, 1.2, 1.0)
+        res = sop_exact(WiretapPair(KappaMuParams(*main), KappaMuParams(*eve), rate))
+        miss = float(abs(res.value - mpref.sop_exact(main, eve, rate)))
+        assert miss <= res.est_error
+        assert miss <= 1e-9
+
+    @pytest.mark.parametrize("mu_e,expected", [
+        (0.05, 0.1270258802734558), (0.2, 0.21622792139473293),
+        (0.5, 0.2552539955119921), (0.92, 0.2658899241257522),
+        (2.0, 0.2687634647409759)])
+    def test_singular_eavesdropper_origin(self, mu_e, expected):
+        # the density diverges at gamma_E = 0 for mu_E < 1; the expected
+        # values are scipy.integrate.quad (QUADPACK qags, 1e-9 tolerances)
+        # on the same integral mapped by gamma_E = t/(1-t) alone
+        p = WiretapPair(KappaMuParams(2.0, 1.5, 3.0), KappaMuParams(1.0, mu_e, 1.0), 0.3)
+        assert sop_exact(p).value == pytest.approx(expected, abs=1e-9)
+
+    def test_subinterval_limit_raises(self):
+        p = WiretapPair(KappaMuParams(2.0, 1.5, 3.0), KappaMuParams(1.0, 0.5, 1.0), 0.3)
+        with pytest.raises(QuadratureError):
+            sop_exact(p, QuadSpec(limit=1))
 
 
 class TestMonotonicity:
