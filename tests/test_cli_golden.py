@@ -3,7 +3,9 @@
 The expected stdout and exit code of each command are pinned in
 ``data/cli_golden.json``, recorded on the pure-Python kernels. The
 commands run in one child interpreter with ``KMUSEC_BACKEND=python``, so
-the check holds whichever backend the suite itself uses. After a change
+the check holds whichever backend the suite itself uses. The ``fit``
+commands read traces that the child first draws from the model into a
+temporary directory, named ``{traces}`` in their argv. After a change
 that is meant to alter the output, rewrite the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -49,17 +51,41 @@ COMMANDS = [
      "--start", "0", "--stop", "3", "--steps", "2", "--with-mc", "20000",
      "--seed", "5"],
     ["validate", "--grid", "small"],
+    ["fit", "--trace", "{traces}/d2d.kmu", "--window", "0"],
+    ["fit", "--trace", "{traces}/ban.kmu"],
+    ["fit", "--trace", "{traces}/v2v.kmu"],
+    ["fit", "--trace", "{traces}/v2v.kmu", "--window", "501"],
+    ["fit", "--trace", "{traces}/ban-power.kmu", "--input-kind", "power"],
+    ["fit", "--trace", "{traces}/d2d.kmu", "--bin-width", "0.05"],
 ]
 
+#: traces for the fit commands: file name -> (kappa, mu, seed, kind),
+#: TRACE_SAMPLES envelope samples each; a "power" trace holds their squares
+TRACES = {
+    "d2d": (1.07, 0.91, 101, "envelope"),
+    "ban": (2.92, 0.75, 102, "envelope"),
+    "v2v": (5.02, 0.70, 103, "envelope"),
+    "ban-power": (2.92, 0.75, 104, "power"),
+}
+TRACE_SAMPLES = 20_000
+
 _RUNNER = """
-import contextlib, io, json, sys
-from kmusec import cli
+import contextlib, io, json, os, sys, tempfile
+from kmusec import cli, estimate
+from kmusec.fading import KappaMuParams
+commands, traces, n = json.loads(sys.argv[1])
 out = []
-for argv in json.loads(sys.argv[1]):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(argv)
-    out.append({"argv": argv, "exit": code, "stdout": buf.getvalue()})
+with tempfile.TemporaryDirectory() as tmp:
+    for name, (kappa, mu, seed, kind) in traces.items():
+        trace = estimate.sample_envelope(KappaMuParams(kappa, mu, 1.0), n, seed)
+        if kind == "power":
+            trace = estimate.EnvelopeTrace(trace.samples ** 2)
+        estimate.write_trace_binary(os.path.join(tmp, name + ".kmu"), trace)
+    for argv in commands:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main([a.replace("{traces}", tmp) for a in argv])
+        out.append({"argv": argv, "exit": code, "stdout": buf.getvalue()})
 json.dump(out, sys.stdout)
 """
 
@@ -70,7 +96,8 @@ def run_commands(commands):
     src = os.path.dirname(os.path.dirname(os.path.abspath(kmusec.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "KMUSEC_BACKEND": "python", "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", _RUNNER, json.dumps(commands)],
+    payload = json.dumps([commands, TRACES, TRACE_SAMPLES])
+    proc = subprocess.run([sys.executable, "-c", _RUNNER, payload],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
