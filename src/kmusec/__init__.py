@@ -9,7 +9,7 @@ from kmusec.errors import ConvergenceError, QuadratureError
 from kmusec.fading import (EPSILON_KAPPA, ClusterSpec, KappaMuParams,
                            PropCoefficients, envelope_pdf, make_special_case,
                            sample_snr, snr_cdf, snr_pdf)
-from kmusec.montecarlo import McEstimate, mc_all, mc_sop, mc_sop_both, mc_spsc
+from kmusec.montecarlo import McEstimate, mc_all, mc_sop_both, mc_spsc
 from kmusec.secrecy import (EvalResult, WiretapPair, secrecy_capacity,
                             sop_exact, sop_lower, spsc_closed_form,
                             spsc_rayleigh_reference, spsc_rice_reference,
@@ -44,7 +44,6 @@ __all__ = [
     "marcum_q_detail",
     "marcum_q_reference",
     "mc_all",
-    "mc_sop",
     "mc_sop_both",
     "mc_spsc",
     "sample_snr",

@@ -240,8 +240,8 @@ def cmd_spsc(args):
 def cmd_sop(args):
     pair = pair_from_args(args)
     if args.method == "mc":
-        result = _mc_result(montecarlo.mc_sop(pair, args.mc_n, args.seed,
-                                              lower=args.bound == "lower"))
+        exact, lower = montecarlo.mc_sop_both(pair, args.mc_n, args.seed)
+        result = _mc_result(lower if args.bound == "lower" else exact)
     elif args.bound == "lower":
         result = secrecy.sop_lower(pair, _control(args))
     else:
@@ -401,12 +401,10 @@ def cmd_fit(args):
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read trace: {exc}") from exc
     if args.input_kind == "power":
-        trace = est_mod.EnvelopeTrace(np.sqrt(trace.samples),
-                                      trace.sample_rate_hz)
+        trace = est_mod.EnvelopeTrace(np.sqrt(trace.samples))
     if args.window:
         trace = est_mod.local_mean_normalize(trace, args.window)
-    opts = est_mod.FitOptions(bin_width=args.bin_width)
-    result = est_mod.fit_kappa_mu(trace, opts)
+    result = est_mod.fit_kappa_mu(trace, args.bin_width)
     print(json.dumps({
         "schema": SCHEMA,
         "kappa_hat": result.kappa_hat,

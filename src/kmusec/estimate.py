@@ -29,7 +29,6 @@ class EnvelopeTrace:
     """Nonnegative envelope samples in linear units."""
 
     samples: np.ndarray
-    sample_rate_hz: float | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -52,16 +51,6 @@ class FitResult:
     history: tuple = field(default=(), repr=False)
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    bin_width: float | None = None  # None = Freedman-Diaconis
-    starts: tuple = DEFAULT_STARTS
-    kappa_bounds: tuple = KAPPA_BOUNDS
-    mu_bounds: tuple = MU_BOUNDS
-    max_iter: int = 400
-    keep_history: bool = False
-
-
 def local_mean_normalize(trace, window):
     """Divide the samples by a centered moving average of odd length
     ``window``; shrinking windows are used at the edges so the output
@@ -73,7 +62,7 @@ def local_mean_normalize(trace, window):
         raise ValueError(f"trace of {x.size} samples is shorter than "
                          f"twice the {window}-sample window")
     if window == 1:
-        return EnvelopeTrace(np.ones_like(x), trace.sample_rate_hz)
+        return EnvelopeTrace(np.ones_like(x))
     half = window // 2
     csum = np.concatenate(([0.0], np.cumsum(x)))
     idx = np.arange(x.size)
@@ -82,7 +71,7 @@ def local_mean_normalize(trace, window):
     mean = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
     if np.any(mean <= 0.0):
         raise ValueError("local mean hits zero; cannot normalize")
-    return EnvelopeTrace(x / mean, trace.sample_rate_hz)
+    return EnvelopeTrace(x / mean)
 
 
 def _histogram_density(samples, bin_width):
@@ -104,28 +93,29 @@ def _histogram_density(samples, bin_width):
     return centers, dens
 
 
-def fit_kappa_mu(trace, opts=None):
+def fit_kappa_mu(trace, bin_width=None, keep_history=False):
     """Least-squares fit of the kappa-mu envelope density to the trace.
 
-    The RMS level is fixed to the sample RMS; a simplex search over
-    (kappa, mu) runs from each start of the grid and the best residual
-    wins, earliest start breaking ties.
+    The RMS level is fixed to the sample RMS; the histogram takes bins of
+    ``bin_width`` (Freedman-Diaconis when None). A bounded simplex search
+    over (kappa, mu) runs from each start of ``DEFAULT_STARTS`` and the
+    best residual wins, earliest start breaking ties. ``keep_history``
+    records the best start's residual after each iteration.
     """
     from scipy.optimize import minimize
 
-    opts = opts or FitOptions()
     samples = trace.samples
     if samples.size < 1000:
         raise ValueError("need at least 1000 samples to fit")
     r_hat = float(np.sqrt(np.mean(samples ** 2)))
     if r_hat <= 0.0:
         raise ValueError("trace RMS is zero")
-    centers, dens = _histogram_density(samples, opts.bin_width)
+    centers, dens = _histogram_density(samples, bin_width)
 
     def objective(theta):
-        kappa = float(np.clip(theta[0], *opts.kappa_bounds))
-        mu = float(np.clip(theta[1], *opts.mu_bounds))
-        model = fading.envelope_pdf(KappaMuParams(kappa, mu, 1.0), centers, r_hat)
+        # bounded Nelder-Mead clips every vertex into the bounds first
+        model = fading.envelope_pdf(KappaMuParams(float(theta[0]), float(theta[1]), 1.0),
+                                    centers, r_hat)
         diff = model - dens
         return float(np.dot(diff, diff))
 
@@ -133,7 +123,7 @@ def fit_kappa_mu(trace, opts=None):
     best_idx = -1
     total_iters = 0
     history = []
-    for idx, start in enumerate(opts.starts):
+    for idx, start in enumerate(DEFAULT_STARTS):
         trace_f = []
 
         def record(xk, _trace=trace_f):
@@ -141,27 +131,25 @@ def fit_kappa_mu(trace, opts=None):
 
         res = minimize(
             objective, np.asarray(start, dtype=float), method="Nelder-Mead",
-            bounds=[opts.kappa_bounds, opts.mu_bounds],
-            callback=record if opts.keep_history else None,
-            options={"maxiter": opts.max_iter, "xatol": 1e-5, "fatol": 1e-12},
+            bounds=[KAPPA_BOUNDS, MU_BOUNDS],
+            callback=record if keep_history else None,
+            options={"maxiter": 400, "xatol": 1e-5, "fatol": 1e-12},
         )
         total_iters += int(res.nit)
-        if opts.keep_history:
+        if keep_history:
             history.append(tuple(trace_f))
         if best is None or res.fun < best.fun:
             best = res
             best_idx = idx
     if best is None or not np.isfinite(best.fun):
         raise RuntimeError("optimizer failed on every start")
-    kappa_hat = float(np.clip(best.x[0], *opts.kappa_bounds))
-    mu_hat = float(np.clip(best.x[1], *opts.mu_bounds))
     return FitResult(
-        kappa_hat=kappa_hat,
-        mu_hat=mu_hat,
+        kappa_hat=float(best.x[0]),
+        mu_hat=float(best.x[1]),
         r_hat=r_hat,
         residual=float(best.fun),
         iterations=total_iters,
-        history=tuple(history[best_idx]) if opts.keep_history else (),
+        history=tuple(history[best_idx]) if keep_history else (),
     )
 
 

@@ -39,12 +39,12 @@ class KappaMuParams:
         if not 0.0 < self.gamma_bar < math.inf:
             raise ValueError(f"gamma_bar must be finite and > 0, got {self.gamma_bar}")
 
-    def with_kappa_floor(self, floor=EPSILON_KAPPA):
+    def with_kappa_floor(self):
         """Copy with kappa raised to the documented epsilon stand-in,
         for series paths that require kappa > 0."""
-        if self.kappa >= floor:
+        if self.kappa >= EPSILON_KAPPA:
             return self
-        return dataclasses.replace(self, kappa=floor)
+        return dataclasses.replace(self, kappa=EPSILON_KAPPA)
 
 
 def integer_mu(mu):

@@ -97,10 +97,3 @@ def mc_all(pair, n, seed=0):
     the same seed."""
     outage = _outage_events(pair)
     return _count(pair, n, seed, lambda gm, ge: (gm > ge,) + outage(gm, ge))
-
-
-def mc_sop(pair, n, seed=0, lower=False):
-    """Fraction of draws in secrecy outage at rate R_S; ``lower``
-    selects the bound event gamma_M <= e^{R_S} gamma_E."""
-    exact, low = mc_sop_both(pair, n, seed)
-    return low if lower else exact

@@ -119,7 +119,7 @@ def _survival(pair, rate_scale, ctl):
     return _k.survival_series(
         main.mu, eve.mu, c.alpha_m, c.alpha_e,
         c.beta_m * rate_scale, c.beta_e,
-        ctl.abs_tol, ctl.rel_tol, ctl.max_terms,
+        ctl.abs_tol, max_terms=ctl.max_terms,
     )
 
 

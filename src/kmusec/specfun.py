@@ -18,14 +18,11 @@ class SeriesControl:
     """Truncation tolerances and caps for all infinite-series evaluations."""
 
     abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
     max_terms: int = 10_000
 
     def __post_init__(self):
         if not self.abs_tol > 0.0:
             raise ValueError("abs_tol must be positive")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 
@@ -57,11 +54,6 @@ def upper_incomplete_gamma(s, x):
     return q * math.exp(math.lgamma(s))
 
 
-def upper_incomplete_gamma_reg(s, x):
-    """Regularized form Gamma(s, x) / Gamma(s), in [0, 1]."""
-    return _k.gammainc_upper_reg(float(s), float(x))
-
-
 def bessel_i(v, x):
     """Modified Bessel function of the first kind I_v(x).
 
@@ -88,8 +80,7 @@ def gauss_2f1(a, b, c, z, ctl=None):
         raise ValueError(f"gauss_2f1 requires c > 0, got {c}")
     if not 0.0 <= z < 1.0:
         raise ValueError(f"gauss_2f1 requires 0 <= z < 1, got {z}")
-    rel = min(ctl.rel_tol, 1e-12)
-    return _k.gauss_2f1(float(a), float(b), c, z, rel, ctl.max_terms)
+    return _k.gauss_2f1(float(a), float(b), c, z, 1e-12, ctl.max_terms)
 
 
 def marcum_q(m, alpha, beta, ctl=None):

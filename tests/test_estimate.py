@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from kmusec import estimate as em
-from kmusec.estimate import (EnvelopeTrace, FitOptions, fit_kappa_mu,
+from kmusec.estimate import (EnvelopeTrace, fit_kappa_mu,
                              local_mean_normalize, read_trace,
                              sample_envelope, write_trace_binary)
 from kmusec.fading import KappaMuParams
@@ -104,7 +104,7 @@ class TestFitKappaMu:
 
     def test_residual_history_monotone(self):
         trace = sample_envelope(KappaMuParams(2.0, 1.5, 1.0), 20_000, seed=4)
-        fit = fit_kappa_mu(trace, FitOptions(keep_history=True))
+        fit = fit_kappa_mu(trace, keep_history=True)
         hist = fit.history
         assert len(hist) > 3
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))

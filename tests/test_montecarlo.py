@@ -59,7 +59,7 @@ class TestCalibration:
 
     def test_sop_brackets_exact(self):
         p = pair(4.0, 1.4, 5.0, 2.0, 1.2, 1.0, rate=10 ** 0.1)
-        est = montecarlo.mc_sop(p, 1_000_000, seed=13)
+        est, _ = montecarlo.mc_sop_both(p, 1_000_000, seed=13)
         analytic = secrecy.sop_exact(p).value
         assert abs(est.estimate - analytic) <= 3.0 * est.std_error
 
@@ -82,15 +82,9 @@ class TestSharedDraws:
         exact, lower = montecarlo.mc_sop_both(p, 100_000, seed=21)
         assert exact.estimate == lower.estimate
 
-    def test_lower_flag_selects_bound(self):
-        p = pair(3.0, 1.2, 1.0, 2.0, 0.9, 1.0, rate=0.8)
-        exact, lower = montecarlo.mc_sop_both(p, 100_000, seed=22)
-        assert montecarlo.mc_sop(p, 100_000, seed=22, lower=True) == lower
-        assert montecarlo.mc_sop(p, 100_000, seed=22, lower=False) == exact
-
     def test_identical_channels_rate_zero(self):
         p = pair(1.5, 1.1, 1.0, 1.5, 1.1, 1.0)
-        est = montecarlo.mc_sop(p, 1_000_000, seed=23, lower=True)
+        _, est = montecarlo.mc_sop_both(p, 1_000_000, seed=23)
         assert abs(est.estimate - 0.5) <= 4.0 * est.std_error
 
     def test_rate_beyond_exp_overflow_saturates(self):
@@ -117,4 +111,4 @@ class TestConvergence:
         with pytest.raises(ValueError):
             montecarlo.mc_spsc(pair(1, 1, 1, 1, 1, 1), 999, seed=0)
         with pytest.raises(ValueError):
-            montecarlo.mc_sop(pair(1, 1, 1, 1, 1, 1), 10, seed=0)
+            montecarlo.mc_sop_both(pair(1, 1, 1, 1, 1, 1), 10, seed=0)
