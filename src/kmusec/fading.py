@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the model's own formulas run on scipy.special; this binding is the one
-# kmubench/tracer.py swaps for its kernel proxy in every model module
-from kmusec._backend import kernels as _k  # noqa: F401
+# the model's own formulas run on scipy.special, and on the kernels only
+# beyond the argument range of scipy's scaled Bessel function
+from kmusec._backend import kernels as _k
 
 #: stand-in for kappa -> 0 limits in series paths; the exact kappa = 0
 #: PDF/CDF take the gamma-distribution fast path instead
@@ -140,10 +140,15 @@ class ClusterSpec:
         return (x * x + y * y).sum(axis=1)
 
 
-def _origin_coefficient(kappa, mu):
-    # C in the small-gamma law f(gamma) ~ C gamma^(mu-1) / gamma_bar^mu:
+def _log_origin_coefficient(kappa, mu):
+    # ln C, C in the small-gamma law f(gamma) ~ C gamma^(mu-1) / gamma_bar^mu:
     # mu^mu (1+kappa)^mu e^(-mu kappa) / Gamma(mu)
-    return math.exp(mu * (math.log(mu) + math.log1p(kappa) - kappa) - math.lgamma(mu))
+    return mu * (math.log(mu) + math.log1p(kappa) - kappa) - math.lgamma(mu)
+
+
+#: scipy's ive returns NaN from this argument on; the kernel's
+#: large-argument expansion takes over there
+_IVE_RANGE = 2.0 ** 30
 
 
 def _density(kappa, mu, gbar, g):
@@ -157,14 +162,21 @@ def _density(kappa, mu, gbar, g):
         if kappa == 0.0:
             return np.exp(mu * math.log(mu) + (mu - 1.0) * np.log(g)
                           - mu * g / gbar - math.lgamma(mu) - mu * math.log(gbar))
-        arg = 2.0 * mu * np.sqrt(kappa * (1.0 + kappa) * g / gbar)
+        x = (1.0 + kappa) * g / gbar
+        arg = 2.0 * mu * np.sqrt(kappa * x)
+        ie = np.asarray(ive(mu - 1.0, arg))
+        beyond = arg >= _IVE_RANGE
+        if beyond.any():
+            ie[beyond] = [_k.bessel_ie(mu - 1.0, a) for a in arg[beyond]]
+        # -mu kappa - mu x + arg = -mu (sqrt(kappa) - sqrt(x))^2, taken as
+        # -mu d^2 / (sqrt(kappa) + sqrt(x))^2 with d = kappa - x formed
+        # without cancellation (gbar - g is exact near the mean)
+        d = (kappa * (gbar - g) - g) / gbar
         lf = (math.log(mu)
               + 0.5 * (mu + 1.0) * (math.log1p(kappa) - math.log(gbar))
               + 0.5 * (mu - 1.0) * (np.log(g) - math.log(kappa))
-              - mu * kappa
-              - mu * (1.0 + kappa) * g / gbar
-              + arg
-              + np.log(ive(mu - 1.0, arg)))
+              - mu * (d / (math.sqrt(kappa) + np.sqrt(x))) ** 2
+              + np.log(ie))
     return np.where(lf > -745.0, np.exp(lf), 0.0)
 
 
@@ -192,7 +204,7 @@ def snr_pdf(params, gamma):
     if mu < 1.0:
         raise ValueError("the density diverges at gamma = 0 for mu < 1; "
                          "evaluate at gamma > 0")
-    at_origin = 0.0 if mu > 1.0 else _origin_coefficient(kappa, mu) / gbar
+    at_origin = 0.0 if mu > 1.0 else math.exp(_log_origin_coefficient(kappa, mu)) / gbar
     dens = _density(kappa, mu, gbar, np.where(origin, 1.0, g))
     return _as_output(np.where(origin, at_origin, dens))
 
@@ -252,11 +264,13 @@ def envelope_pdf(params, r, r_hat=1.0):
     if not under.any():
         return _as_output(2.0 * rho / r_hat * _density(kappa, mu, 1.0, g))
     # r = 0, or rho^2 below the smallest double: the leading term
-    # 2 C rho^(2 mu - 1) / r_hat of the small-r law is then exact
+    # 2 C rho^(2 mu - 1) / r_hat of the small-r law is then exact; taken in
+    # the log domain, where C alone may overflow
     if mu < 0.5 and (rho[under] == 0.0).any():
         raise ValueError("the envelope density diverges at r = 0 for mu < 0.5")
-    with np.errstate(divide="ignore"):
-        small = 2.0 * _origin_coefficient(kappa, mu) * rho ** (2.0 * mu - 1.0) / r_hat
+    with np.errstate(divide="ignore", over="ignore"):
+        power = 0.0 if mu == 0.5 else (2.0 * mu - 1.0) * np.log(rho)
+        small = 2.0 * np.exp(_log_origin_coefficient(kappa, mu) + power) / r_hat
     dens = 2.0 * rho / r_hat * _density(kappa, mu, 1.0, np.where(under, 1.0, g))
     return _as_output(np.where(under, small, dens))
 

@@ -203,11 +203,13 @@ def _gauss_kronrod(integrand, quad_ctl):
     error estimate is never trusted on its own. Every pass evaluates the
     21 nodes of all new subintervals in one call, then bisects each
     subinterval whose error estimate exceeds its share (its length) of the
-    tolerance, or the worst one if none does. More than ``quad_ctl.limit``
-    subintervals raise QuadratureError. Returns (value, error estimate,
-    evaluations)."""
+    tolerance, or the worst one if none does. QuadratureError is raised on
+    a non-finite value or error estimate, on a tolerance below the summed
+    rounding floors of the subintervals (which bisection does not lower),
+    and on more than ``quad_ctl.limit`` subintervals. Returns (value,
+    error estimate, evaluations)."""
     eps = np.finfo(float).eps
-    lo = hi = val = err = np.zeros(0)
+    lo = hi = val = err = floor = np.zeros(0)
     n0 = max(min(quad_ctl.limit, _INITIAL_PIECES), 1)
     a, b = np.arange(n0) / n0, np.arange(1, n0 + 1) / n0
     neval = 0
@@ -219,17 +221,27 @@ def _gauss_kronrod(integrand, quad_ctl):
         # QUADPACK's error estimate: |K - G| scaled by the integrand's
         # spread about its mean, floored at 50 eps of the absolute integral
         resasc = half * (np.abs(f - 0.5 * kronrod[:, None]) @ _GK_WEIGHTS[:, 0])
-        resabs = half * (np.abs(f) @ _GK_WEIGHTS[:, 0])
+        fl = 50.0 * eps * half * (np.abs(f) @ _GK_WEIGHTS[:, 0])
         e = half * np.abs(kronrod - gauss)
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = resasc * np.minimum(1.0, (200.0 * e / resasc) ** 1.5)
-        e = np.maximum(np.where((resasc > 0.0) & (e > 0.0), scaled, e), 50.0 * eps * resabs)
+        e = np.maximum(np.where((resasc > 0.0) & (e > 0.0), scaled, e), fl)
         lo, hi = np.concatenate([lo, a]), np.concatenate([hi, b])
         val, err = np.concatenate([val, half * kronrod]), np.concatenate([err, e])
+        floor = np.concatenate([floor, fl])
         value, error = float(np.sum(val)), float(np.sum(err))
+        if not (math.isfinite(value) and math.isfinite(error)):
+            raise QuadratureError(
+                f"secure outage quadrature: the integrand is not finite "
+                f"(value {value:.3g}, error estimate {error:.3g})")
         tol = max(quad_ctl.abs_tol, quad_ctl.rel_tol * abs(value))
         if error <= tol:
             return value, error, neval
+        rounding = float(np.sum(floor))
+        if tol < rounding:
+            raise QuadratureError(
+                f"secure outage quadrature: the tolerance {tol:.3g} is below "
+                f"the rounding floor {rounding:.3g} of the estimate")
         split = err > tol * (hi - lo)
         if not split.any():
             split = err == err.max()
@@ -240,7 +252,7 @@ def _gauss_kronrod(integrand, quad_ctl):
         mid = 0.5 * (lo[split] + hi[split])
         a, b = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
         keep = ~split
-        lo, hi, val, err = lo[keep], hi[keep], val[keep], err[keep]
+        lo, hi, val, err, floor = lo[keep], hi[keep], val[keep], err[keep], floor[keep]
 
 
 def sop_exact(pair, quad_ctl=None):
@@ -267,7 +279,8 @@ def sop_exact(pair, quad_ctl=None):
     m = 0.5 * min(eve.mu, 1.0)
     # the leading law only reaches nodes with u < 1e-100^m; above mu_E = 1
     # (u < 1e-50) it is zero to double precision
-    origin = fading._origin_coefficient(eve.kappa, eve.mu) / m if eve.mu <= 1.0 else 0.0
+    origin = (math.exp(fading._log_origin_coefficient(eve.kappa, eve.mu)) / m
+              if eve.mu <= 1.0 else 0.0)
 
     def integrand(t):
         # f_E(x) dx/dt F_M(e^R (1 + x) - 1), dx/dt = x (1 + u) / (m t)

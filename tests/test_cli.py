@@ -5,10 +5,14 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kmusec
 from kmusec import estimate as em
 from kmusec import secrecy
 from kmusec.cli import main
@@ -122,6 +126,20 @@ class TestSpsc:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, "")
             assert "convergence error: secure outage quadrature" in err
+
+
+def test_non_finite_quadrature_exit_3():
+    # scipy's noncentral chi-square returns NaN at kappa 1e9, mu 10; the
+    # quadrature used to loop on empty passes forever
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kmusec.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kmusec.cli", "sop", "--km", "1e9", "--um", "10",
+         "--ke", "1", "--ue", "1", "--rate-nats", "0.1"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "not finite" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

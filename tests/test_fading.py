@@ -121,6 +121,23 @@ def test_snr_pdf_matches_mpmath(kappa, mu):
         assert float(abs(fading.snr_pdf(p, g) - ref) / ref) <= 1e-12, rho
 
 
+@pytest.mark.parametrize("kappa,mu", [(k, mu) for k in (1e3, 1e4, 1e5, 1e6, 1e9)
+                                      for mu in (0.05, 0.5, 1.0, 3.7, 10.0)])
+def test_snr_pdf_matches_mpmath_high_kappa(kappa, mu):
+    # within 3 standard deviations of the mean, where the density's
+    # exponent cancels to -mu (sqrt(kappa) - sqrt(x))^2; the grid above
+    # reaches only kappa 49, and farther out the density underflows. At
+    # kappa 1e9 and mu >= 1 the Bessel argument lies beyond the 2^30 up
+    # to which scipy's ive is finite
+    gbar = 2.5
+    p = KappaMuParams(kappa, mu, gbar)
+    sd = math.sqrt((1.0 + 2.0 * kappa) / mu) / (1.0 + kappa)
+    for z in (-3.0, -1.0, 0.0, 1.0, 3.0):
+        g = gbar * (1.0 + z * sd)
+        ref = mpref.snr_pdf(kappa, mu, gbar, g)
+        assert float(abs(fading.snr_pdf(p, g) - ref) / ref) <= 1e-12, z
+
+
 @pytest.mark.parametrize("kappa,mu", _MP_GRID)
 def test_snr_cdf_matches_mpmath(kappa, mu):
     # the error model sop_exact's est_error rests on: relative
@@ -388,6 +405,13 @@ class TestEnvelopePdf:
         ref = mpref.envelope_pdf(kappa, 0.5, r_hat, mp.mpf("1e-20") * r_hat)
         got = fading.envelope_pdf(KappaMuParams(kappa, 0.5, 1.0), 0.0, r_hat)
         assert float(abs(got - ref) / ref) <= 1e-13
+
+    def test_origin_law_beyond_exp_range(self):
+        # mu^mu / Gamma(mu) alone overflows a double at mu = 800
+        got = fading.envelope_pdf(KappaMuParams(0.0, 800.0, 1.0), [0.0, 1.0])
+        assert got[0] == 0.0
+        ref = mpref.envelope_pdf(0.0, 800.0, 1.0, 1.0)
+        assert float(abs(got[1] - ref) / ref) <= 1e-12
 
     def test_rms_scaling(self):
         p = KappaMuParams(2.0, 1.5, 1.0)

@@ -286,6 +286,31 @@ class TestSopExact:
         with pytest.raises(QuadratureError):
             sop_exact(p, QuadSpec(limit=1))
 
+    def test_non_finite_integrand_raises(self):
+        # a NaN node used to leave no subinterval to bisect, and every
+        # later pass evaluated nothing, without end
+        def integrand(t):
+            return np.where(t > 0.5, np.nan, 1.0)
+        with pytest.raises(QuadratureError, match="not finite"):
+            secrecy._gauss_kronrod(integrand, QuadSpec())
+
+    def test_tolerance_below_rounding_floor_raises_at_once(self, monkeypatch):
+        # fig4 at 7 dB: the summed rounding floor is about 7e-15, which no
+        # bisection lowers; the first pass (one distribution-function
+        # call) already shows that 1e-15 cannot be met
+        calls = []
+        cdf = secrecy.fading.snr_cdf
+
+        def counted(params, gamma):
+            calls.append(np.size(gamma))
+            return cdf(params, gamma)
+
+        monkeypatch.setattr(secrecy.fading, "snr_cdf", counted)
+        p = pair(4.0, 1.4, 10.0 ** 0.7, 2.0, 1.2, 1.0, rate=RS_1DB)
+        with pytest.raises(QuadratureError, match="rounding floor"):
+            sop_exact(p, QuadSpec(abs_tol=1e-15, rel_tol=1e-15, limit=5000))
+        assert calls == [secrecy._INITIAL_PIECES * secrecy._GK_NODES.size]
+
 
 class TestMonotonicity:
     def test_spsc_nondecreasing_in_main_snr(self):
