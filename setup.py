@@ -2,8 +2,8 @@
 
 The extension is compiled from the shipped, generated ``_ckernels.c``
 with any C compiler; no code generator is needed at install time. If
-the compile fails the package still works on the pure-Python twin, and
-``KMUSEC_BACKEND=python`` selects that twin at run time regardless.
+the compile fails the package still works on the pure-Python twin,
+which it then selects at import.
 """
 from setuptools import Extension, setup
 

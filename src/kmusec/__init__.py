@@ -7,8 +7,8 @@ parameter fitting, behind a compiled-or-pure kernel backend.
 from kmusec._backend import backend_name
 from kmusec.errors import ConvergenceError, QuadratureError
 from kmusec.fading import (EPSILON_KAPPA, ClusterSpec, KappaMuParams,
-                           PropCoefficients, envelope_pdf, make_special_case,
-                           sample_snr, snr_cdf, snr_pdf)
+                           envelope_pdf, make_special_case, sample_snr,
+                           snr_cdf, snr_pdf)
 from kmusec.montecarlo import McEstimate, mc_all, mc_sop_both, mc_spsc
 from kmusec.secrecy import (EvalResult, WiretapPair, secrecy_capacity,
                             sop_exact, sop_lower, spsc_closed_form,
@@ -29,7 +29,6 @@ __all__ = [
     "EvalResult",
     "KappaMuParams",
     "McEstimate",
-    "PropCoefficients",
     "QuadratureError",
     "SeriesControl",
     "WiretapPair",

@@ -2,28 +2,13 @@
 
 The hot series kernels exist twice: a compiled Cython extension
 (``kmusec._ckernels``) and a pure-Python twin (``kmusec._pykernels``).
-The compiled one is preferred when importable; set ``KMUSEC_BACKEND`` to
-``python`` or ``c`` to force a choice.
+The compiled one is used when it can be imported, the pure one otherwise.
 """
-import os
-
-_choice = os.environ.get("KMUSEC_BACKEND", "auto").strip().lower()
-if _choice not in ("auto", "c", "python"):
-    raise ImportError(
-        f"KMUSEC_BACKEND must be 'auto', 'c' or 'python', got {_choice!r}")
-
-kernels = None
-name = "python"
-if _choice in ("auto", "c"):
-    try:
-        from kmusec import _ckernels as kernels  # noqa: F811
-        name = "c"
-    except ImportError:
-        if _choice == "c":
-            raise
-        kernels = None
-if kernels is None:
-    from kmusec import _pykernels as kernels  # noqa: F811
+try:
+    from kmusec import _ckernels as kernels
+    name = "c"
+except ImportError:
+    from kmusec import _pykernels as kernels
     name = "python"
 
 

@@ -54,30 +54,11 @@ def integer_mu(mu):
     return n if n >= 1 and abs(mu - n) <= 1e-9 else None
 
 
-@dataclass(frozen=True)
-class PropCoefficients:
-    """Rate/shape coefficients of the wiretap survival series: a = 1/gbar_M,
-    b = 1/gbar_E, alpha = kappa*mu and beta = (1+kappa)*mu/gbar per channel."""
-
-    a: float
-    b: float
-    alpha_m: float
-    alpha_e: float
-    beta_m: float
-    beta_e: float
-
-    @classmethod
-    def from_channels(cls, main, eve):
-        a = 1.0 / main.gamma_bar
-        b = 1.0 / eve.gamma_bar
-        return cls(
-            a=a,
-            b=b,
-            alpha_m=main.kappa * main.mu,
-            alpha_e=eve.kappa * eve.mu,
-            beta_m=(main.kappa + 1.0) * a * main.mu,
-            beta_e=(eve.kappa + 1.0) * b * eve.mu,
-        )
+def gamma_mixture(params):
+    """``(shape, poisson_mean, rate)`` = (mu, kappa mu, (1+kappa) mu / gbar):
+    the SNR is Gamma(shape + P, rate) with P ~ Poisson(poisson_mean)."""
+    kappa, mu = params.kappa, params.mu
+    return mu, kappa * mu, (kappa + 1.0) * (1.0 / params.gamma_bar) * mu
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 from kmusec import fading
 from kmusec._backend import kernels as _k
 from kmusec.errors import QuadratureError
-from kmusec.fading import KappaMuParams, PropCoefficients, integer_mu
+from kmusec.fading import KappaMuParams, integer_mu
 from kmusec.specfun import DEFAULT_CONTROL
 
 #: below this kappa the closed form is ill-conditioned (powers of A/(Br)
@@ -89,8 +89,8 @@ class ClosedFormParams:
         mu_e = integer_mu(pair.eve.mu)
         if mu_e is None:
             raise ValueError("closed form requires integer mu for the eavesdropper")
-        c = PropCoefficients.from_channels(pair.main, pair.eve)
-        r = math.sqrt(c.beta_m / c.beta_e)
+        r = math.sqrt(fading.gamma_mixture(pair.main)[2]
+                      / fading.gamma_mixture(pair.eve)[2])
         return cls(
             A=math.sqrt(2.0 * pair.eve.kappa * mu_e),
             B=math.sqrt(2.0 * pair.main.kappa * mu_m),
@@ -112,22 +112,33 @@ def secrecy_capacity(gamma_m, gamma_e):
 
 
 def _survival(pair, rate_scale, ctl):
-    """Kernel call for Pr(gamma_M > s * gamma_E), s = rate_scale."""
-    main = pair.main.with_kappa_floor()
-    eve = pair.eve.with_kappa_floor()
-    c = PropCoefficients.from_channels(main, eve)
-    return _k.survival_series(
-        main.mu, eve.mu, c.alpha_m, c.alpha_e,
-        c.beta_m * rate_scale, c.beta_e,
-        ctl.abs_tol, max_terms=ctl.max_terms,
-    )
+    """``((Pr(gamma_M > s gamma_E), Pr(gamma_M <= s gamma_E)), k_terms,
+    l_terms, est_error)`` for s = rate_scale.
+
+    The kernel sums Pr(X > Y) with its hypergeometric factor at
+    z = beta_Y / (beta_X + beta_Y), where it loses the small side as
+    z -> 1. The channel with the larger rate (s beta_M for the main link)
+    goes first, so that z <= 1/2; the other side is one minus the sum,
+    and ``est_error`` bounds both."""
+    m_shape, m_mean, m_rate = fading.gamma_mixture(pair.main.with_kappa_floor())
+    e_shape, e_mean, e_rate = fading.gamma_mixture(pair.eve.with_kappa_floor())
+    m_rate *= rate_scale
+    if m_rate >= e_rate:
+        value, kt, lt, err = _k.survival_series(
+            m_shape, e_shape, m_mean, e_mean, m_rate, e_rate,
+            ctl.abs_tol, max_terms=ctl.max_terms)
+        return (value, 1.0 - value), kt, lt, err
+    value, kt, lt, err = _k.survival_series(
+        e_shape, m_shape, e_mean, m_mean, e_rate, m_rate,
+        ctl.abs_tol, max_terms=ctl.max_terms)
+    return (1.0 - value, value), kt, lt, err
 
 
 def spsc_series(pair, ctl=None):
     """Probability of strictly positive secrecy capacity,
     Pr(gamma_M > gamma_E), by the double series (any real mu > 0)."""
     ctl = ctl or DEFAULT_CONTROL
-    value, kt, lt, err = _survival(pair, 1.0, ctl)
+    (value, _), kt, lt, err = _survival(pair, 1.0, ctl)
     return EvalResult(value=value, terms_k=kt, terms_l=lt, est_error=err,
                       method="series")
 
@@ -137,16 +148,16 @@ def sop_lower(pair, ctl=None):
     Pr(gamma_M <= e^{R_S} gamma_E), by the two-part series.
 
     The leading single series telescopes to unity (it is the sum of the
-    Poisson weights in k), so the bound is one minus the double series
-    taken with beta_M scaled by e^{R_S}.
+    Poisson weights in k), so the bound is the complement of the double
+    series taken with beta_M scaled by e^{R_S}.
     """
     ctl = ctl or DEFAULT_CONTROL
     if pair.rate > _RATE_SATURATION:
         return EvalResult(value=1.0, terms_k=0, terms_l=0, est_error=0.0,
                           method="series")
-    value, kt, lt, err = _survival(pair, math.exp(pair.rate), ctl)
-    return EvalResult(value=min(max(1.0 - value, 0.0), 1.0),
-                      terms_k=kt, terms_l=lt, est_error=err, method="series")
+    (_, value), kt, lt, err = _survival(pair, math.exp(pair.rate), ctl)
+    return EvalResult(value=value, terms_k=kt, terms_l=lt, est_error=err,
+                      method="series")
 
 
 def _gauss_kronrod_21():

@@ -154,6 +154,18 @@ def test_non_finite_input_exit_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("spsc", "--gbar-m-linear", "1e100", "--method", "series"),
+    ("spsc", "--gbar-e-linear", "1e-200", "--method", "series"),
+    ("sop", "--gbar-m-linear", "1e100", "--bound", "lower")])
+def test_extreme_snr_ratio_exit_0(capsys, argv):
+    # valid input with one tail far below double precision
+    code, out, err = run(capsys, argv[0], "--km", "1", "--um", "1",
+                         "--ke", "1", "--ue", "1", *argv[1:])
+    assert (code, err) == (0, "")
+    assert 0.0 <= json.loads(out)["value"] <= 1.0
+
+
 class TestSop:
     def test_lower_is_spsc_complement(self, capsys):
         spsc = run_json(capsys, "spsc", "--preset", "d2d", "--method", "series")

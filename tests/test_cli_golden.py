@@ -2,11 +2,12 @@
 
 The expected stdout and exit code of each command are pinned in
 ``data/cli_golden.json``, recorded on the pure-Python kernels. The
-commands run in one child interpreter with ``KMUSEC_BACKEND=python``, so
-the check holds whichever backend the suite itself uses. The ``fit``
-commands read traces that the child first draws from the model into a
-temporary directory, named ``{traces}`` in their argv. After a change
-that is meant to alter the output, rewrite the file with
+commands run in one child interpreter in which the compiled extension
+cannot be imported, so the check holds whichever backend the suite
+itself uses. The ``fit`` commands read traces that the child first draws
+from the model into a temporary directory, named ``{traces}`` in their
+argv. After a change that is meant to alter the output, rewrite the
+file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -71,7 +72,9 @@ TRACE_SAMPLES = 20_000
 
 _RUNNER = """
 import contextlib, io, json, os, sys, tempfile
-from kmusec import cli, estimate
+sys.modules["kmusec._ckernels"] = None  # the pure-Python kernels
+from kmusec import backend_name, cli, estimate
+assert backend_name() == "python"
 from kmusec.fading import KappaMuParams
 commands, traces, n = json.loads(sys.argv[1])
 out = []
@@ -95,7 +98,7 @@ def run_commands(commands):
     the pure-Python kernels; return its argv, exit code and stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kmusec.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "KMUSEC_BACKEND": "python", "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path}
     payload = json.dumps([commands, TRACES, TRACE_SAMPLES])
     proc = subprocess.run([sys.executable, "-c", _RUNNER, payload],
                           env=env, capture_output=True, text=True, check=True)

@@ -16,7 +16,7 @@ from scipy.stats import kstest
 
 from kmusec import fading, secrecy
 from kmusec.fading import (EPSILON_KAPPA, ClusterSpec, KappaMuParams,
-                           PropCoefficients, make_special_case)
+                           make_special_case)
 
 import mpref
 
@@ -48,15 +48,14 @@ class TestParams:
         assert KappaMuParams(0.0, 1.0, 1.0).with_kappa_floor().kappa == EPSILON_KAPPA
         assert KappaMuParams(2.0, 1.0, 1.0).with_kappa_floor().kappa == 2.0
 
-    def test_prop_coefficients(self):
-        c = PropCoefficients.from_channels(KappaMuParams(4.0, 1.4, 2.0),
-                                           KappaMuParams(2.0, 1.2, 1.0))
-        assert c.a == pytest.approx(0.5)
-        assert c.b == pytest.approx(1.0)
-        assert c.alpha_m == pytest.approx(5.6)
-        assert c.alpha_e == pytest.approx(2.4)
-        assert c.beta_m == pytest.approx(5.0 * 0.5 * 1.4)
-        assert c.beta_e == pytest.approx(3.0 * 1.2)
+    def test_gamma_mixture(self):
+        shape_m, alpha_m, beta_m = fading.gamma_mixture(KappaMuParams(4.0, 1.4, 2.0))
+        shape_e, alpha_e, beta_e = fading.gamma_mixture(KappaMuParams(2.0, 1.2, 1.0))
+        assert (shape_m, shape_e) == (1.4, 1.2)
+        assert alpha_m == pytest.approx(5.6)
+        assert alpha_e == pytest.approx(2.4)
+        assert beta_m == pytest.approx(5.0 * 0.5 * 1.4)
+        assert beta_e == pytest.approx(3.0 * 1.2)
 
 
 class TestSnrPdf:

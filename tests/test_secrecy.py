@@ -312,6 +312,41 @@ class TestSopExact:
         assert calls == [secrecy._INITIAL_PIECES * secrecy._GK_NODES.size]
 
 
+class TestSeriesTails:
+    """SPSC and SOP^L far into the tails, where one side of
+    Pr(gamma_M > e^R gamma_E) is many orders below the other; each must
+    stay within its ``est_error`` of the 30-digit reference."""
+
+    @pytest.mark.parametrize("main,db,eve", [
+        ((0.5, 0.05), 30, (3.0, 3.0)),
+        ((4.0, 1.4), 40, (2.0, 1.2)),
+        ((1.07, 0.91), 50, (1.11, 0.92)),
+        ((2.92, 0.75), 60, (3.6, 0.67)),
+        ((5.02, 0.7), 80, (7.17, 0.6)),
+        ((2.0, 1.5), 100, (1.5, 0.8)),
+    ])
+    def test_against_mpmath(self, main, db, eve):
+        gbar_m = 10.0 ** (db / 10.0)
+        outage = mpref.sop_exact(main + (gbar_m,), eve + (1.0,), 0.0)
+        spsc = spsc_series(pair(*main, gbar_m, *eve, 1.0))
+        assert abs(spsc.value - float(1 - outage)) <= spsc.est_error
+        # Pr(gamma_M <= e^R gamma_E) is the rate-0 outage at gbar_M / e^R
+        rate = 0.7
+        lower = sop_lower(pair(*main, gbar_m * math.exp(rate), *eve, 1.0, rate=rate))
+        assert abs(lower.value - float(outage)) <= lower.est_error
+
+    @pytest.mark.parametrize("db", [60, 80, 100, 120])
+    def test_rice_high_snr_asymptote(self, db):
+        # Rice K = 1 on both links, gbar_E = 1: the outage is
+        # 2 e^-1 / gbar_M with a relative correction O(gbar_M^-2)
+        gbar_m = 10.0 ** (db / 10.0)
+        outage = 0.7357588823428847 / gbar_m
+        p = pair(1.0, 1.0, gbar_m, 1.0, 1.0, 1.0)
+        spsc, lower = spsc_series(p), sop_lower(p)
+        assert abs(spsc.value - (1.0 - outage)) <= spsc.est_error
+        assert abs(lower.value - outage) <= lower.est_error
+
+
 class TestMonotonicity:
     def test_spsc_nondecreasing_in_main_snr(self):
         vals = []
