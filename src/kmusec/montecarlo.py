@@ -1,12 +1,19 @@
 """Empirical oracle: simulate wiretap SNR pairs and estimate the
 secrecy metrics with binomial confidence intervals.
 
-Streams come from the counter-based Philox generator keyed by the
-caller's seed, so every estimate is bit-reproducible for a fixed
-(pair, n, seed) within one build. The draw order per chunk is fixed:
-main Poisson, main gamma, eavesdropper Poisson, eavesdropper gamma.
+The n draws are split into chunks of ``_CHUNK`` pairs; the last one may
+be shorter. Chunk i draws from the counter-based Philox generator keyed
+by the caller's seed and jumped i times (i * 2^128 draws), so chunk 0 is
+the seed's own stream and any n <= ``_CHUNK`` draws exactly that stream.
+Within a chunk the draw order is fixed: main Poisson, main gamma,
+eavesdropper Poisson, eavesdropper gamma. Chunks run in parallel on the
+usable cores and each returns integer event counts, which are summed, so
+every estimate is bit-reproducible for a fixed (pair, n, seed) within
+one build, whatever the number of workers or the order chunks finish in.
 """
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +21,9 @@ import numpy as np
 from kmusec.fading import _sample_snr_with
 from kmusec.secrecy import _RATE_SATURATION
 
-_CHUNK = 1_000_000
+#: pairs per chunk; it fixes which stream each draw comes from, so it is
+#: part of every estimate's definition, not a tuning knob
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -27,15 +36,19 @@ class McEstimate:
     seed: int
 
 
-def _pair_chunks(pair, n, seed):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    left = n
-    while left > 0:
-        m = min(left, _CHUNK)
-        gm = _sample_snr_with(rng, pair.main, m)
-        ge = _sample_snr_with(rng, pair.eve, m)
-        yield gm, ge
-        left -= m
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_counts(pair, seed, events, i, m):
+    """Event counts over the m pairs of chunk i."""
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+    gm = _sample_snr_with(rng, pair.main, m)
+    ge = _sample_snr_with(rng, pair.eve, m)
+    return [int(np.count_nonzero(e)) for e in events(gm, ge)]
 
 
 def _estimate(count, n, seed):
@@ -45,14 +58,22 @@ def _estimate(count, n, seed):
 
 
 def _count(pair, n, seed, events):
-    """One pass over the draw stream: ``events(gm, ge)`` returns boolean
-    arrays, and each one's count over all draws becomes an estimate."""
+    """Draw n pairs in chunks: ``events(gm, ge)`` returns boolean arrays,
+    and each one's count over all draws becomes an estimate."""
     if n < 1000:
         raise ValueError("n must be at least 1000")
-    totals = 0
-    for gm, ge in _pair_chunks(pair, n, seed):
-        totals = totals + np.array([np.count_nonzero(e) for e in events(gm, ge)])
-    return tuple(_estimate(int(c), n, seed) for c in totals)
+    sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
+    chunk = functools.partial(_chunk_counts, pair, seed, events)
+    workers = min(_usable_cores(), len(sizes))
+    if workers == 1:
+        per_chunk = list(map(chunk, range(len(sizes)), sizes))
+    else:
+        # numpy's Poisson and gamma samplers release the GIL
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            per_chunk = list(pool.map(chunk, range(len(sizes)), sizes))
+    return tuple(_estimate(sum(c), n, seed) for c in zip(*per_chunk))
 
 
 def _outage_events(pair):

@@ -1,11 +1,13 @@
 """Monte Carlo oracle tests: reproducibility, calibration against the
 analytic engine, and the shared-draw event inclusion."""
 import math
+import threading
 
+import numpy as np
 import pytest
 
 from kmusec import montecarlo, secrecy
-from kmusec.fading import EPSILON_KAPPA, KappaMuParams
+from kmusec.fading import EPSILON_KAPPA, KappaMuParams, _sample_snr_with
 from kmusec.secrecy import WiretapPair
 
 
@@ -33,11 +35,56 @@ class TestReproducibility:
         assert (exact, lower) == montecarlo.mc_sop_both(p, 1_200_000, seed=6)
 
     def test_chunking_invisible(self):
-        # one chunk vs several (n above the internal chunk size)
+        # several chunks (n above the internal chunk size)
         p = pair(2.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         big = montecarlo.mc_spsc(p, 1_200_000, seed=5)
         assert big.n == 1_200_000
         assert 0.0 <= big.estimate <= 1.0
+
+
+class TestParallelChunks:
+    # several full chunks and a partial last one
+    N = 3 * montecarlo._CHUNK + 12_345
+    PAIR = pair(1.07, 0.91, 2.0, 1.11, 0.92, 1.0, rate=0.3)
+
+    @pytest.mark.parametrize("fn", [montecarlo.mc_spsc, montecarlo.mc_sop_both,
+                                    montecarlo.mc_all])
+    def test_worker_count_invisible(self, monkeypatch, fn):
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cores", lambda: workers)
+            results.append(fn(self.PAIR, self.N, seed=40))
+        assert results[0] == results[1] == results[2]
+
+    def test_one_chunk_is_the_seed_stream(self):
+        n = montecarlo._CHUNK
+        rng = np.random.Generator(np.random.Philox(key=41))
+        gm = _sample_snr_with(rng, self.PAIR.main, n)
+        ge = _sample_snr_with(rng, self.PAIR.eve, n)
+        est = montecarlo.mc_spsc(self.PAIR, n, seed=41)
+        assert est.estimate == np.count_nonzero(gm > ge) / n
+        assert type(est.estimate) is float  # not a numpy scalar: the CLI writes JSON
+
+    def test_single_chunk_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 4)
+        threads = set()
+
+        def events(gm, ge):
+            threads.add(threading.current_thread())
+            return (gm > ge,)
+        montecarlo._count(self.PAIR, montecarlo._CHUNK, 42, events)
+        assert threads == {threading.main_thread()}
+
+    def test_worker_exception_propagates(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        threads = set()
+
+        def events(gm, ge):
+            threads.add(threading.current_thread())
+            raise AssertionError("raised in a worker")
+        with pytest.raises(AssertionError, match="raised in a worker"):
+            montecarlo._count(self.PAIR, self.N, 43, events)
+        assert threads and threading.main_thread() not in threads
 
 
 class TestCalibration:
