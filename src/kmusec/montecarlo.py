@@ -10,6 +10,10 @@ eavesdropper Poisson, eavesdropper gamma. Chunks run in parallel on the
 usable cores and each returns integer event counts, which are summed, so
 every estimate is bit-reproducible for a fixed (pair, n, seed) within
 one build, whatever the number of workers or the order chunks finish in.
+
+Each worker holds one chunk's draws and event arrays at a time, up to
+about 8 MiB, so peak memory grows by about 8 MiB per usable core (one per
+chunk when there are fewer chunks than cores).
 """
 import functools
 import math
@@ -64,15 +68,12 @@ def _count(pair, n, seed, events):
         raise ValueError("n must be at least 1000")
     sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
     chunk = functools.partial(_chunk_counts, pair, seed, events)
-    workers = min(_usable_cores(), len(sizes))
-    if workers == 1:
-        per_chunk = list(map(chunk, range(len(sizes)), sizes))
-    else:
-        # numpy's Poisson and gamma samplers release the GIL
-        from concurrent.futures import ThreadPoolExecutor
+    # numpy's Poisson and gamma samplers release the GIL; imported here,
+    # not at module level, to keep the import off every caller's start-up
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            per_chunk = list(pool.map(chunk, range(len(sizes)), sizes))
+    with ThreadPoolExecutor(min(_usable_cores(), len(sizes))) as pool:
+        per_chunk = list(pool.map(chunk, range(len(sizes)), sizes))
     return tuple(_estimate(sum(c), n, seed) for c in zip(*per_chunk))
 
 

@@ -65,16 +65,6 @@ class TestParallelChunks:
         assert est.estimate == np.count_nonzero(gm > ge) / n
         assert type(est.estimate) is float  # not a numpy scalar: the CLI writes JSON
 
-    def test_single_chunk_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 4)
-        threads = set()
-
-        def events(gm, ge):
-            threads.add(threading.current_thread())
-            return (gm > ge,)
-        montecarlo._count(self.PAIR, montecarlo._CHUNK, 42, events)
-        assert threads == {threading.main_thread()}
-
     def test_worker_exception_propagates(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
         threads = set()
