@@ -87,6 +87,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
+        for flag, bound in (("--start", self.start), ("--stop", self.stop)):
+            if not math.isfinite(bound):
+                raise ValueError(f"{flag} must be finite, got {bound}")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
         if not self.start < self.stop:
@@ -275,11 +278,16 @@ def cmd_sweep(args):
     rows = []
     spsc_vals = []
     sop_vals = []
+    # SPSC is Pr(gamma_M > gamma_E): a sweep that sets no channel leaves it alone
+    spsc_varies = SWEEP_VARIABLES[args.variable].channel is not None
+    spsc = None
     for i, value in enumerate(spec.grid()):
         pair = spec.pair_at(value)
-        spsc = secrecy.spsc_series(pair, ctl)
+        if spsc is None or spsc_varies:
+            spsc, sopl = secrecy.spsc_and_sop_lower(pair, ctl)
+        else:
+            sopl = secrecy.sop_lower(pair, ctl)
         sopx = secrecy.sop_exact(pair)
-        sopl = secrecy.sop_lower(pair, ctl)
         row = [args.variable, repr(float(value)), repr(spsc.value),
                repr(sopx.value), repr(sopl.value)]
         if args.with_mc:
@@ -359,14 +367,13 @@ def cmd_validate(args):
         is_int = idx < len(integer_cfgs)
         pair = WiretapPair(KappaMuParams(km, float(um), b),
                            KappaMuParams(ke, float(ue), 1.0))
-        s = secrecy.spsc_series(pair, ctl).value
+        s, sop_l = (r.value for r in secrecy.spsc_and_sop_lower(pair, ctl))
         if args.self_test_break:
             s += 1e-6
         if is_int:
             c = secrecy.spsc_closed_form(pair).value
             max_closed = max(max_closed, abs(s - c))
         sop_x = secrecy.sop_exact(pair).value
-        sop_l = secrecy.sop_lower(pair, ctl).value
         max_quad = max(max_quad, abs(s - (1.0 - sop_x)))
         mc = montecarlo.mc_spsc(pair, args.mc_n, args.seed + idx)
         max_mc = max(max_mc, abs(s - mc.estimate) - 3.0 * mc.std_error)

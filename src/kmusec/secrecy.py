@@ -3,8 +3,9 @@
 Probability of strictly positive secrecy capacity (SPSC) through the
 double series and, for integer cluster counts, an exact closed form;
 secure outage probability exact (adaptive Gauss-Kronrod quadrature) and as the
-analytical lower bound (series). Rates are in nats throughout; the CLI
-converts from bits.
+analytical lower bound (series). ``spsc_and_sop_lower`` returns SPSC and
+the lower bound together, from a single series evaluation at rate 0.
+Rates are in nats throughout; the CLI converts from bits.
 """
 import math
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 
 from kmusec import fading
 from kmusec._backend import kernels as _k
-from kmusec.errors import QuadratureError
+from kmusec.errors import ConvergenceError, QuadratureError
 from kmusec.fading import KappaMuParams, integer_mu
 from kmusec.specfun import DEFAULT_CONTROL
 
@@ -111,6 +112,13 @@ def secrecy_capacity(gamma_m, gamma_e):
     return math.log1p(gamma_m) - math.log1p(gamma_e)
 
 
+def _double_failure(what, cause):
+    """ConvergenceError for an evaluation that valid input drove out of
+    double precision: an overflow, a division by zero or a NaN, which the
+    kernels meet at huge finite shapes (kappa 1e200, say)."""
+    return ConvergenceError(f"{what} cannot be evaluated in double precision ({cause})")
+
+
 def _survival(pair, rate_scale, ctl):
     """``((Pr(gamma_M > s gamma_E), Pr(gamma_M <= s gamma_E)), k_terms,
     l_terms, est_error)`` for s = rate_scale.
@@ -123,15 +131,20 @@ def _survival(pair, rate_scale, ctl):
     m_shape, m_mean, m_rate = fading.gamma_mixture(pair.main.with_kappa_floor())
     e_shape, e_mean, e_rate = fading.gamma_mixture(pair.eve.with_kappa_floor())
     m_rate *= rate_scale
-    if m_rate >= e_rate:
-        value, kt, lt, err = _k.survival_series(
-            m_shape, e_shape, m_mean, e_mean, m_rate, e_rate,
-            ctl.abs_tol, max_terms=ctl.max_terms)
-        return (value, 1.0 - value), kt, lt, err
-    value, kt, lt, err = _k.survival_series(
-        e_shape, m_shape, e_mean, m_mean, e_rate, m_rate,
-        ctl.abs_tol, max_terms=ctl.max_terms)
-    return (1.0 - value, value), kt, lt, err
+    try:
+        if m_rate >= e_rate:
+            value, kt, lt, err = _k.survival_series(
+                m_shape, e_shape, m_mean, e_mean, m_rate, e_rate,
+                ctl.abs_tol, max_terms=ctl.max_terms)
+            sides = (value, 1.0 - value)
+        else:
+            value, kt, lt, err = _k.survival_series(
+                e_shape, m_shape, e_mean, m_mean, e_rate, m_rate,
+                ctl.abs_tol, max_terms=ctl.max_terms)
+            sides = (1.0 - value, value)
+    except (ArithmeticError, ValueError) as exc:
+        raise _double_failure("survival series", exc) from exc
+    return sides, kt, lt, err
 
 
 def spsc_series(pair, ctl=None):
@@ -158,6 +171,16 @@ def sop_lower(pair, ctl=None):
     (_, value), kt, lt, err = _survival(pair, math.exp(pair.rate), ctl)
     return EvalResult(value=value, terms_k=kt, terms_l=lt, est_error=err,
                       method="series")
+
+
+def spsc_and_sop_lower(pair, ctl=None):
+    """``(spsc_series(pair, ctl), sop_lower(pair, ctl))``. At rate 0 both
+    are the two sides of one series evaluation, so it runs once."""
+    if pair.rate != 0.0:
+        return spsc_series(pair, ctl), sop_lower(pair, ctl)
+    (spsc, sop), kt, lt, err = _survival(pair, 1.0, ctl or DEFAULT_CONTROL)
+    return (EvalResult(value=spsc, terms_k=kt, terms_l=lt, est_error=err, method="series"),
+            EvalResult(value=sop, terms_k=kt, terms_l=lt, est_error=err, method="series"))
 
 
 def _gauss_kronrod_21():
@@ -326,6 +349,18 @@ def spsc_closed_form(pair, ctl=None):
     cf = ClosedFormParams.from_pair(pair)  # validates integer mu first
     if min(pair.main.kappa, pair.eve.kappa) < KAPPA_MIN_CLOSED_FORM:
         return spsc_series(pair, ctl)
+    try:
+        value, q_terms, q_err = _closed_form_sum(cf, ctl)
+    except (ArithmeticError, ValueError) as exc:
+        raise _double_failure("closed form", exc) from exc
+    return EvalResult(value=min(max(value, 0.0), 1.0),
+                      terms_k=cf.mu_idx + cf.v_idx + 1, terms_l=q_terms,
+                      est_error=q_err + 1e-15, method="closed_form")
+
+
+def _closed_form_sum(cf, ctl):
+    """``(value, Marcum-Q terms, Marcum-Q est_error)`` of the closed form;
+    the value is not yet clipped to [0, 1]."""
     A, B, r, R = cf.A, cf.B, cf.r, cf.R
 
     # leading term: the (0, 0)-order probability through Marcum Q_1
@@ -357,10 +392,7 @@ def spsc_closed_form(pair, ctl=None):
                 inner -= math.comb(j, m) * r ** (j - 1) * R ** (-j - 1)
         if inner != 0.0:
             corr += (A / (B * r)) ** m * _k.bessel_ie(abs(m), xm) * inner
-    value = 1.0 - p00 - math.exp(expo) * corr
-    return EvalResult(value=min(max(value, 0.0), 1.0),
-                      terms_k=cf.mu_idx + cf.v_idx + 1, terms_l=q_terms,
-                      est_error=q_err + 1e-15, method="closed_form")
+    return 1.0 - p00 - math.exp(expo) * corr, q_terms, q_err
 
 
 def spsc_rice_reference(K_m, K_e, gbar_m, gbar_e, ctl=None):

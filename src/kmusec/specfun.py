@@ -21,8 +21,8 @@ class SeriesControl:
     max_terms: int = 10_000
 
     def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import kmusec
 from kmusec import estimate as em
 from kmusec import secrecy
-from kmusec.cli import main
+from kmusec.cli import SweepSpec, build_parser, main, pair_from_args
 from kmusec.estimate import EnvelopeTrace, sample_envelope, write_trace_binary
 from kmusec.fading import KappaMuParams
 
@@ -146,7 +147,8 @@ def test_non_finite_quadrature_exit_3():
     ("spsc", "--preset", "fig4", "--gbar-m-db", "1e6"),
     ("spsc", "--preset", "fig2-rice", "--km", "inf"),
     ("spsc", "--preset", "fig4", "--gbar-m-linear", "inf"),
-    ("sop", "--preset", "fig4", "--rate-nats", "inf")])
+    ("sop", "--preset", "fig4", "--rate-nats", "inf"),
+    ("spsc", "--preset", "d2d", "--abs-tol", "inf")])
 def test_non_finite_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -164,6 +166,32 @@ def test_extreme_snr_ratio_exit_0(capsys, argv):
                          "--ke", "1", "--ue", "1", *argv[1:])
     assert (code, err) == (0, "")
     assert 0.0 <= json.loads(out)["value"] <= 1.0
+
+
+@pytest.mark.parametrize("flag", ["--start", "--stop"])
+@pytest.mark.parametrize("bound", ["inf", "nan"])
+def test_sweep_non_finite_bound_exit_2(capsys, flag, bound):
+    bounds = {"--start": "0", "--stop": "1", flag: bound}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        code, out, err = run(capsys, "sweep", "--preset", "d2d", "--variable", "rate",
+                             "--steps", "3", *(x for kv in bounds.items() for x in kv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be finite, got {bound}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("spsc", "--km", "1e200", "--um", "1", "--ke", "1", "--ue", "1", "--method", "series"),
+    ("sop", "--km", "1e308", "--um", "1", "--ke", "1", "--ue", "1", "--bound", "lower"),
+    ("sweep", "--preset", "d2d", "--variable", "kappa_m", "--start", "1",
+     "--stop", "1e308", "--steps", "3"),
+    ("spsc", "--km", "1", "--um", "1", "--ke", "1e308", "--ue", "1")])
+def test_huge_finite_shape_exit_3(capsys, argv):
+    # valid input that the kernels cannot carry in double precision
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("convergence error: ")
+    assert err.count("\n") == 1
 
 
 class TestSop:
@@ -322,6 +350,45 @@ class TestValidate:
         assert code == 4
         report = json.loads(out)
         assert report["pass"] is False
+
+
+class TestSharedSeries:
+    """SPSC and SOP^L at rate 0 are the two sides of one survival series,
+    and SPSC does not depend on the rate, so each distinct survival
+    probability of a sweep or validation run costs one kernel call."""
+
+    @pytest.mark.parametrize("argv,calls", [
+        (("sweep", "--preset", "d2d", "--variable", "gamma_bar_m_db",
+          "--start", "-10", "--stop", "30", "--steps", "41"), 41),
+        (("sweep", "--preset", "fig4", "--gbar-m-db", "10", "--variable", "rate",
+          "--start", "0", "--stop", "2.5", "--steps", "41"), 41),
+        # fig4 carries a 10^(1/10)-nat rate: SPSC and SOP^L differ
+        (("sweep", "--preset", "fig4", "--variable", "gamma_bar_m_db",
+          "--start", "-10", "--stop", "30", "--steps", "41"), 82),
+        (("validate", "--grid", "small", "--mc-n", "50000"), 36)])
+    def test_kernel_calls(self, capsys, survival_calls, argv, calls):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(survival_calls) == calls
+
+    @pytest.mark.parametrize("argv", [
+        ("--preset", "fig4", "--gbar-m-db", "10", "--variable", "rate",
+         "--start", "0", "--stop", "2.5"),
+        ("--preset", "ban", "--gbar-m-db", "5", "--variable", "kappa_m",
+         "--start", "0.5", "--stop", "8")])
+    def test_rows_equal_separate_calls(self, capsys, argv):
+        argv = ("sweep", *argv, "--steps", "6")
+        args = build_parser().parse_args(argv)
+        spec = SweepSpec(args.variable, args.start, args.stop, args.steps,
+                         pair_from_args(args))
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 6
+        for row, value in zip(rows, spec.grid()):
+            pair = spec.pair_at(value)
+            assert row["spsc"] == repr(secrecy.spsc_series(pair).value)
+            assert row["sop_lower"] == repr(secrecy.sop_lower(pair).value)
 
 
 class TestFit:

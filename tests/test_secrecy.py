@@ -10,12 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from kmusec import secrecy
+from kmusec import fading, secrecy
 from kmusec.errors import QuadratureError
 from kmusec.fading import EPSILON_KAPPA, KappaMuParams, make_special_case
 from kmusec.secrecy import (ClosedFormParams, EvalResult, QuadSpec,
                             WiretapPair, secrecy_capacity, sop_exact,
-                            sop_lower, spsc_closed_form,
+                            sop_lower, spsc_and_sop_lower, spsc_closed_form,
                             spsc_rayleigh_reference, spsc_rice_reference,
                             spsc_series)
 from kmusec.specfun import SeriesControl
@@ -210,6 +210,27 @@ class TestSopLower:
         for c in (0.1, 10.0):
             scaled = pair(4.0, 1.4, 2.0 * c, 2.0, 1.2, 1.0 * c, rate=0.7)
             assert sop_lower(scaled).value == pytest.approx(v0, abs=1e-9)
+
+
+class TestSpscAndSopLower:
+    # main rate (1 + kappa) mu / gamma_bar of 14 and 0.35 against the
+    # eavesdropper's 3.6: the series runs with either channel first
+    @pytest.mark.parametrize("gbm,main_first", [(0.5, True), (20.0, False)])
+    @pytest.mark.parametrize("rate", [0.0, RS_1DB, 800.0])
+    def test_equals_separate_calls(self, survival_calls, gbm, main_first, rate):
+        p = pair(4.0, 1.4, gbm, 2.0, 1.2, 1.0, rate=rate)
+        m_rate = fading.gamma_mixture(p.main)[2]
+        assert (m_rate >= fading.gamma_mixture(p.eve)[2]) == main_first
+        ctl = SeriesControl(abs_tol=1e-13)
+        separate = (spsc_series(p, ctl), sop_lower(p, ctl))
+        survival_calls.clear()
+        assert spsc_and_sop_lower(p, ctl) == separate
+        # one series at rate 0; past 700 nats the bound saturates uncomputed
+        assert len(survival_calls) == {0.0: 1, RS_1DB: 2, 800.0: 1}[rate]
+
+    def test_default_control(self):
+        p = pair(1.07, 0.91, 1.0, 1.11, 0.92, 1.0)
+        assert spsc_and_sop_lower(p) == (spsc_series(p), sop_lower(p))
 
 
 class TestSopExact:

@@ -23,7 +23,8 @@ class TestSeriesControl:
         assert ctl.max_terms == 10_000
 
     @pytest.mark.parametrize("kw", [dict(abs_tol=0.0), dict(abs_tol=-1e-3),
-                                    dict(abs_tol=math.nan), dict(max_terms=0)])
+                                    dict(abs_tol=math.nan), dict(max_terms=0),
+                                    dict(abs_tol=math.inf)])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             SeriesControl(**kw)
