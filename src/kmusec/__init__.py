@@ -11,7 +11,8 @@ from kmusec.fading import (EPSILON_KAPPA, ClusterSpec, KappaMuParams,
                            snr_cdf, snr_pdf)
 from kmusec.montecarlo import McEstimate, mc_all, mc_sop_both, mc_spsc
 from kmusec.secrecy import (EvalResult, WiretapPair, secrecy_capacity,
-                            sop_exact, sop_lower, spsc_closed_form,
+                            sop_exact, sop_exact_many, sop_lower,
+                            spsc_closed_form,
                             spsc_rayleigh_reference, spsc_rice_reference,
                             spsc_series)
 from kmusec.specfun import (DEFAULT_CONTROL, SeriesControl, bessel_i,
@@ -50,6 +51,7 @@ __all__ = [
     "snr_cdf",
     "snr_pdf",
     "sop_exact",
+    "sop_exact_many",
     "sop_lower",
     "spsc_closed_form",
     "spsc_rayleigh_reference",

@@ -275,27 +275,28 @@ def cmd_sweep(args):
     if args.with_mc:
         header += ["mc_spsc", "mc_spsc_se", "mc_sop_exact", "mc_sop_exact_se",
                    "mc_sop_lower", "mc_sop_lower_se"]
-    rows = []
-    spsc_vals = []
-    sop_vals = []
+    grid = spec.grid()
+    pairs = [spec.pair_at(value) for value in grid]
     # SPSC is Pr(gamma_M > gamma_E): a sweep that sets no channel leaves it alone
     spsc_varies = SWEEP_VARIABLES[args.variable].channel is not None
-    spsc = None
-    for i, value in enumerate(spec.grid()):
-        pair = spec.pair_at(value)
-        if spsc is None or spsc_varies:
+    spsc_vals = []
+    sopl_vals = []
+    for pair in pairs:
+        if not spsc_vals or spsc_varies:
             spsc, sopl = secrecy.spsc_and_sop_lower(pair, ctl)
         else:
             sopl = secrecy.sop_lower(pair, ctl)
-        sopx = secrecy.sop_exact(pair)
-        row = [args.variable, repr(float(value)), repr(spsc.value),
-               repr(sopx.value), repr(sopl.value)]
+        spsc_vals.append(spsc.value)
+        sopl_vals.append(sopl.value)
+    sop_vals = [r.value for r in secrecy.sop_exact_many(pairs)]
+    rows = []
+    for i, (value, pair) in enumerate(zip(grid, pairs)):
+        row = [args.variable, repr(float(value)), repr(spsc_vals[i]),
+               repr(sop_vals[i]), repr(sopl_vals[i])]
         if args.with_mc:
             for mc in montecarlo.mc_all(pair, args.with_mc, args.seed + i):
                 row += [repr(mc.estimate), repr(mc.std_error)]
         rows.append(row)
-        spsc_vals.append(spsc.value)
-        sop_vals.append(sopx.value)
 
     problems = []
     if args.assert_monotone:
@@ -356,33 +357,32 @@ def _validate_grid(which):
 def cmd_validate(args):
     ctl = SeriesControl()
     integer_cfgs, nonint_cfgs = _validate_grid(args.grid)
-    rates = (0.5, 10 ** 0.1)  # besides rate 0, whose SOPs are reused from above
+    rates = (0.5, 10 ** 0.1)  # besides rate 0, whose SOP^L comes with SPSC
 
+    pairs = [WiretapPair(KappaMuParams(km, float(um), b), KappaMuParams(ke, float(ue), 1.0))
+             for km, um, ke, ue, b in integer_cfgs + nonint_cfgs]
+    rated = [WiretapPair(pair.main, pair.eve, rate) for pair in pairs for rate in rates]
+    # every exact SOP, rate 0 first, in one batch
+    sop_x = [r.value for r in secrecy.sop_exact_many(pairs + rated)]
     max_closed = 0.0
     max_mc = -math.inf
     max_quad = 0.0
     max_comp = 0.0
     min_gap = math.inf
-    for idx, (km, um, ke, ue, b) in enumerate(integer_cfgs + nonint_cfgs):
-        is_int = idx < len(integer_cfgs)
-        pair = WiretapPair(KappaMuParams(km, float(um), b),
-                           KappaMuParams(ke, float(ue), 1.0))
+    for idx, pair in enumerate(pairs):
         s, sop_l = (r.value for r in secrecy.spsc_and_sop_lower(pair, ctl))
         if args.self_test_break:
             s += 1e-6
-        if is_int:
+        if idx < len(integer_cfgs):
             c = secrecy.spsc_closed_form(pair).value
             max_closed = max(max_closed, abs(s - c))
-        sop_x = secrecy.sop_exact(pair).value
-        max_quad = max(max_quad, abs(s - (1.0 - sop_x)))
+        max_quad = max(max_quad, abs(s - (1.0 - sop_x[idx])))
         mc = montecarlo.mc_spsc(pair, args.mc_n, args.seed + idx)
         max_mc = max(max_mc, abs(s - mc.estimate) - 3.0 * mc.std_error)
         max_comp = max(max_comp, abs(sop_l + s - 1.0))
-        min_gap = min(min_gap, sop_x - sop_l)
-        for rate in rates:
-            rp = WiretapPair(pair.main, pair.eve, rate)
-            gap = secrecy.sop_exact(rp).value - secrecy.sop_lower(rp, ctl).value
-            min_gap = min(min_gap, gap)
+        min_gap = min(min_gap, sop_x[idx] - sop_l)
+    for rp, sop_xr in zip(rated, sop_x[len(pairs):]):
+        min_gap = min(min_gap, sop_xr - secrecy.sop_lower(rp, ctl).value)
 
     checks = [
         {"name": "series_vs_closed_form", "max_abs_diff": max_closed,

@@ -196,16 +196,36 @@ def snr_cdf(params, gamma):
     the noncentral chi-square law with 2 mu degrees of freedom and
     noncentrality 2 kappa mu at 2 (1+kappa) mu gamma / gamma_bar, and the
     gamma law at kappa = 0."""
+    g = _as_input("snr_cdf", gamma)
+    return _as_output(_distribution(params.kappa, params.mu, params.gamma_bar, g))
+
+
+def _distribution(kappa, mu, gbar, g):
+    # snr_cdf at g >= 0 elementwise, each of kappa, mu and gbar a scalar or
+    # an array broadcast against g (one channel per row, say); kappa = 0
+    # takes the gamma law. Each element's value depends on its own
+    # arguments alone, whatever the shape of the batch.
     from scipy.special import chndtr, gammainc
 
-    g = _as_input("snr_cdf", gamma)
-    kappa, mu, gbar = params.kappa, params.mu, params.gamma_bar
+    def gamma_law(mu, gbar, g):
+        return gammainc(mu, mu * g / gbar)
+
+    def noncentral(kappa, mu, gbar, g):
+        return chndtr(2.0 * (1.0 + kappa) * mu * g / gbar, 2.0 * mu, 2.0 * kappa * mu)
+
+    zero = np.asarray(kappa) == 0.0
     with np.errstate(over="ignore"):  # an infinite argument gives 1
-        if kappa == 0.0:
-            out = gammainc(mu, mu * g / gbar)
+        if not zero.any():
+            out = noncentral(kappa, mu, gbar, g)
+        elif zero.all():
+            out = gamma_law(mu, gbar, g)
         else:
-            out = chndtr(2.0 * (1.0 + kappa) * mu * g / gbar, 2.0 * mu, 2.0 * kappa * mu)
-    return _as_output(np.clip(out, 0.0, 1.0))
+            kappa, mu, gbar, g, zero = np.broadcast_arrays(kappa, mu, gbar, g, zero)
+            rest = ~zero
+            out = np.empty(g.shape)
+            out[zero] = gamma_law(mu[zero], gbar[zero], g[zero])
+            out[rest] = noncentral(kappa[rest], mu[rest], gbar[rest], g[rest])
+    return np.clip(out, 0.0, 1.0)
 
 
 def sample_snr(params, n, seed):

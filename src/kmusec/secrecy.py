@@ -5,6 +5,9 @@ double series and, for integer cluster counts, an exact closed form;
 secure outage probability exact (adaptive Gauss-Kronrod quadrature) and as the
 analytical lower bound (series). ``spsc_and_sop_lower`` returns SPSC and
 the lower bound together, from a single series evaluation at rate 0.
+``sop_exact_many`` evaluates the exact SOP of many pairs in one batched
+quadrature; each pair's result equals, field for field, what
+``sop_exact`` gives it alone, whichever pairs share the batch.
 Rates are in nats throughout; the CLI converts from bits.
 """
 import math
@@ -130,6 +133,10 @@ def _survival(pair, rate_scale, ctl):
     and ``est_error`` bounds both."""
     m_shape, m_mean, m_rate = fading.gamma_mixture(pair.main.with_kappa_floor())
     e_shape, e_mean, e_rate = fading.gamma_mixture(pair.eve.with_kappa_floor())
+    if not all(map(math.isfinite, (m_shape, m_mean, m_rate, e_shape, e_mean, e_rate))):
+        # at mu 1e308, say, the rate (1+kappa) mu / gbar overflows
+        raise _double_failure("survival series",
+                              "a gamma-mixture shape, mean or rate is not finite")
     m_rate *= rate_scale
     try:
         if m_rate >= e_rate:
@@ -229,70 +236,101 @@ _INITIAL_PIECES = 8
 _ORIGIN_LAW = 1e-100
 
 
-def _gauss_kronrod(integrand, quad_ctl):
-    """Adaptive G10K21 quadrature of ``integrand`` over (0, 1).
+def _gauss_kronrod(integrand, quad_ctl, points=1):
+    """Adaptive G10K21 quadrature over (0, 1) of ``points`` integrands at
+    once.
 
-    The first pass splits (0, 1) into ``_INITIAL_PIECES`` equal pieces
-    (fewer if ``quad_ctl.limit`` is smaller), so that a single rule's
-    error estimate is never trusted on its own. Every pass evaluates the
-    21 nodes of all new subintervals in one call, then bisects each
-    subinterval whose error estimate exceeds its share (its length) of the
-    tolerance, or the worst one if none does. QuadratureError is raised on
-    a non-finite value or error estimate, on a tolerance below the summed
-    rounding floors of the subintervals (which bisection does not lower),
-    and on more than ``quad_ctl.limit`` subintervals. Returns (value,
-    error estimate, evaluations)."""
+    ``integrand(owner, t)`` takes rows of nodes ``t``, row i belonging to
+    point ``owner[i]``, and gives each row values that depend on that row
+    alone. Each point runs its own adaptive scheme. Its first pass splits
+    (0, 1) into ``_INITIAL_PIECES`` equal pieces (fewer if
+    ``quad_ctl.limit`` is smaller), so that a single rule's error estimate
+    is never trusted on its own. Every pass evaluates the 21 nodes of all
+    new subintervals of all open points in one call, then bisects each
+    subinterval whose error estimate exceeds its share (its length) of its
+    point's tolerance, or the worst one if none does. The rules are summed
+    row by row by ``np.einsum``, whose rows do not depend on the row count
+    (a BLAS matmul's do), so a point's result does not depend on the batch.
+    QuadratureError is raised for the whole batch when a point meets a
+    non-finite value or error estimate, a tolerance below the summed
+    rounding floors of its subintervals (which bisection does not lower),
+    or more than ``quad_ctl.limit`` subintervals. Returns a list of
+    (value, error estimate, evaluations), one per point."""
     eps = np.finfo(float).eps
-    lo = hi = val = err = floor = np.zeros(0)
     n0 = max(min(quad_ctl.limit, _INITIAL_PIECES), 1)
-    a, b = np.arange(n0) / n0, np.arange(1, n0 + 1) / n0
-    neval = 0
-    while True:
+    first = (np.arange(n0) / n0, np.arange(1, n0 + 1) / n0)
+    empty = np.zeros(0)
+    new = {p: first for p in range(points)}  # subintervals still to evaluate
+    kept = {p: (empty,) * 5 for p in range(points)}  # lo, hi, val, err, floor
+    neval = [0] * points
+    results = [None] * points
+    while new:
+        open_ = list(new)
+        counts = [new[p][0].size for p in open_]
+        a = np.concatenate([new[p][0] for p in open_])
+        b = np.concatenate([new[p][1] for p in open_])
         half = 0.5 * (b - a)
-        f = integrand(((a + b) * 0.5)[:, None] + half[:, None] * _GK_NODES)
-        neval += f.size
-        kronrod, gauss = (f @ _GK_WEIGHTS).T
+        f = integrand(np.repeat(open_, counts),
+                      ((a + b) * 0.5)[:, None] + half[:, None] * _GK_NODES)
+        kronrod, gauss = np.einsum("ij,jk->ik", f, _GK_WEIGHTS).T
         # QUADPACK's error estimate: |K - G| scaled by the integrand's
         # spread about its mean, floored at 50 eps of the absolute integral
-        resasc = half * (np.abs(f - 0.5 * kronrod[:, None]) @ _GK_WEIGHTS[:, 0])
-        fl = 50.0 * eps * half * (np.abs(f) @ _GK_WEIGHTS[:, 0])
+        resasc = half * np.einsum("ij,j->i", np.abs(f - 0.5 * kronrod[:, None]),
+                                  _GK_WEIGHTS[:, 0])
+        fl = 50.0 * eps * half * np.einsum("ij,j->i", np.abs(f), _GK_WEIGHTS[:, 0])
         e = half * np.abs(kronrod - gauss)
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = resasc * np.minimum(1.0, (200.0 * e / resasc) ** 1.5)
         e = np.maximum(np.where((resasc > 0.0) & (e > 0.0), scaled, e), fl)
-        lo, hi = np.concatenate([lo, a]), np.concatenate([hi, b])
-        val, err = np.concatenate([val, half * kronrod]), np.concatenate([err, e])
-        floor = np.concatenate([floor, fl])
-        value, error = float(np.sum(val)), float(np.sum(err))
-        if not (math.isfinite(value) and math.isfinite(error)):
-            raise QuadratureError(
-                f"secure outage quadrature: the integrand is not finite "
-                f"(value {value:.3g}, error estimate {error:.3g})")
-        tol = max(quad_ctl.abs_tol, quad_ctl.rel_tol * abs(value))
-        if error <= tol:
-            return value, error, neval
-        rounding = float(np.sum(floor))
-        if tol < rounding:
-            raise QuadratureError(
-                f"secure outage quadrature: the tolerance {tol:.3g} is below "
-                f"the rounding floor {rounding:.3g} of the estimate")
-        split = err > tol * (hi - lo)
-        if not split.any():
-            split = err == err.max()
-        if lo.size + np.count_nonzero(split) > quad_ctl.limit:
-            raise QuadratureError(
-                f"secure outage quadrature: the limit of {quad_ctl.limit} subintervals "
-                f"was reached with error estimate {error:.3g} above {tol:.3g}")
-        mid = 0.5 * (lo[split] + hi[split])
-        a, b = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-        keep = ~split
-        lo, hi, val, err, floor = lo[keep], hi[keep], val[keep], err[keep], floor[keep]
+        ends = np.cumsum(counts).tolist()
+        evaluated = (a, b, half * kronrod, e, fl)
+        new = {}
+        for p, start, end in zip(open_, [0] + ends, ends):
+            neval[p] += (end - start) * _GK_NODES.size
+            lo, hi, val, err, floor = (np.concatenate([old, x[start:end]])
+                                       for old, x in zip(kept[p], evaluated))
+            value, error = float(val.sum()), float(err.sum())
+            if not (math.isfinite(value) and math.isfinite(error)):
+                raise QuadratureError(
+                    f"secure outage quadrature: the integrand is not finite "
+                    f"(value {value:.3g}, error estimate {error:.3g})")
+            tol = max(quad_ctl.abs_tol, quad_ctl.rel_tol * abs(value))
+            if error <= tol:
+                results[p] = (value, error, neval[p])
+                continue
+            rounding = float(floor.sum())
+            if tol < rounding:
+                raise QuadratureError(
+                    f"secure outage quadrature: the tolerance {tol:.3g} is below "
+                    f"the rounding floor {rounding:.3g} of the estimate")
+            split = err > tol * (hi - lo)
+            if not split.any():
+                split = err == err.max()
+            if lo.size + np.count_nonzero(split) > quad_ctl.limit:
+                raise QuadratureError(
+                    f"secure outage quadrature: the limit of {quad_ctl.limit} subintervals "
+                    f"was reached with error estimate {error:.3g} above {tol:.3g}")
+            mid = 0.5 * (lo[split] + hi[split])
+            new[p] = (np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
+            keep = ~split
+            kept[p] = (lo[keep], hi[keep], val[keep], err[keep], floor[keep])
+    return results
 
 
 def sop_exact(pair, quad_ctl=None):
     """Exact secure outage probability
-    Pr(gamma_M <= e^{R_S}(1 + gamma_E) - 1), by vectorized adaptive
-    Gauss-Kronrod quadrature over t in (0, 1).
+    Pr(gamma_M <= e^{R_S}(1 + gamma_E) - 1): ``sop_exact_many([pair],
+    quad_ctl)[0]``."""
+    return sop_exact_many([pair], quad_ctl)[0]
+
+
+def sop_exact_many(pairs, quad_ctl=None):
+    """Exact secure outage probability of each pair, by vectorized
+    adaptive Gauss-Kronrod quadrature over t in (0, 1), all pairs in one
+    batch: a pass evaluates the open subintervals of every pair in one
+    integrand call. Each pair keeps its own tolerance, bisection and
+    checks, and its ``EvalResult`` equals, field for field, the one it gets
+    alone; one failing pair raises QuadratureError for the batch.
 
     The map gamma_E = gamma_bar_E u^(1/m), u = t/(1-t), m = min(mu_E, 1)/2
     turns the eavesdropper's law near the origin, C gamma_E^(mu_E - 1) /
@@ -300,41 +338,64 @@ def sop_exact(pair, quad_ctl=None):
     for mu_E <= 1, bounded where the density diverges, and 2 C u^(2 mu_E - 1)
     above, smooth enough that the rule converges fast. Scaling by
     gamma_bar_E keeps the body of the law near t = 1/2 at any mean SNR.
-    ``est_error`` adds the errors of the
-    density and distribution function and a rounding floor to the
-    quadrature estimate; ``terms_k`` counts integrand evaluations."""
+    The eavesdropper density is evaluated once per distinct channel on its
+    distinct nodes, which pairs of a sweep share. ``est_error`` adds the
+    errors of the density and distribution function and a rounding floor
+    to the quadrature estimate; ``terms_k`` counts integrand evaluations.
+    A rate beyond ``_RATE_SATURATION`` gives 1 without quadrature."""
     quad_ctl = quad_ctl or QuadSpec()
-    if pair.rate > _RATE_SATURATION:
-        return EvalResult(value=1.0, terms_k=0, terms_l=0, est_error=0.0,
-                          method="quadrature")
-    ers = math.exp(pair.rate)
-    offset = math.expm1(pair.rate)
-    main, eve = pair.main, pair.eve
-    m = 0.5 * min(eve.mu, 1.0)
+    pairs = list(pairs)
+    results = [EvalResult(value=1.0, terms_k=0, terms_l=0, est_error=0.0,
+                          method="quadrature")] * len(pairs)
+    todo = [i for i, pair in enumerate(pairs) if pair.rate <= _RATE_SATURATION]
+    if not todo:
+        return results
+    mains = [pairs[i].main for i in todo]
+    eves = [pairs[i].eve for i in todo]
+    index = {}  # distinct eavesdropper channels, numbered in order of appearance
+    channel = np.array([index.setdefault(eve, len(index)) for eve in eves])
+    channels = list(index)
+    m = np.array([0.5 * min(eve.mu, 1.0) for eve in eves])
     # the leading law only reaches nodes with u < 1e-100^m; above mu_E = 1
     # (u < 1e-50) it is zero to double precision
-    origin = (math.exp(fading._log_origin_coefficient(eve.kappa, eve.mu)) / m
-              if eve.mu <= 1.0 else 0.0)
+    origin = np.array([math.exp(fading._log_origin_coefficient(eve.kappa, eve.mu)) / mi
+                       if eve.mu <= 1.0 else 0.0 for eve, mi in zip(eves, m)])
+    power = np.array([eve.mu for eve in eves]) / m - 1.0
+    gbar_e = np.array([eve.gamma_bar for eve in eves])
+    ers = np.array([math.exp(pairs[i].rate) for i in todo])
+    offset = np.array([math.expm1(pairs[i].rate) for i in todo])
+    kappa_m, mu_m, gbar_m = (np.array(v) for v in zip(
+        *((main.kappa, main.mu, main.gamma_bar) for main in mains)))
 
-    def integrand(t):
+    def integrand(owner, t):
         # f_E(x) dx/dt F_M(e^R (1 + x) - 1), dx/dt = x (1 + u) / (m t)
+        rows = np.broadcast_to(owner[:, None], t.shape)  # point of each node
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             u = t / (1.0 - t)
-            s = u ** (1.0 / m)
-            x = eve.gamma_bar * s
+            s = u ** (1.0 / m)[owner, None]
+            x = gbar_e[owner, None] * s
             small = s < _ORIGIN_LAW
-            dens = np.where(small, origin * u ** (eve.mu / m - 1.0) * (1.0 + u) ** 2, 0.0)
+            dens = np.zeros(t.shape)
+            us, at = u[small], rows[small]
+            dens[small] = origin[at] * us ** power[at] * (1.0 + us) ** 2
             body = ~small & (x < math.inf)
-            xb = x[body]
-            dens[body] = fading.snr_pdf(eve, xb) * xb * (1.0 + u[body]) / (m * t[body])
-            threshold = offset + ers * x
-        return dens * fading.snr_cdf(main, threshold)
+            xb, at = x[body], rows[body]
+            pdf = np.empty(xb.size)
+            for c, eve in enumerate(channels):
+                sel = channel[at] == c if len(channels) > 1 else slice(None)
+                nodes, where = np.unique(xb[sel], return_inverse=True)
+                pdf[sel] = fading.snr_pdf(eve, nodes)[where]
+            dens[body] = pdf * xb * (1.0 + u[body]) / (m[at] * t[body])
+            threshold = offset[owner, None] + ers[owner, None] * x
+        return dens * fading._distribution(kappa_m[owner, None], mu_m[owner, None],
+                                           gbar_m[owner, None], threshold)
 
-    value, error, neval = _gauss_kronrod(integrand, quad_ctl)
-    est_error = (error + (_PDF_REL_ERR + _CDF_REL_ERR) * abs(value) + _CDF_ABS_ERR
-                 + _ROUNDING_ULPS * math.ulp(value))
-    return EvalResult(value=min(max(value, 0.0), 1.0), terms_k=neval, terms_l=0,
-                      est_error=est_error, method="quadrature")
+    for i, (value, error, neval) in zip(todo, _gauss_kronrod(integrand, quad_ctl, len(todo))):
+        est_error = (error + (_PDF_REL_ERR + _CDF_REL_ERR) * abs(value) + _CDF_ABS_ERR
+                     + _ROUNDING_ULPS * math.ulp(value))
+        results[i] = EvalResult(value=min(max(value, 0.0), 1.0), terms_k=neval, terms_l=0,
+                                est_error=est_error, method="quadrature")
+    return results
 
 
 def spsc_closed_form(pair, ctl=None):
@@ -361,6 +422,10 @@ def spsc_closed_form(pair, ctl=None):
 def _closed_form_sum(cf, ctl):
     """``(value, Marcum-Q terms, Marcum-Q est_error)`` of the closed form;
     the value is not yet clipped to [0, 1]."""
+    if cf.mu_idx + cf.v_idx + 1 > ctl.max_terms:
+        raise ConvergenceError(
+            f"closed form needs {cf.mu_idx + cf.v_idx + 1} Bessel orders, "
+            f"more than max_terms={ctl.max_terms}")
     A, B, r, R = cf.A, cf.B, cf.r, cf.R
 
     # leading term: the (0, 0)-order probability through Marcum Q_1
@@ -374,8 +439,9 @@ def _closed_form_sum(cf, ctl):
     p00 = q_val - math.exp(-((A * r - B) ** 2) / (2.0 * s1r2) + math.log(
         _k.bessel_ie(0.0, x0))) / s1r2
 
-    # correction sum over Bessel orders m with binomial weights; binomials
-    # outside their range are zero, so empty sums drop out naturally
+    # correction sum over Bessel orders m with binomial weights; the loops
+    # run only where the binomials are nonzero (0 <= k + m, 0 <= m <= j),
+    # and an order whose inner sums are empty drops out
     xm = A * B / R
     # scaled-Bessel exponent: -(A^2 r + B^2/r)/(2R) + AB/R collapses to
     # -(A sqrt(r) - B/sqrt(r))^2 / (2R) <= 0
@@ -383,12 +449,11 @@ def _closed_form_sum(cf, ctl):
     corr = 0.0
     for m in range(-cf.mu_idx, cf.v_idx + 1):
         inner = 0.0
-        for k in range(1, cf.mu_idx + 1):
-            if 0 <= k + m <= cf.v_idx + k:
-                inner += (math.comb(cf.v_idx + k, k + m)
-                          * r ** (cf.v_idx - k + 1) * R ** (-cf.v_idx - k - 1))
-        for j in range(1, cf.v_idx + 1):
-            if 0 <= m <= j:
+        for k in range(max(1, -m), cf.mu_idx + 1):
+            inner += (math.comb(cf.v_idx + k, k + m)
+                      * r ** (cf.v_idx - k + 1) * R ** (-cf.v_idx - k - 1))
+        if m >= 0:
+            for j in range(max(1, m), cf.v_idx + 1):
                 inner -= math.comb(j, m) * r ** (j - 1) * R ** (-j - 1)
         if inner != 0.0:
             corr += (A / (B * r)) ** m * _k.bessel_ie(abs(m), xm) * inner

@@ -128,6 +128,24 @@ class TestBackendSelection:
         assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("backend", ["python", "c"])
+@pytest.mark.parametrize("argv", [
+    ["spsc", "--km", "1", "--um", "1e308", "--ke", "1", "--ue", "1", "--method", "series"],
+    ["spsc", "--km", "1", "--um", "1", "--ke", "1", "--ue", "1e308", "--method", "series"]])
+def test_huge_mu_exit_3(backend, argv, request):
+    # the rate (1+kappa) mu / gbar overflows to inf at mu 1e308; the
+    # compiled twin used to sum on with it to SPSC 0.0 (or 1.0), exit 0
+    if backend == "c":
+        first, block = request.getfixturevalue("compiled_package"), ""
+    else:
+        first, block = None, "sys.modules['kmusec._ckernels'] = None; "
+    code = ("import sys; " + block + "import kmusec; from kmusec import cli; "
+            f"assert kmusec.backend_name() == '{backend}'; sys.exit(cli.main({argv!r}))")
+    proc = _import_kmusec(code, first)
+    assert (proc.returncode, proc.stdout) == (3, b""), proc.stderr
+    assert b"gamma-mixture shape, mean or rate is not finite" in proc.stderr
+
+
 def _public_callables(module):
     # the names ``kmubench/tracer.py`` (``_kernel_proxy``) wraps
     return {attr for attr in dir(module)

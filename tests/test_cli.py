@@ -129,18 +129,33 @@ class TestSpsc:
             assert "convergence error: secure outage quadrature" in err
 
 
-def test_non_finite_quadrature_exit_3():
-    # scipy's noncentral chi-square returns NaN at kappa 1e9, mu 10; the
-    # quadrature used to loop on empty passes forever
+def _cli_subprocess(argv, timeout):
+    # ``kmusec argv`` in a child interpreter, killed after ``timeout`` s
     src = os.path.dirname(os.path.dirname(os.path.abspath(kmusec.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "kmusec.cli", "sop", "--km", "1e9", "--um", "10",
-         "--ke", "1", "--ue", "1", "--rate-nats", "0.1"],
-        env=env, capture_output=True, text=True, timeout=10)
+    return subprocess.run([sys.executable, "-m", "kmusec.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_non_finite_quadrature_exit_3():
+    # scipy's noncentral chi-square returns NaN at kappa 1e9, mu 10; the
+    # quadrature used to loop on empty passes forever
+    proc = _cli_subprocess(("sop", "--km", "1e9", "--um", "10", "--ke", "1", "--ue", "1",
+                            "--rate-nats", "0.1"), timeout=10)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert "not finite" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("--km", "1", "--um", "1", "--ke", "1", "--ue", "1e20"),
+    ("--km", "1", "--um", "1e9", "--gbar-m-linear", "1e12", "--ke", "1", "--ue", "1")])
+def test_closed_form_term_cap_exit_3(argv):
+    # the closed form used to walk every Bessel order and index without
+    # end (mu 1e20), or silently through underflowing terms (mu 1e9)
+    proc = _cli_subprocess(("spsc", *argv), timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "more than max_terms=10000" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -389,6 +404,49 @@ class TestSharedSeries:
             pair = spec.pair_at(value)
             assert row["spsc"] == repr(secrecy.spsc_series(pair).value)
             assert row["sop_lower"] == repr(secrecy.sop_lower(pair).value)
+
+
+class TestBatchedExactSop:
+    """A sweep evaluates its exact SOPs in one batched quadrature, and each
+    row holds what ``kmusec sop`` prints for that point."""
+
+    FLAGS = {"gamma_bar_m_db": "--gbar-m-db", "gamma_bar_e_db": "--gbar-e-db",
+             "kappa_m": "--km", "kappa_e": "--ke", "mu_m": "--um", "mu_e": "--ue",
+             "rate": "--rate-nats"}
+
+    @pytest.mark.parametrize("base,variable,start,stop", [
+        (("--preset", "fig4"), "gamma_bar_m_db", "-10", "30"),
+        (("--preset", "d2d"), "gamma_bar_e_db", "-10", "30"),
+        (("--preset", "ban", "--gbar-m-db", "5"), "kappa_m", "0.5", "8"),
+        (("--preset", "ban", "--gbar-e-db", "5"), "kappa_e", "0.5", "8"),
+        (("--preset", "v2v", "--gbar-m-db", "5"), "mu_m", "0.5", "3"),
+        (("--preset", "v2v", "--gbar-e-db", "5"), "mu_e", "0.3", "3"),
+        (("--preset", "fig4", "--gbar-m-db", "10"), "rate", "0", "800")])
+    def test_rows_equal_sop_command(self, capsys, base, variable, start, stop):
+        code, out, err = run(capsys, "sweep", *base, "--variable", variable,
+                             "--start", start, "--stop", stop, "--steps", "6")
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 6
+        for row in rows:
+            sop = run_json(capsys, "sop", *base, self.FLAGS[variable], row["value"])
+            assert row["sop_exact"] == repr(sop["value"])
+
+    def test_one_failing_point_exit_3(self, capsys, monkeypatch):
+        # the point at 10 dB meets a NaN distribution function, as scipy's
+        # noncentral chi-square gives at kappa 1e9: the whole sweep fails
+        cdf = secrecy.fading._distribution
+
+        def failing(kappa, mu, gbar, g):
+            out = cdf(kappa, mu, gbar, g)
+            return np.where(np.broadcast_to(gbar, out.shape) == 10.0, np.nan, out)
+
+        monkeypatch.setattr(secrecy.fading, "_distribution", failing)
+        code, out, err = run(capsys, "sweep", "--preset", "d2d", "--variable",
+                             "gamma_bar_m_db", "--start", "-10", "--stop", "30",
+                             "--steps", "5")
+        assert (code, out) == (3, "")
+        assert "secure outage quadrature: the integrand is not finite" in err
 
 
 class TestFit:

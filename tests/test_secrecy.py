@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from kmusec import fading, secrecy
+from kmusec.cli import SWEEP_VARIABLES, SweepSpec
 from kmusec.errors import QuadratureError
 from kmusec.fading import EPSILON_KAPPA, KappaMuParams, make_special_case
 from kmusec.secrecy import (ClosedFormParams, EvalResult, QuadSpec,
@@ -310,7 +311,7 @@ class TestSopExact:
     def test_non_finite_integrand_raises(self):
         # a NaN node used to leave no subinterval to bisect, and every
         # later pass evaluated nothing, without end
-        def integrand(t):
+        def integrand(owner, t):
             return np.where(t > 0.5, np.nan, 1.0)
         with pytest.raises(QuadratureError, match="not finite"):
             secrecy._gauss_kronrod(integrand, QuadSpec())
@@ -320,17 +321,91 @@ class TestSopExact:
         # bisection lowers; the first pass (one distribution-function
         # call) already shows that 1e-15 cannot be met
         calls = []
-        cdf = secrecy.fading.snr_cdf
+        cdf = secrecy.fading._distribution
 
-        def counted(params, gamma):
+        def counted(kappa, mu, gbar, gamma):
             calls.append(np.size(gamma))
-            return cdf(params, gamma)
+            return cdf(kappa, mu, gbar, gamma)
 
-        monkeypatch.setattr(secrecy.fading, "snr_cdf", counted)
+        monkeypatch.setattr(secrecy.fading, "_distribution", counted)
         p = pair(4.0, 1.4, 10.0 ** 0.7, 2.0, 1.2, 1.0, rate=RS_1DB)
         with pytest.raises(QuadratureError, match="rounding floor"):
             sop_exact(p, QuadSpec(abs_tol=1e-15, rel_tol=1e-15, limit=5000))
         assert calls == [secrecy._INITIAL_PIECES * secrecy._GK_NODES.size]
+
+
+class TestSopExactMany:
+    """One batched quadrature for many pairs gives each pair the result
+    it gets alone, whichever pairs share the batch."""
+
+    @staticmethod
+    def sweep_pairs(variable, steps=7):
+        # the pairs ``kmusec sweep`` builds over ``variable`` around fig4's
+        # shapes at 5 dB
+        bounds = {"gamma_bar_m_db": (-10.0, 30.0), "gamma_bar_e_db": (-10.0, 30.0),
+                  "kappa_m": (0.5, 8.0), "kappa_e": (0.5, 8.0), "mu_m": (0.5, 3.0),
+                  "mu_e": (0.3, 3.0), "rate": (0.0, 2.5)}[variable]
+        fixed = pair(4.0, 1.4, 10.0 ** 0.5, 2.0, 1.2, 1.0, rate=RS_1DB)
+        spec = SweepSpec(variable, *bounds, steps, fixed)
+        return [spec.pair_at(value) for value in spec.grid()]
+
+    @pytest.mark.parametrize("variable", sorted(SWEEP_VARIABLES))
+    def test_sweep_batch_equals_single(self, variable):
+        pairs = self.sweep_pairs(variable)
+        assert secrecy.sop_exact_many(pairs) == [sop_exact(p) for p in pairs]
+
+    def test_mixed_batch_equals_single(self):
+        pairs = [p for v in sorted(SWEEP_VARIABLES) for p in self.sweep_pairs(v, 3)]
+        pairs += [
+            pair(0.0, 1.7, 2.0, 1.0, 0.5, 1.0, rate=0.3),  # kappa_M = 0: gamma law
+            pair(0.0, 0.6, 0.5, 0.0, 2.0, 1.0),
+            pair(3.0, 1.0, 1.0, 1.0, 0.05, 1.0, rate=0.1),  # the origin law
+            pair(2.0, 1.3, 1.7, 2.0, 1.3, 1.7, rate=800.0),  # saturated
+        ]
+        order = np.random.default_rng(7).permutation(len(pairs))
+        batch = secrecy.sop_exact_many([pairs[i] for i in order])
+        assert len({p.eve for p in pairs}) > 10
+        assert batch == [sop_exact(pairs[i]) for i in order]
+        assert batch[list(order).index(len(pairs) - 1)].terms_k == 0
+
+    def test_origin_law_is_reached(self, monkeypatch):
+        # mu_E = 0.05 puts first-pass nodes below x / gbar_E = 1e-100
+        reached = []
+        density = secrecy.fading.snr_pdf
+
+        def counted(params, gamma):
+            reached.append(np.size(gamma))
+            return density(params, gamma)
+
+        monkeypatch.setattr(secrecy.fading, "snr_pdf", counted)
+        sop_exact(pair(3.0, 1.0, 1.0, 1.0, 0.05, 1.0, rate=0.1))
+        assert reached[0] < secrecy._INITIAL_PIECES * secrecy._GK_NODES.size
+
+    def test_density_once_per_distinct_node(self, monkeypatch):
+        # a sweep over the main channel shares the eavesdropper and its
+        # first-pass nodes: one density call over 168 nodes for all points
+        sizes = []
+        density = secrecy.fading.snr_pdf
+
+        def counted(params, gamma):
+            sizes.append(np.size(gamma))
+            return density(params, gamma)
+
+        monkeypatch.setattr(secrecy.fading, "snr_pdf", counted)
+        secrecy.sop_exact_many(self.sweep_pairs("gamma_bar_m_db", 41))
+        assert sizes[0] == secrecy._INITIAL_PIECES * secrecy._GK_NODES.size
+
+    def test_one_failing_point_fails_the_batch(self):
+        # scipy's noncentral chi-square is NaN at kappa 1e9, mu 10
+        good = pair(4.0, 1.4, 5.0, 2.0, 1.2, 1.0, rate=RS_1DB)
+        bad = pair(1e9, 10.0, 1.0, 1.0, 1.0, 1.0, rate=0.1)
+        with pytest.raises(QuadratureError, match="not finite"):
+            secrecy.sop_exact_many([good, bad, good])
+
+    def test_empty_and_saturated(self):
+        assert secrecy.sop_exact_many([]) == []
+        p = pair(2.0, 1.3, 1.7, 2.0, 1.3, 1.7, rate=1000.0)
+        assert secrecy.sop_exact_many((p, p)) == [sop_exact(p)] * 2
 
 
 class TestSeriesTails:
