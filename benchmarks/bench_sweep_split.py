@@ -5,13 +5,11 @@
 For each figure sweep of the figure_curves benchmark workload (the six
 presets over ``gamma_bar_m_db`` from -10 to 30 dB, and the ``fig4`` rate
 sweep from 0 to 2.5 nats at 10 dB), the pairs are built as ``cli.cmd_sweep``
-builds them, then two parts are timed apart: the series calls the sweep
-makes (``spsc_and_sop_lower``, or ``sop_lower`` alone once SPSC is known
-over a rate sweep), and the exact SOPs, by one ``sop_exact_many`` call or,
-in a library without it, one ``sop_exact`` call per point. Each part's
-median over ``--reps`` timed repetitions, after one untimed warm-up, is
-printed in ms as JSON. Run it against another checkout's ``src`` to
-compare the two.
+builds them, then the sweep's two batched calls are timed apart: its
+survival series (``series_many``) and its exact SOPs (``sop_exact_many``).
+Each part's median over ``--reps`` timed repetitions, after one untimed
+warm-up, is printed in ms as JSON. Run it against another checkout's
+``src`` to compare the two; the checkout must have both calls.
 """
 import argparse
 import json
@@ -36,22 +34,6 @@ def sweep_pairs(preset, variable, start, stop, gbar_m_db, steps=41):
     return [spec.pair_at(value) for value in spec.grid()]
 
 
-def series_part(pairs, spsc_varies, ctl):
-    for i, pair in enumerate(pairs):
-        if i == 0 or spsc_varies:
-            secrecy.spsc_and_sop_lower(pair, ctl)
-        else:
-            secrecy.sop_lower(pair, ctl)
-
-
-def exact_part(pairs):
-    if hasattr(secrecy, "sop_exact_many"):
-        secrecy.sop_exact_many(pairs)
-    else:
-        for pair in pairs:
-            secrecy.sop_exact(pair)
-
-
 def median_ms(fn, reps):
     fn()  # warm-up: lazy imports, first-call costs
     times = []
@@ -70,10 +52,9 @@ def main():
     out = {}
     for preset, variable, start, stop, gbar_m_db in SWEEPS:
         pairs = sweep_pairs(preset, variable, start, stop, gbar_m_db)
-        spsc_varies = cli.SWEEP_VARIABLES[variable].channel is not None
         out[f"{preset} {variable}"] = {
-            "series_ms": median_ms(lambda: series_part(pairs, spsc_varies, ctl), args.reps),
-            "sop_exact_ms": median_ms(lambda: exact_part(pairs), args.reps),
+            "series_ms": median_ms(lambda: secrecy.series_many(pairs, ctl), args.reps),
+            "sop_exact_ms": median_ms(lambda: secrecy.sop_exact_many(pairs), args.reps),
         }
     out["total"] = {key: sum(v[key] for v in out.values())
                     for key in ("series_ms", "sop_exact_ms")}

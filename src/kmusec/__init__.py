@@ -11,7 +11,7 @@ from kmusec.fading import (EPSILON_KAPPA, ClusterSpec, KappaMuParams,
                            snr_cdf, snr_pdf)
 from kmusec.montecarlo import McEstimate, mc_all, mc_sop_both, mc_spsc
 from kmusec.secrecy import (EvalResult, WiretapPair, secrecy_capacity,
-                            sop_exact, sop_exact_many, sop_lower,
+                            series_many, sop_exact, sop_exact_many, sop_lower,
                             spsc_closed_form,
                             spsc_rayleigh_reference, spsc_rice_reference,
                             spsc_series)
@@ -48,6 +48,7 @@ __all__ = [
     "mc_spsc",
     "sample_snr",
     "secrecy_capacity",
+    "series_many",
     "snr_cdf",
     "snr_pdf",
     "sop_exact",

@@ -23,7 +23,7 @@ import numpy as np
 
 from kmusec import estimate as est_mod
 from kmusec import fading, montecarlo, secrecy
-from kmusec.errors import ConvergenceError, QuadratureError
+from kmusec.errors import ConvergenceError, PrecisionError, QuadratureError
 from kmusec.fading import EPSILON_KAPPA, KappaMuParams, integer_mu
 from kmusec.secrecy import EvalResult, WiretapPair
 from kmusec.specfun import SeriesControl
@@ -184,9 +184,15 @@ def _mc_result(mc):
 def _spsc_by_method(pair, method, args):
     ctl = _control(args)
     if method == "auto":
-        # the closed form itself falls back to the series below its kappa floor
-        both_integer = integer_mu(pair.main.mu) and integer_mu(pair.eve.mu)
-        method = "closed" if both_integer else "series"
+        # the closed form itself falls back to the series below its kappa
+        # floor; auto takes the series too where the closed form leaves
+        # double precision (an integer mu of 500, say)
+        if integer_mu(pair.main.mu) and integer_mu(pair.eve.mu):
+            try:
+                return secrecy.spsc_closed_form(pair, ctl)
+            except PrecisionError:
+                pass
+        method = "series"
     if method == "series":
         return secrecy.spsc_series(pair, ctl)
     if method == "closed":
@@ -277,17 +283,9 @@ def cmd_sweep(args):
                    "mc_sop_lower", "mc_sop_lower_se"]
     grid = spec.grid()
     pairs = [spec.pair_at(value) for value in grid]
-    # SPSC is Pr(gamma_M > gamma_E): a sweep that sets no channel leaves it alone
-    spsc_varies = SWEEP_VARIABLES[args.variable].channel is not None
-    spsc_vals = []
-    sopl_vals = []
-    for pair in pairs:
-        if not spsc_vals or spsc_varies:
-            spsc, sopl = secrecy.spsc_and_sop_lower(pair, ctl)
-        else:
-            sopl = secrecy.sop_lower(pair, ctl)
-        spsc_vals.append(spsc.value)
-        sopl_vals.append(sopl.value)
+    series = secrecy.series_many(pairs, ctl)
+    spsc_vals = [spsc.value for spsc, _ in series]
+    sopl_vals = [sopl.value for _, sopl in series]
     sop_vals = [r.value for r in secrecy.sop_exact_many(pairs)]
     rows = []
     for i, (value, pair) in enumerate(zip(grid, pairs)):
@@ -357,20 +355,21 @@ def _validate_grid(which):
 def cmd_validate(args):
     ctl = SeriesControl()
     integer_cfgs, nonint_cfgs = _validate_grid(args.grid)
-    rates = (0.5, 10 ** 0.1)  # besides rate 0, whose SOP^L comes with SPSC
+    rates = (0.5, 10 ** 0.1)  # besides rate 0
 
     pairs = [WiretapPair(KappaMuParams(km, float(um), b), KappaMuParams(ke, float(ue), 1.0))
              for km, um, ke, ue, b in integer_cfgs + nonint_cfgs]
     rated = [WiretapPair(pair.main, pair.eve, rate) for pair in pairs for rate in rates]
-    # every exact SOP, rate 0 first, in one batch
+    # every exact SOP and series, rate 0 first, each in one batch
     sop_x = [r.value for r in secrecy.sop_exact_many(pairs + rated)]
+    series = secrecy.series_many(pairs + rated, ctl)
+    min_gap = min(x - sop_l.value for x, (_, sop_l) in zip(sop_x, series))
     max_closed = 0.0
     max_mc = -math.inf
     max_quad = 0.0
     max_comp = 0.0
-    min_gap = math.inf
     for idx, pair in enumerate(pairs):
-        s, sop_l = (r.value for r in secrecy.spsc_and_sop_lower(pair, ctl))
+        s, sop_l = (r.value for r in series[idx])
         if args.self_test_break:
             s += 1e-6
         if idx < len(integer_cfgs):
@@ -380,9 +379,6 @@ def cmd_validate(args):
         mc = montecarlo.mc_spsc(pair, args.mc_n, args.seed + idx)
         max_mc = max(max_mc, abs(s - mc.estimate) - 3.0 * mc.std_error)
         max_comp = max(max_comp, abs(sop_l + s - 1.0))
-        min_gap = min(min_gap, sop_x[idx] - sop_l)
-    for rp, sop_xr in zip(rated, sop_x[len(pairs):]):
-        min_gap = min(min_gap, sop_xr - secrecy.sop_lower(rp, ctl).value)
 
     checks = [
         {"name": "series_vs_closed_form", "max_abs_diff": max_closed,

@@ -8,3 +8,8 @@ class ConvergenceError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+class PrecisionError(ConvergenceError):
+    """Valid input drove an evaluation out of double precision: an
+    overflow, a division by zero or a NaN."""

@@ -7,6 +7,7 @@ the RMS level fixed to the sample RMS so the search is over (kappa, mu)
 only.
 """
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,8 @@ class EnvelopeTrace:
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 1:
             raise ValueError("trace samples must be one-dimensional")
+        if not np.isfinite(arr).all():
+            raise ValueError("trace samples must be finite")
         if arr.size and float(arr.min()) < 0.0:
             raise ValueError("envelope samples must be >= 0")
 
@@ -85,6 +88,11 @@ def _histogram_density(samples, bin_width):
         if iqr <= 0.0:
             raise ValueError("degenerate histogram: zero interquartile range")
         bin_width = 2.0 * iqr / samples.size ** (1.0 / 3.0)
+    elif not 0.0 < bin_width < math.inf:
+        raise ValueError(f"bin width must be finite and > 0, got {bin_width}")
+    elif (hi - lo) / bin_width > samples.size:
+        raise ValueError(f"bin width {bin_width} gives more bins than the "
+                         f"{samples.size} samples")
     edges = np.arange(lo, hi + bin_width, bin_width)
     if edges.size < 8:
         raise ValueError("degenerate histogram: fewer than 8 bins")

@@ -18,7 +18,7 @@ from kmusec._backend import kernels as _k
 #: PDF/CDF take the gamma-distribution fast path instead
 EPSILON_KAPPA = 1e-9
 
-#: scenario tags shared with the CLI
+#: the scenario tags ``make_special_case`` accepts
 SPECIAL_CASES = ("rayleigh", "rice", "nakagami_m", "one_sided_gaussian", "kappa_mu")
 
 

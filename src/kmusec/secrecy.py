@@ -3,11 +3,12 @@
 Probability of strictly positive secrecy capacity (SPSC) through the
 double series and, for integer cluster counts, an exact closed form;
 secure outage probability exact (adaptive Gauss-Kronrod quadrature) and as the
-analytical lower bound (series). ``spsc_and_sop_lower`` returns SPSC and
-the lower bound together, from a single series evaluation at rate 0.
-``sop_exact_many`` evaluates the exact SOP of many pairs in one batched
-quadrature; each pair's result equals, field for field, what
-``sop_exact`` gives it alone, whichever pairs share the batch.
+analytical lower bound (series). The batched entry points are
+``series_many``, which returns SPSC and the lower bound of many pairs and
+sums the survival series once per distinct probability among them, and
+``sop_exact_many``, which evaluates their exact SOPs in one batched
+quadrature. Each pair's results equal, field for field, what the
+single-pair functions give it alone, whichever pairs share the batch.
 Rates are in nats throughout; the CLI converts from bits.
 """
 import math
@@ -17,7 +18,7 @@ import numpy as np
 
 from kmusec import fading
 from kmusec._backend import kernels as _k
-from kmusec.errors import ConvergenceError, QuadratureError
+from kmusec.errors import ConvergenceError, PrecisionError, QuadratureError
 from kmusec.fading import KappaMuParams, integer_mu
 from kmusec.specfun import DEFAULT_CONTROL
 
@@ -116,10 +117,10 @@ def secrecy_capacity(gamma_m, gamma_e):
 
 
 def _double_failure(what, cause):
-    """ConvergenceError for an evaluation that valid input drove out of
-    double precision: an overflow, a division by zero or a NaN, which the
-    kernels meet at huge finite shapes (kappa 1e200, say)."""
-    return ConvergenceError(f"{what} cannot be evaluated in double precision ({cause})")
+    """PrecisionError for an evaluation that valid input drove out of
+    double precision, as huge finite shapes (kappa 1e200, say) drive the
+    kernels."""
+    return PrecisionError(f"{what} cannot be evaluated in double precision ({cause})")
 
 
 def _survival(pair, rate_scale, ctl):
@@ -154,13 +155,22 @@ def _survival(pair, rate_scale, ctl):
     return sides, kt, lt, err
 
 
+def _series_result(survival, side):
+    """The ``EvalResult`` of one side (0: upper, 1: lower) of a
+    ``_survival`` evaluation."""
+    sides, kt, lt, err = survival
+    return EvalResult(value=sides[side], terms_k=kt, terms_l=lt, est_error=err,
+                      method="series")
+
+
+#: SOP^L beyond ``_RATE_SATURATION``, where no series is summed
+_SATURATED = EvalResult(value=1.0, terms_k=0, terms_l=0, est_error=0.0, method="series")
+
+
 def spsc_series(pair, ctl=None):
     """Probability of strictly positive secrecy capacity,
     Pr(gamma_M > gamma_E), by the double series (any real mu > 0)."""
-    ctl = ctl or DEFAULT_CONTROL
-    (value, _), kt, lt, err = _survival(pair, 1.0, ctl)
-    return EvalResult(value=value, terms_k=kt, terms_l=lt, est_error=err,
-                      method="series")
+    return _series_result(_survival(pair, 1.0, ctl or DEFAULT_CONTROL), 0)
 
 
 def sop_lower(pair, ctl=None):
@@ -171,23 +181,28 @@ def sop_lower(pair, ctl=None):
     Poisson weights in k), so the bound is the complement of the double
     series taken with beta_M scaled by e^{R_S}.
     """
-    ctl = ctl or DEFAULT_CONTROL
     if pair.rate > _RATE_SATURATION:
-        return EvalResult(value=1.0, terms_k=0, terms_l=0, est_error=0.0,
-                          method="series")
-    (_, value), kt, lt, err = _survival(pair, math.exp(pair.rate), ctl)
-    return EvalResult(value=value, terms_k=kt, terms_l=lt, est_error=err,
-                      method="series")
+        return _SATURATED
+    return _series_result(_survival(pair, math.exp(pair.rate), ctl or DEFAULT_CONTROL), 1)
 
 
-def spsc_and_sop_lower(pair, ctl=None):
-    """``(spsc_series(pair, ctl), sop_lower(pair, ctl))``. At rate 0 both
-    are the two sides of one series evaluation, so it runs once."""
-    if pair.rate != 0.0:
-        return spsc_series(pair, ctl), sop_lower(pair, ctl)
-    (spsc, sop), kt, lt, err = _survival(pair, 1.0, ctl or DEFAULT_CONTROL)
-    return (EvalResult(value=spsc, terms_k=kt, terms_l=lt, est_error=err, method="series"),
-            EvalResult(value=sop, terms_k=kt, terms_l=lt, est_error=err, method="series"))
+def series_many(pairs, ctl=None):
+    """``[(spsc_series(pair, ctl), sop_lower(pair, ctl)) for pair in
+    pairs]``, summing the survival series once per distinct (main, eve,
+    rate scale) of the batch. SPSC is the upper side at scale 1 and SOP^L
+    the lower side at scale e^{R_S}, so at rate 0 both come from one
+    series, and SPSC is summed once for all rates of a channel pair."""
+    ctl = ctl or DEFAULT_CONTROL
+    survivals = {}
+
+    def series(pair, scale, side):
+        key = (pair.main, pair.eve, scale)
+        if key not in survivals:
+            survivals[key] = _survival(pair, scale, ctl)
+        return _series_result(survivals[key], side)
+
+    return [(series(pair, 1.0, 0), _SATURATED if pair.rate > _RATE_SATURATION
+             else series(pair, math.exp(pair.rate), 1)) for pair in pairs]
 
 
 def _gauss_kronrod_21():

@@ -1,0 +1,41 @@
+"""Smoke tests for the scripts in ``benchmarks/``: they must keep running
+against the library, and ``bench_backends`` must keep offering what the
+benchmark harness (``kmubench/twin.py``) imports from it."""
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARKS = os.path.join(ROOT, "benchmarks")
+
+
+def test_bench_sweep_split_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, os.path.join(BENCHMARKS, "bench_sweep_split.py"), "--reps", "1"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    sweeps = [f"{preset} gamma_bar_m_db" for preset in
+              ("fig4", "fig2-rice", "fig2-nakagami", "d2d", "ban", "v2v")]
+    assert list(out) == sweeps + ["fig4 rate", "total"]
+    for part in out.values():
+        assert set(part) == {"series_ms", "sop_exact_ms"}
+        assert all(ms > 0.0 for ms in part.values())
+
+
+def test_bench_backends_offers_the_harness_loops():
+    spec = importlib.util.spec_from_file_location(
+        "bench_backends", os.path.join(BENCHMARKS, "bench_backends.py"))
+    bb = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bb)
+    from kmusec import _pykernels
+
+    assert bb._pykernels is _pykernels
+    assert hasattr(bb, "_ckernels")  # None where the twin is not built
+    for make in (bb.marcum_workload, bb.survival_point, bb.survival_sweep):
+        make(bb._pykernels)()

@@ -200,13 +200,24 @@ def test_sweep_non_finite_bound_exit_2(capsys, flag, bound):
     ("sop", "--km", "1e308", "--um", "1", "--ke", "1", "--ue", "1", "--bound", "lower"),
     ("sweep", "--preset", "d2d", "--variable", "kappa_m", "--start", "1",
      "--stop", "1e308", "--steps", "3"),
-    ("spsc", "--km", "1", "--um", "1", "--ke", "1e308", "--ue", "1")])
+    ("spsc", "--km", "1", "--um", "1", "--ke", "1e308", "--ue", "1"),
+    ("spsc", "--km", "1", "--um", "1", "--ke", "1", "--ue", "500", "--method", "closed")])
 def test_huge_finite_shape_exit_3(capsys, argv):
     # valid input that the kernels cannot carry in double precision
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("convergence error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ue", ["500", "2000"])
+def test_auto_spsc_takes_series_past_closed_form_overflow(capsys, ue):
+    # integer mu selects the closed form, whose powers overflow here (exit
+    # 3 with --method closed); auto answers by the series instead
+    argv = ("spsc", "--km", "1", "--um", "1", "--ke", "1", "--ue", ue)
+    auto = run_json(capsys, *argv)
+    assert auto == run_json(capsys, *argv, "--method", "series")
+    assert auto["method"] == "series"
 
 
 class TestSop:
@@ -474,6 +485,31 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--trace", str(path))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("width", ["0", "-0.1", "nan", "inf", "1e-5"])
+    def test_bad_bin_width_exit_2(self, capsys, tmp_path, width):
+        # 1e-5 would give about 2e5 bins for 2e4 samples
+        path = tmp_path / "trace.bin"
+        write_trace_binary(path, sample_envelope(KappaMuParams(2.0, 1.5, 1.0), 20_000,
+                                                 seed=1))
+        code, out, err = run(capsys, "fit", "--trace", str(path), f"--bin-width={width}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bin width ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_exit_2(self, capsys, tmp_path, suffix, bad):
+        samples = np.linspace(0.1, 3.0, 2000)
+        samples[7] = bad
+        path = tmp_path / f"trace{suffix}"
+        if suffix == ".bin":
+            path.write_bytes(em.TRACE_MAGIC + samples.astype("<f4").tobytes())
+        else:
+            path.write_text("envelope\n" + "\n".join(map(repr, samples.tolist())))
+        code, out, err = run(capsys, "fit", "--trace", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: cannot read trace: trace samples must be finite\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "fit", "--trace", "/nonexistent/trace.csv")

@@ -121,6 +121,23 @@ class TestFitKappaMu:
         with pytest.raises(ValueError):
             EnvelopeTrace(np.asarray([1.0, -0.5, 2.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="trace samples must be finite"):
+            EnvelopeTrace(np.asarray([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("width,message", [
+        (0.0, "bin width must be finite and > 0"),
+        (-0.1, "bin width must be finite and > 0"),
+        (math.nan, "bin width must be finite and > 0"),
+        (math.inf, "bin width must be finite and > 0"),
+        # about 4e5 bins for 5000 samples: refused before the edges are built
+        (1e-5, "gives more bins than the 5000 samples")])
+    def test_bad_bin_width_rejected(self, width, message):
+        trace = sample_envelope(KappaMuParams(2.0, 1.5, 1.0), 5000, seed=3)
+        with pytest.raises(ValueError, match=message):
+            fit_kappa_mu(trace, width)
+
 
 class TestTraceIo:
     def test_csv_with_header(self, tmp_path):

@@ -15,8 +15,8 @@ from kmusec.cli import SWEEP_VARIABLES, SweepSpec
 from kmusec.errors import QuadratureError
 from kmusec.fading import EPSILON_KAPPA, KappaMuParams, make_special_case
 from kmusec.secrecy import (ClosedFormParams, EvalResult, QuadSpec,
-                            WiretapPair, secrecy_capacity, sop_exact,
-                            sop_lower, spsc_and_sop_lower, spsc_closed_form,
+                            WiretapPair, secrecy_capacity, series_many,
+                            sop_exact, sop_lower, spsc_closed_form,
                             spsc_rayleigh_reference, spsc_rice_reference,
                             spsc_series)
 from kmusec.specfun import SeriesControl
@@ -213,7 +213,7 @@ class TestSopLower:
             assert sop_lower(scaled).value == pytest.approx(v0, abs=1e-9)
 
 
-class TestSpscAndSopLower:
+class TestSeriesMany:
     # main rate (1 + kappa) mu / gamma_bar of 14 and 0.35 against the
     # eavesdropper's 3.6: the series runs with either channel first
     @pytest.mark.parametrize("gbm,main_first", [(0.5, True), (20.0, False)])
@@ -225,13 +225,31 @@ class TestSpscAndSopLower:
         ctl = SeriesControl(abs_tol=1e-13)
         separate = (spsc_series(p, ctl), sop_lower(p, ctl))
         survival_calls.clear()
-        assert spsc_and_sop_lower(p, ctl) == separate
+        assert series_many([p], ctl) == [separate]
         # one series at rate 0; past 700 nats the bound saturates uncomputed
         assert len(survival_calls) == {0.0: 1, RS_1DB: 2, 800.0: 1}[rate]
 
     def test_default_control(self):
         p = pair(1.07, 0.91, 1.0, 1.11, 0.92, 1.0)
-        assert spsc_and_sop_lower(p) == (spsc_series(p), sop_lower(p))
+        assert series_many([p]) == [(spsc_series(p), sop_lower(p))]
+
+    def test_mixed_batch(self, survival_calls):
+        # both channel orders at rates 0, 10^0.1 and 800 nats, then a
+        # repeated pair: each distinct (main, eve, rate scale) below
+        # saturation, scales 1 and e^(10^0.1) per channel pair, costs one
+        # kernel call
+        pairs = [pair(4.0, 1.4, gbm, 2.0, 1.2, 1.0, rate=rate)
+                 for gbm in (0.5, 20.0) for rate in (0.0, RS_1DB, 800.0)]
+        pairs.append(pairs[1])
+        ctl = SeriesControl(abs_tol=1e-13)
+        separate = [(spsc_series(p, ctl), sop_lower(p, ctl)) for p in pairs]
+        survival_calls.clear()
+        assert series_many(pairs, ctl) == separate
+        assert len(survival_calls) == 4
+
+    def test_empty(self, survival_calls):
+        assert series_many([]) == []
+        assert survival_calls == []
 
 
 class TestSopExact:
