@@ -58,6 +58,10 @@ COMMANDS = [
     ["fit", "--trace", "{traces}/v2v.kmu", "--window", "501"],
     ["fit", "--trace", "{traces}/ban-power.kmu", "--input-kind", "power"],
     ["fit", "--trace", "{traces}/d2d.kmu", "--bin-width", "0.05"],
+    # the best start ends on the kappa lower bound (clip and reflection)
+    ["fit", "--trace", "{traces}/nakagami.kmu"],
+    # kappa well above 0 and mu above 1: a positive Bessel order
+    ["fit", "--trace", "{traces}/rice.kmu"],
 ]
 
 #: traces for the fit commands: file name -> (kappa, mu, seed, kind),
@@ -67,6 +71,8 @@ TRACES = {
     "ban": (2.92, 0.75, 102, "envelope"),
     "v2v": (5.02, 0.70, 103, "envelope"),
     "ban-power": (2.92, 0.75, 104, "power"),
+    "nakagami": (1e-9, 2.0, 107, "envelope"),
+    "rice": (4.0, 1.0, 111, "envelope"),
 }
 TRACE_SAMPLES = 20_000
 
