@@ -5,6 +5,13 @@ local-mean normalization to strip shadowing, then nonlinear least
 squares of the model envelope density against a histogram density, with
 the RMS level fixed to the sample RMS so the search is over (kappa, mu)
 only.
+
+The search is scipy's bounded Nelder-Mead, transcribed as a generator
+that yields the points it needs evaluated, so that the searches from all
+starts run in lockstep: each step evaluates the pending point of every
+open search in one row-batched density call. Each search returns what
+``scipy.optimize.minimize`` returns for its start, to the last bit; scipy's
+optimizer is not imported.
 """
 import io
 import math
@@ -13,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kmusec import fading
-from kmusec.fading import KappaMuParams
 
 #: magic prefix of the raw float32 trace format
 TRACE_MAGIC = b"KMUTRC01"
@@ -88,11 +94,15 @@ def _histogram_density(samples, bin_width):
         if iqr <= 0.0:
             raise ValueError("degenerate histogram: zero interquartile range")
         bin_width = 2.0 * iqr / samples.size ** (1.0 / 3.0)
+        # one far outlier stretches the range but not this width
+        width = f"default (Freedman-Diaconis) bin width {bin_width:.6g}"
     elif not 0.0 < bin_width < math.inf:
         raise ValueError(f"bin width must be finite and > 0, got {bin_width}")
-    elif (hi - lo) / bin_width > samples.size:
-        raise ValueError(f"bin width {bin_width} gives more bins than the "
-                         f"{samples.size} samples")
+    else:
+        width = f"bin width {bin_width}"
+    if (hi - lo) / bin_width > samples.size:
+        raise ValueError(f"{width} gives more bins than the {samples.size} samples; "
+                         f"set a wider one with --bin-width")
     edges = np.arange(lo, hi + bin_width, bin_width)
     if edges.size < 8:
         raise ValueError("degenerate histogram: fewer than 8 bins")
@@ -107,58 +117,155 @@ def fit_kappa_mu(trace, bin_width=None, keep_history=False):
     The RMS level is fixed to the sample RMS; the histogram takes bins of
     ``bin_width`` (Freedman-Diaconis when None). A bounded simplex search
     over (kappa, mu) runs from each start of ``DEFAULT_STARTS`` and the
-    best residual wins, earliest start breaking ties. ``keep_history``
-    records the best start's residual after each iteration.
+    best residual wins, earliest start breaking ties. The searches run in
+    lockstep, each step evaluating the next point of every open search in
+    one density call. ``keep_history`` records the best start's residual
+    after each iteration.
     """
-    from scipy.optimize import minimize
-
     samples = trace.samples
     if samples.size < 1000:
         raise ValueError("need at least 1000 samples to fit")
     r_hat = float(np.sqrt(np.mean(samples ** 2)))
     if r_hat <= 0.0:
         raise ValueError("trace RMS is zero")
-    centers, dens = _histogram_density(samples, bin_width)
-
-    def objective(theta):
-        # bounded Nelder-Mead clips every vertex into the bounds first
-        model = fading.envelope_pdf(KappaMuParams(float(theta[0]), float(theta[1]), 1.0),
-                                    centers, r_hat)
-        diff = model - dens
-        return float(np.dot(diff, diff))
-
-    best = None
-    best_idx = -1
-    total_iters = 0
-    history = []
-    for idx, start in enumerate(DEFAULT_STARTS):
-        trace_f = []
-
-        def record(xk, _trace=trace_f):
-            _trace.append(objective(xk))
-
-        res = minimize(
-            objective, np.asarray(start, dtype=float), method="Nelder-Mead",
-            bounds=[KAPPA_BOUNDS, MU_BOUNDS],
-            callback=record if keep_history else None,
-            options={"maxiter": 400, "xatol": 1e-5, "fatol": 1e-12},
-        )
-        total_iters += int(res.nit)
-        if keep_history:
-            history.append(tuple(trace_f))
-        if best is None or res.fun < best.fun:
-            best = res
-            best_idx = idx
-    if best is None or not np.isfinite(best.fun):
+    runs = _simplex_runs(*_histogram_density(samples, bin_width), r_hat)
+    best = runs[0]
+    for run in runs[1:]:
+        if run.fun < best.fun:
+            best = run
+    if not np.isfinite(best.fun):
         raise RuntimeError("optimizer failed on every start")
     return FitResult(
-        kappa_hat=float(best.x[0]),
-        mu_hat=float(best.x[1]),
+        kappa_hat=best.x[0],
+        mu_hat=best.x[1],
         r_hat=r_hat,
-        residual=float(best.fun),
-        iterations=total_iters,
-        history=tuple(history[best_idx]) if keep_history else (),
+        residual=best.fun,
+        iterations=sum(run.nit for run in runs),
+        history=best.history if keep_history else (),
     )
+
+
+def _simplex_runs(centers, dens, r_hat):
+    """The bounded simplex search from each start of ``DEFAULT_STARTS``,
+    all run in lockstep; a ``_SimplexRun`` per start, in order."""
+
+    def residuals(points):
+        # one density row per point; each row's residual is its own dot
+        # product, as a single point's would be
+        kappa, mu = (np.array(col)[:, None] for col in zip(*points))
+        diff = fading._envelope(kappa, mu, centers, r_hat) - dens
+        return [float(np.dot(row, row)) for row in diff]
+
+    return _lockstep([_nelder_mead(start, (KAPPA_BOUNDS, MU_BOUNDS), maxiter=400,
+                                   xatol=1e-5, fatol=1e-12)
+                      for start in DEFAULT_STARTS], residuals)
+
+
+@dataclass(frozen=True)
+class _SimplexRun:
+    """Outcome of one simplex search: best vertex, its value (NaN when
+    any vertex's is), iterations, and the best value after each one."""
+
+    x: tuple
+    fun: float
+    nit: int
+    history: tuple
+
+
+def _nelder_mead(x0, bounds, maxiter, xatol, fatol):
+    """scipy's bounded Nelder-Mead (``scipy.optimize.minimize`` with
+    ``method="Nelder-Mead"``, ``adaptive=False`` and no ``maxfev``, as of
+    scipy 1.17) as a generator: it yields each point whose objective value
+    it needs, takes the value back through ``send``, and returns a
+    ``_SimplexRun`` with the same ``x``, ``fun`` and ``nit``. The history
+    holds what a callback sees after each iteration. The steps, ordering
+    and stopping test are scipy's, operation for operation, so the
+    results are equal to the last bit.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    lower = [lo for lo, _ in bounds]
+    upper = [hi for _, hi in bounds]
+
+    def clip(v):
+        return [min(max(c, lo), hi) for c, lo, hi in zip(v, lower, upper)]
+
+    x0 = clip([float(c) for c in x0])
+    n = len(x0)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
+        sim.append(y)
+    # vertices past an upper bound are reflected into the box
+    sim = [clip([2 * hi - c if c > hi else c for c, hi in zip(v, upper)]) for v in sim]
+    fsim = np.empty(n + 1)
+    for k in range(n + 1):
+        fsim[k] = yield sim[k]
+    for _ in range(2):  # scipy sorts the first simplex twice
+        ind = np.argsort(fsim)
+        sim = [sim[i] for i in ind]
+        fsim = fsim[ind]
+
+    nit = 1
+    history = []
+    while nit < maxiter:
+        if (max(abs(c - b) for v in sim[1:] for c, b in zip(v, sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        # centroid of all but the worst vertex, summed row by row
+        xbar = sim[0]
+        for v in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, v)]
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
+        xr = clip([(1 + rho) * a - rho * w for a, w in zip(xbar, worst)])
+        fxr = yield xr
+        if fxr < fsim[0]:
+            xe = clip([(1 + rho * chi) * a - rho * chi * w for a, w in zip(xbar, worst)])
+            fxe = yield xe
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contraction outside
+                xc = clip([(1 + psi * rho) * a - psi * rho * w for a, w in zip(xbar, worst)])
+                fxc = yield xc
+                accept = fxc <= fxr
+            else:  # contraction inside
+                xc = clip([(1 - psi) * a + psi * w for a, w in zip(xbar, worst)])
+                fxc = yield xc
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = clip([b + sigma * (c - b) for b, c in zip(sim[0], sim[j])])
+                    fsim[j] = yield sim[j]
+        nit += 1
+        ind = np.argsort(fsim)
+        sim = [sim[i] for i in ind]
+        fsim = fsim[ind]
+        history.append(float(fsim[0]))
+    return _SimplexRun(tuple(sim[0]), float(np.min(fsim)), nit, tuple(history))
+
+
+def _lockstep(searches, evaluate):
+    """Run generator searches side by side. Each step evaluates the
+    pending point of every open search with one ``evaluate(points)``
+    call, which returns their values in order, and sends each search its
+    value. Returns what each search returns, in order."""
+    results = [None] * len(searches)
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    while pending:
+        ids = list(pending)
+        for i, value in zip(ids, evaluate([pending[i] for i in ids])):
+            try:
+                pending[i] = searches[i].send(value)
+            except StopIteration as stop:
+                del pending[i]
+                results[i] = stop.value
+    return results
 
 
 def read_trace(path):

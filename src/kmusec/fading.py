@@ -5,6 +5,7 @@ special-case factories (Rayleigh, Rice, Nakagami-m, One-Sided Gaussian).
 SNR is linear throughout; gamma_bar is the mean SNR.
 """
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,31 +133,54 @@ def _log_origin_coefficient(kappa, mu):
 _IVE_RANGE = 2.0 ** 30
 
 
+def _per_row(fn, *params):
+    # fn, a function of scalars built on math, at scalar params, or row by
+    # row down columns of them: numpy's log and lgamma may round otherwise
+    # than math's, and a row must equal the scalar call bit for bit
+    if all(np.ndim(p) == 0 for p in params):
+        return fn(*params)
+    cols = np.broadcast_arrays(*params)
+    rows = zip(*(c.ravel().tolist() for c in cols))
+    return np.array([fn(*row) for row in rows]).reshape(cols[0].shape)
+
+
 def _density(kappa, mu, gbar, g):
     # kappa-mu SNR density at an array g > 0, log domain with the scaled
     # Bessel function; kappa = 0 is the exact limit, a gamma law with
-    # shape mu and mean gbar
+    # shape mu and mean gbar. kappa, mu and gbar are scalars or (rows, 1)
+    # columns broadcast against g, one channel per row; each row equals
+    # the scalar call, whatever else is in the batch.
     from scipy.special import ive
 
+    zero = np.asarray(kappa) == 0.0
+    if zero.any() and not zero.all():
+        kappa, mu, gbar = np.broadcast_arrays(kappa, mu, gbar)
+        out = np.empty(np.broadcast_shapes(kappa.shape, g.shape))
+        for rows in (zero[:, 0], ~zero[:, 0]):
+            out[rows] = _density(kappa[rows], mu[rows], gbar[rows], g)
+        return out
+    log = functools.partial(_per_row, math.log)
     # beyond the range of a double, terms overflow to the density's limits
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if kappa == 0.0:
-            return np.exp(mu * math.log(mu) + (mu - 1.0) * np.log(g)
-                          - mu * g / gbar - math.lgamma(mu) - mu * math.log(gbar))
+        if zero.all():
+            return np.exp(mu * log(mu) + (mu - 1.0) * np.log(g) - mu * g / gbar
+                          - _per_row(math.lgamma, mu) - mu * log(gbar))
         x = (1.0 + kappa) * g / gbar
         arg = 2.0 * mu * np.sqrt(kappa * x)
         ie = np.asarray(ive(mu - 1.0, arg))
         beyond = arg >= _IVE_RANGE
         if beyond.any():
-            ie[beyond] = [_k.bessel_ie(mu - 1.0, a) for a in arg[beyond]]
+            order = np.broadcast_to(mu - 1.0, arg.shape)[beyond]
+            ie[beyond] = [_k.bessel_ie(v, a)
+                          for v, a in zip(order.tolist(), arg[beyond].tolist())]
         # -mu kappa - mu x + arg = -mu (sqrt(kappa) - sqrt(x))^2, taken as
         # -mu d^2 / (sqrt(kappa) + sqrt(x))^2 with d = kappa - x formed
         # without cancellation (gbar - g is exact near the mean)
         d = (kappa * (gbar - g) - g) / gbar
-        lf = (math.log(mu)
-              + 0.5 * (mu + 1.0) * (math.log1p(kappa) - math.log(gbar))
-              + 0.5 * (mu - 1.0) * (np.log(g) - math.log(kappa))
-              - mu * (d / (math.sqrt(kappa) + np.sqrt(x))) ** 2
+        lf = (log(mu)
+              + 0.5 * (mu + 1.0) * (_per_row(math.log1p, kappa) - log(gbar))
+              + 0.5 * (mu - 1.0) * (np.log(g) - log(kappa))
+              - mu * (d / (_per_row(math.sqrt, kappa) + np.sqrt(x))) ** 2
               + np.log(ie))
     return np.where(lf > -745.0, np.exp(lf), 0.0)
 
@@ -255,25 +279,32 @@ def envelope_pdf(params, r, r_hat=1.0):
     times 2 rho / r_hat."""
     if not r_hat > 0.0:
         raise ValueError("r_hat must be positive")
-    kappa, mu = params.kappa, params.mu
     rv = np.asarray(r, dtype=float)
     if (rv < 0.0).any():
         raise ValueError("envelope level must be >= 0")
-    rho = rv / r_hat
+    return _as_output(_envelope(params.kappa, params.mu, rv, r_hat))
+
+
+def _envelope(kappa, mu, r, r_hat):
+    # envelope_pdf at an array r >= 0, kappa and mu scalars or (rows, 1)
+    # columns broadcast against r (one channel per row, as _density takes
+    # them); each row equals the scalar call
+    rho = r / r_hat
     g = rho * rho
     under = g == 0.0
     if not under.any():
-        return _as_output(2.0 * rho / r_hat * _density(kappa, mu, 1.0, g))
+        return 2.0 * rho / r_hat * _density(kappa, mu, 1.0, g)
     # r = 0, or rho^2 below the smallest double: the leading term
     # 2 C rho^(2 mu - 1) / r_hat of the small-r law is then exact; taken in
     # the log domain, where C alone may overflow
-    if mu < 0.5 and (rho[under] == 0.0).any():
+    if (np.asarray(mu) < 0.5).any() and (rho[under] == 0.0).any():
         raise ValueError("the envelope density diverges at r = 0 for mu < 0.5")
-    with np.errstate(divide="ignore", over="ignore"):
-        power = 0.0 if mu == 0.5 else (2.0 * mu - 1.0) * np.log(rho)
-        small = 2.0 * np.exp(_log_origin_coefficient(kappa, mu) + power) / r_hat
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # rho^0 = 1 at mu = 0.5, also at rho = 0
+        power = np.where(mu == 0.5, 0.0, (2.0 * mu - 1.0) * np.log(rho))
+        small = 2.0 * np.exp(_per_row(_log_origin_coefficient, kappa, mu) + power) / r_hat
     dens = 2.0 * rho / r_hat * _density(kappa, mu, 1.0, np.where(under, 1.0, g))
-    return _as_output(np.where(under, small, dens))
+    return np.where(under, small, dens)
 
 
 def make_special_case(name, *, K=None, m=None, kappa=None, mu=None, gamma_bar=1.0):

@@ -11,21 +11,37 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHMARKS = os.path.join(ROOT, "benchmarks")
 
 
-def test_bench_sweep_split_runs():
+def run_script(name, *argv):
+    """Run a benchmark script on this checkout's library; its JSON output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, os.path.join(BENCHMARKS, "bench_sweep_split.py"), "--reps", "1"],
+        [sys.executable, os.path.join(BENCHMARKS, name), *argv],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_bench_sweep_split_runs():
+    out = run_script("bench_sweep_split.py", "--reps", "1")
     sweeps = [f"{preset} gamma_bar_m_db" for preset in
               ("fig4", "fig2-rice", "fig2-nakagami", "d2d", "ban", "v2v")]
     assert list(out) == sweeps + ["fig4 rate", "total"]
     for part in out.values():
         assert set(part) == {"series_ms", "sop_exact_ms"}
         assert all(ms > 0.0 for ms in part.values())
+
+
+def test_bench_fit_runs():
+    out = run_script("bench_fit.py", "--reps", "1", "--samples", "20000")
+    assert list(out) == ["d2d", "ban", "v2v", "total"]
+    for part in out.values():
+        assert set(part) == {"fit_cpu_ms", "density_calls", "density_rows", "iterations"}
+        assert part["fit_cpu_ms"] > 0.0
+        # the starts' points of a step share one call
+        assert 0 < part["density_calls"] < part["density_rows"]
+        assert part["iterations"] > 0
 
 
 def test_bench_backends_offers_the_harness_loops():

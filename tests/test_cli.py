@@ -497,6 +497,21 @@ class TestFit:
         assert err.startswith("error: bin width ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("outlier", [1e3, 1e9])
+    def test_outlier_default_bin_width_exit_2(self, capsys, tmp_path, outlier):
+        # one far sample: the default width would give about 32,000 bins
+        # at 1e3 and 3e10 at 1e9 for 2e4 samples
+        samples = sample_envelope(KappaMuParams(2.0, 1.5, 1.0), 20_000, seed=1).samples
+        samples = samples.copy()
+        samples[0] = outlier
+        path = tmp_path / "trace.bin"
+        write_trace_binary(path, EnvelopeTrace(samples))
+        code, out, err = run(capsys, "fit", "--trace", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: default (Freedman-Diaconis) bin width ")
+        assert err.endswith("set a wider one with --bin-width\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("suffix", [".csv", ".bin"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_samples_exit_2(self, capsys, tmp_path, suffix, bad):

@@ -11,10 +11,14 @@ import pytest
 from scipy.stats import ks_2samp
 
 from kmusec import estimate as em
+from kmusec import fading
 from kmusec.estimate import (EnvelopeTrace, fit_kappa_mu,
                              local_mean_normalize, read_trace,
                              sample_envelope, write_trace_binary)
 from kmusec.fading import KappaMuParams
+
+from test_cli_golden import TRACE_SAMPLES as GOLDEN_SAMPLES
+from test_cli_golden import TRACES as GOLDEN_TRACES
 
 
 class TestLocalMeanNormalize:
@@ -137,6 +141,115 @@ class TestFitKappaMu:
         trace = sample_envelope(KappaMuParams(2.0, 1.5, 1.0), 5000, seed=3)
         with pytest.raises(ValueError, match=message):
             fit_kappa_mu(trace, width)
+
+
+class TestHistogramWidthCap:
+    """The default width obeys the cap a given width does: no more bins
+    than samples. One far outlier otherwise asks for tens of thousands of
+    bins (a slow fit that ends on a bound) or, at 1e9, about 3e10."""
+
+    @pytest.mark.parametrize("outlier", [1e3, 1e9])
+    def test_outlier_refused_before_any_array(self, outlier):
+        samples = sample_envelope(KappaMuParams(2.0, 1.5, 1.0), 20_000, seed=1).samples
+        samples = samples.copy()
+        samples[0] = outlier
+        message = ("default .Freedman-Diaconis. bin width .* gives more bins than "
+                   "the 20000 samples; set a wider one with --bin-width")
+        with pytest.raises(ValueError, match=message):
+            em._histogram_density(samples, None)
+        with pytest.raises(ValueError, match=message):
+            fit_kappa_mu(EnvelopeTrace(samples))
+
+
+#: fit options of ``fit_kappa_mu``, as scipy.optimize.minimize takes them
+FIT_OPTIONS = {"maxiter": 400, "xatol": 1e-5, "fatol": 1e-12}
+
+
+def scipy_nelder_mead(fun, start, bounds, options):
+    """scipy's bounded Nelder-Mead and the value of ``fun`` at the best
+    vertex after each iteration, as a callback sees it."""
+    from scipy.optimize import minimize
+
+    history = []
+    res = minimize(fun, np.asarray(start, dtype=float), method="Nelder-Mead",
+                   bounds=bounds, callback=lambda xk: history.append(fun(xk)),
+                   options=options)
+    return res, tuple(history)
+
+
+def assert_same_run(run, res, history):
+    assert run.x == tuple(res.x)
+    assert run.fun == res.fun
+    assert run.nit == res.nit
+    assert run.history == history
+
+
+class TestSimplexTranscription:
+    """``estimate._nelder_mead`` against ``scipy.optimize.minimize``: the
+    same best vertex, value, iteration count and callback values, to the
+    last bit."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+    def test_fit_starts_match_scipy(self, name):
+        # every start of a fit on the traces of the CLI golden file, the
+        # lockstep row batches against scipy's one point at a time
+        kappa, mu, seed, kind = GOLDEN_TRACES[name]
+        samples = sample_envelope(KappaMuParams(kappa, mu, 1.0), GOLDEN_SAMPLES, seed).samples
+        if kind == "power":
+            samples = samples ** 2
+        samples = samples.astype("<f4").astype(float)  # as the trace file holds them
+        if kind == "power":
+            samples = np.sqrt(samples)
+        r_hat = float(np.sqrt(np.mean(samples ** 2)))
+        centers, dens = em._histogram_density(samples, None)
+
+        def objective(theta):
+            model = fading.envelope_pdf(KappaMuParams(float(theta[0]), float(theta[1]), 1.0),
+                                        centers, r_hat)
+            diff = model - dens
+            return float(np.dot(diff, diff))
+
+        runs = em._simplex_runs(centers, dens, r_hat)
+        assert len(runs) == len(em.DEFAULT_STARTS)
+        for start, run in zip(em.DEFAULT_STARTS, runs):
+            res, history = scipy_nelder_mead(objective, start,
+                                             [em.KAPPA_BOUNDS, em.MU_BOUNDS], FIT_OPTIONS)
+            assert_same_run(run, res, history)
+
+    @staticmethod
+    def rosenbrock(p):
+        return (1.0 - p[0]) ** 2 + 100.0 * (p[1] - p[0] * p[0]) ** 2
+
+    @staticmethod
+    def outside(p):
+        # the unconstrained optimum (5, -3) lies outside the unit box
+        return (p[0] - 5.0) ** 2 + (p[1] + 3.0) ** 2 + 0.1 * p[0] * p[1]
+
+    @staticmethod
+    def walled(p):
+        return math.inf if p[0] + p[1] > 1.2 else (p[0] - 0.9) ** 2 + (p[1] - 0.5) ** 2
+
+    CASES = {
+        "rosenbrock": ("rosenbrock", (-1.2, 1.0), [(-2.0, 2.0), (-1.0, 3.0)], 400),
+        "optimum outside": ("outside", (0.5, 0.5), [(0.0, 1.0), (0.0, 1.0)], 400),
+        # a start on the upper bound is reflected inward, a zero one takes
+        # the absolute step
+        "reflect and zero": ("outside", (0.99, 0.0), [(0.0, 1.0), (0.0, 1.0)], 400),
+        "inf region": ("walled", (0.2, 0.3), [(0.0, 1.0), (0.0, 1.0)], 400),
+        "maxiter 5": ("rosenbrock", (-1.2, 1.0), [(-2.0, 2.0), (-1.0, 3.0)], 5),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_synthetic_objectives_match_scipy(self, case):
+        name, start, bounds, maxiter = self.CASES[case]
+        fun = getattr(self, name)
+        options = dict(FIT_OPTIONS, maxiter=maxiter)
+        res, history = scipy_nelder_mead(fun, start, bounds, options)
+        [run] = em._lockstep([em._nelder_mead(start, bounds, **options)],
+                             lambda points: [fun(p) for p in points])
+        assert_same_run(run, res, history)
+        if maxiter == 5:
+            assert run.nit == 5
 
 
 class TestTraceIo:

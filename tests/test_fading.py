@@ -6,6 +6,7 @@ formula and numerical integration of the density for the distribution
 function; live 30-digit references come from ``mpref``.
 """
 import functools
+import itertools
 import math
 
 import mpmath as mp
@@ -195,6 +196,57 @@ class TestArrayPaths:
                       fading.envelope_pdf(p, 0.8), fading.envelope_pdf(p, 0.0),
                       fading.snr_pdf(KappaMuParams(0.0, 1.0, 1.0), 0.0)):
             assert type(value) is float
+
+
+class TestRowBatches:
+    """The density takes (rows, 1) columns of kappa and mu broadcast
+    against its argument, as the fit evaluates many points at once. Each
+    row equals the scalar call bit for bit, whatever else is in the
+    batch."""
+
+    KAPPAS = (0.0, 1e-6, 1.0, 50.0)
+    MUS = (0.05, 0.7, 1.0, 2.5, 10.0)
+    ROWS = list(itertools.product(KAPPAS, MUS))
+    # rho^2 underflows to 0 below about 1e-162 r_hat and is subnormal just
+    # above; at r = 1e8 the kappa 50, mu 10 row's Bessel argument passes
+    # the 2^30 range of scipy's ive
+    LEVELS = np.array([1e-200, 1e-170, 1e-160, 1e-3, 0.2, 0.9, 1.0, 1.7, 3.0, 40.0, 1e8])
+
+    @staticmethod
+    def columns(rows):
+        return (np.array([[v] for v in col]) for col in zip(*rows))
+
+    def envelope_rows(self, rows, r_hat):
+        return fading._envelope(*self.columns(rows), self.LEVELS, r_hat)
+
+    def test_paths_covered(self):
+        g = (self.LEVELS / 0.37) ** 2
+        assert g[0] == g[1] == 0.0 and 0.0 < g[2] < 2.3e-308
+        assert 2.0 * 10.0 * math.sqrt(50.0 * 51.0 * g[-1]) >= fading._IVE_RANGE
+
+    @pytest.mark.parametrize("r_hat", [1.0, 0.37])
+    def test_envelope_rows_equal_scalar_calls(self, r_hat):
+        out = self.envelope_rows(self.ROWS, r_hat)
+        assert out.shape == (len(self.ROWS), self.LEVELS.size)
+        for (kappa, mu), row in zip(self.ROWS, out):
+            scalar = fading.envelope_pdf(KappaMuParams(kappa, mu, 1.0), self.LEVELS, r_hat)
+            assert np.array_equal(row, scalar), (kappa, mu)
+
+    def test_snr_rows_equal_scalar_calls(self):
+        g = np.array([1e-300, 1e-12, 0.3, 1.0, 2.5, 1e3, 1e20])
+        gbar = np.resize([1.0, 0.1, 10.0], (len(self.ROWS), 1))
+        out = fading._density(*self.columns(self.ROWS), gbar, g)
+        for (kappa, mu), gb, row in zip(self.ROWS, gbar[:, 0], out):
+            scalar = fading.snr_pdf(KappaMuParams(kappa, mu, gb), g)
+            assert np.array_equal(row, scalar), (kappa, mu, gb)
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        full = self.envelope_rows(self.ROWS, 0.37)
+        rng = np.random.default_rng(13)
+        for size in (len(self.ROWS), 7, 2, 1):
+            pick = rng.permutation(len(self.ROWS))[:size]
+            out = self.envelope_rows([self.ROWS[i] for i in pick], 0.37)
+            assert np.array_equal(out, full[pick])
 
 
 class TestSnrCdf:
