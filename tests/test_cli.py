@@ -129,13 +129,18 @@ class TestSpsc:
             assert "convergence error: secure outage quadrature" in err
 
 
-def _cli_subprocess(argv, timeout):
-    # ``kmusec argv`` in a child interpreter, killed after ``timeout`` s
+def _child(args, timeout):
+    # a child interpreter on this library, killed after ``timeout`` s
     src = os.path.dirname(os.path.dirname(os.path.abspath(kmusec.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-m", "kmusec.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def _cli_subprocess(argv, timeout):
+    # ``kmusec argv`` in a child interpreter, killed after ``timeout`` s
+    return _child(["-m", "kmusec.cli", *argv], timeout)
 
 
 def test_non_finite_quadrature_exit_3():
@@ -496,6 +501,17 @@ class TestFit:
         assert (code, out) == (2, "")
         assert err.startswith("error: bin width ")
         assert err.count("\n") == 1
+
+    def test_fit_leaves_scipy_optimize_unimported(self, tmp_path):
+        # the simplex search is the library's own; scipy's optimizer is
+        # only the tests' reference for it
+        path = tmp_path / "trace.bin"
+        write_trace_binary(path, sample_envelope(KappaMuParams(2.0, 1.5, 1.0), 5000, seed=1))
+        proc = _child(["-c", "import sys; from kmusec import cli; "
+                             "code = cli.main(['fit', '--trace', sys.argv[1]]); "
+                             "print(code, 'scipy.optimize' in sys.modules)", str(path)],
+                      timeout=120)
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
     @pytest.mark.parametrize("outlier", [1e3, 1e9])
     def test_outlier_default_bin_width_exit_2(self, capsys, tmp_path, outlier):
