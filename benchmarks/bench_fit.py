@@ -1,17 +1,17 @@
 """Time ``fit_kappa_mu`` on the three preset traces and count its density calls.
 
-    PYTHONPATH=src python benchmarks/bench_fit.py [--reps N] [--samples N]
+    PYTHONPATH=src python benchmarks/bench_fit.py [--reps N]
 
-For each of the ``d2d``, ``ban`` and ``v2v`` presets, a trace of
-``--samples`` envelope samples is drawn from the model (a fixed seed per
-preset) and fitted ``--reps`` times after one untimed warm-up. Printed as
-JSON per preset and in total: the median CPU time of one fit in ms
+For each of the ``d2d``, ``ban`` and ``v2v`` presets, a trace of 1e5
+envelope samples is drawn from the model (a fixed seed per preset) and
+fitted ``--reps`` times after one untimed warm-up. Printed as JSON per
+preset and in total: the median CPU time of one fit in ms
 (``fit_cpu_ms``), the calls of the envelope density ``fading._density``
 per fit (``density_calls``), the (kappa, mu) rows those calls evaluate
 (``density_rows``, one per objective evaluation) and the fit's
 ``iterations``. The calls are counted by wrapping the module attribute,
-through which every density evaluation goes, so the script runs unchanged
-against another checkout's ``src``.
+through which every density evaluation goes, so the script runs
+unchanged against another checkout's ``src``.
 """
 import argparse
 import json
@@ -26,6 +26,7 @@ from kmusec.fading import KappaMuParams
 
 #: preset -> seed of its trace
 TRACES = {"d2d": 301, "ban": 302, "v2v": 303}
+SAMPLES = 100_000
 
 
 def counted_fit(trace):
@@ -50,12 +51,11 @@ def counted_fit(trace):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=11)
-    parser.add_argument("--samples", type=int, default=100_000)
     args = parser.parse_args()
     out = {}
     for preset, seed in TRACES.items():
         params = KappaMuParams(PRESETS[preset]["km"], PRESETS[preset]["um"], 1.0)
-        trace = estimate.sample_envelope(params, args.samples, seed)
+        trace = estimate.sample_envelope(params, SAMPLES, seed)
         fit, calls, rows = counted_fit(trace)  # warm-up: lazy imports
         times = []
         for _ in range(args.reps):

@@ -407,7 +407,10 @@ def cmd_fit(args):
         trace = est_mod.EnvelopeTrace(np.sqrt(trace.samples))
     if args.window:
         trace = est_mod.local_mean_normalize(trace, args.window)
-    result = est_mod.fit_kappa_mu(trace, args.bin_width)
+    try:
+        result = est_mod.fit_kappa_mu(trace, args.bin_width)
+    except est_mod.BinWidthError as exc:
+        raise ValueError(f"{exc} (--bin-width)") from exc
     print(json.dumps({
         "schema": SCHEMA,
         "kappa_hat": result.kappa_hat,

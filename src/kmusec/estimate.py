@@ -31,6 +31,10 @@ KAPPA_BOUNDS = (1e-6, 50.0)
 MU_BOUNDS = (0.05, 10.0)
 
 
+class BinWidthError(ValueError):
+    """A histogram bin width that gives more bins than there are samples."""
+
+
 @dataclass(frozen=True)
 class EnvelopeTrace:
     """Nonnegative envelope samples in linear units."""
@@ -101,8 +105,8 @@ def _histogram_density(samples, bin_width):
     else:
         width = f"bin width {bin_width}"
     if (hi - lo) / bin_width > samples.size:
-        raise ValueError(f"{width} gives more bins than the {samples.size} samples; "
-                         f"set a wider one with --bin-width")
+        raise BinWidthError(f"{width} gives more bins than the {samples.size} samples; "
+                            f"pass a wider bin width")
     edges = np.arange(lo, hi + bin_width, bin_width)
     if edges.size < 8:
         raise ValueError("degenerate histogram: fewer than 8 bins")

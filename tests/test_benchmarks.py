@@ -34,7 +34,7 @@ def test_bench_sweep_split_runs():
 
 
 def test_bench_fit_runs():
-    out = run_script("bench_fit.py", "--reps", "1", "--samples", "20000")
+    out = run_script("bench_fit.py", "--reps", "1")
     assert list(out) == ["d2d", "ban", "v2v", "total"]
     for part in out.values():
         assert set(part) == {"fit_cpu_ms", "density_calls", "density_rows", "iterations"}

@@ -525,7 +525,7 @@ class TestFit:
         code, out, err = run(capsys, "fit", "--trace", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: default (Freedman-Diaconis) bin width ")
-        assert err.endswith("set a wider one with --bin-width\n")
+        assert err.endswith("; pass a wider bin width (--bin-width)\n")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("suffix", [".csv", ".bin"])

@@ -154,10 +154,10 @@ class TestHistogramWidthCap:
         samples = samples.copy()
         samples[0] = outlier
         message = ("default .Freedman-Diaconis. bin width .* gives more bins than "
-                   "the 20000 samples; set a wider one with --bin-width")
-        with pytest.raises(ValueError, match=message):
+                   "the 20000 samples; pass a wider bin width$")
+        with pytest.raises(em.BinWidthError, match=message):
             em._histogram_density(samples, None)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(em.BinWidthError, match=message):
             fit_kappa_mu(EnvelopeTrace(samples))
 
 
