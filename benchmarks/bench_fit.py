@@ -8,10 +8,12 @@ fitted ``--reps`` times after one untimed warm-up. Printed as JSON per
 preset and in total: the median CPU time of one fit in ms
 (``fit_cpu_ms``), the calls of the envelope density ``fading._density``
 per fit (``density_calls``), the (kappa, mu) rows those calls evaluate
-(``density_rows``, one per objective evaluation) and the fit's
-``iterations``. The calls are counted by wrapping the module attribute,
-through which every density evaluation goes, so the script runs
-unchanged against another checkout's ``src``.
+(``density_rows``, one per objective evaluation), the elements handed
+to ``scipy.special.ive`` per fit (``ive_elements``) and the fit's
+``iterations``. Calls and elements are counted by wrapping the module
+attributes ``fading._density`` and ``scipy.special.ive``, through which
+every density evaluation and every call of scipy's scaled Bessel function
+goes, so the script runs unchanged against another checkout's ``src``.
 """
 import argparse
 import json
@@ -19,6 +21,7 @@ import statistics
 import time
 
 import numpy as np
+from scipy import special
 
 from kmusec import estimate, fading
 from kmusec.cli import PRESETS
@@ -30,9 +33,10 @@ SAMPLES = 100_000
 
 
 def counted_fit(trace):
-    """One fit, with the density calls and rows it made."""
-    density = fading._density
-    calls = rows = 0
+    """One fit, with the density calls and rows it made and the elements
+    it handed to scipy's ive."""
+    density, ive = fading._density, special.ive
+    calls = rows = elements = 0
 
     def counting(kappa, *args):
         nonlocal calls, rows
@@ -40,12 +44,17 @@ def counted_fit(trace):
         rows += np.shape(kappa)[0] if np.ndim(kappa) else 1
         return density(kappa, *args)
 
-    fading._density = counting
+    def counting_ive(v, x):
+        nonlocal elements
+        elements += np.broadcast(v, x).size
+        return ive(v, x)
+
+    fading._density, special.ive = counting, counting_ive
     try:
         fit = estimate.fit_kappa_mu(trace)
     finally:
-        fading._density = density
-    return fit, calls, rows
+        fading._density, special.ive = density, ive
+    return fit, calls, rows, elements
 
 
 def main():
@@ -56,7 +65,7 @@ def main():
     for preset, seed in TRACES.items():
         params = KappaMuParams(PRESETS[preset]["km"], PRESETS[preset]["um"], 1.0)
         trace = estimate.sample_envelope(params, SAMPLES, seed)
-        fit, calls, rows = counted_fit(trace)  # warm-up: lazy imports
+        fit, calls, rows, elements = counted_fit(trace)  # warm-up: lazy imports
         times = []
         for _ in range(args.reps):
             t0 = time.process_time()
@@ -64,9 +73,10 @@ def main():
             times.append(time.process_time() - t0)
         out[preset] = {"fit_cpu_ms": 1e3 * statistics.median(times),
                        "density_calls": calls, "density_rows": rows,
-                       "iterations": fit.iterations}
+                       "ive_elements": elements, "iterations": fit.iterations}
     out["total"] = {key: sum(v[key] for v in out.values())
-                    for key in ("fit_cpu_ms", "density_calls", "density_rows", "iterations")}
+                    for key in ("fit_cpu_ms", "density_calls", "density_rows",
+                                "ive_elements", "iterations")}
     print(json.dumps(out, indent=1))
 
 

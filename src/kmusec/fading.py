@@ -5,14 +5,14 @@ special-case factories (Rayleigh, Rice, Nakagami-m, One-Sided Gaussian).
 SNR is linear throughout; gamma_bar is the mean SNR.
 """
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# the model's own formulas run on scipy.special, and on the kernels only
-# beyond the argument range of scipy's scaled Bessel function
+# the density's Bessel factor comes from its power series at small
+# argument, from scipy.special's ive at larger, and from the kernels only
+# beyond ive's range; the distribution function runs on scipy.special
 from kmusec._backend import kernels as _k
 
 #: stand-in for kappa -> 0 limits in series paths; the exact kappa = 0
@@ -132,26 +132,52 @@ def _log_origin_coefficient(kappa, mu):
 #: large-argument expansion takes over there
 _IVE_RANGE = 2.0 ** 30
 
+#: the power series of the Bessel factor serves arguments x up to here,
+#: where its argument (x/2)^2 is at most 225; scipy's ive serves larger x
+_SERIES_RANGE = 30.0
+
+#: terms summed of 0F1(; b; z) = sum_k t_k, t_k = z^k / ((b)_k k!), b > 0,
+#: z <= 225. From term K on, t_(k+1) / t_k = z / ((b + k)(k + 1)) stays
+#: below q = z / (K (K + 1)), so what is dropped is at most t_K / (1 - q).
+#: Each t_k / t_K with k < K grows with b, so t_K is the largest share of
+#: the sum as b -> 0 (order -> -1), where at z = 225 and K = 48 it tends to
+#: 225^48 / (47! 48!) / sum_(k>=1) 225^k / ((k-1)! k!) = 2.2e-21; with
+#: 1 / (1 - q) < 1.11 the dropped tail stays below 2.4e-21 of the sum
+_SERIES_TERMS = 48
+
+#: levels per block of the series' power tables, which bounds their size
+_SERIES_BLOCK = 1024
+
 
 def _per_row(fn, *params):
     # fn, a function of scalars built on math, at scalar params, or row by
     # row down columns of them: numpy's log and lgamma may round otherwise
-    # than math's, and a row must equal the scalar call bit for bit
+    # than math's, and a row must equal the scalar call bit for bit. An fn
+    # that returns a tuple gives one array per entry.
     if all(np.ndim(p) == 0 for p in params):
         return fn(*params)
-    cols = np.broadcast_arrays(*params)
-    rows = zip(*(c.ravel().tolist() for c in cols))
-    return np.array([fn(*row) for row in rows]).reshape(cols[0].shape)
+    rows = np.broadcast(*params)
+    table = np.array([fn(*row) for row in rows])
+    return table.T.reshape(table.shape[1:] + rows.shape)
+
+
+def _row_constants(kappa, mu, gbar):
+    # ln mu, ln(1 + kappa), ln gbar, ln kappa, sqrt(kappa) and ln Gamma(mu)
+    # of one channel, by math
+    return (math.log(mu), math.log1p(kappa), math.log(gbar),
+            math.log(kappa) if kappa > 0.0 else -math.inf, math.sqrt(kappa),
+            math.lgamma(mu))
 
 
 def _density(kappa, mu, gbar, g):
     # kappa-mu SNR density at an array g > 0, log domain with the scaled
-    # Bessel function; kappa = 0 is the exact limit, a gamma law with
-    # shape mu and mean gbar. kappa, mu and gbar are scalars or (rows, 1)
-    # columns broadcast against g, one channel per row; each row equals
-    # the scalar call, whatever else is in the batch.
-    from scipy.special import ive
-
+    # Bessel factor e^-x I_(mu-1)(x) from _log_bessel_ie, by one of three
+    # paths per element: its power series up to x = 30, scipy's ive up to
+    # 2^30, the kernel's large-argument expansion beyond. kappa = 0 is the
+    # exact limit, a gamma law with shape mu and mean gbar. kappa, mu and
+    # gbar are scalars or (rows, 1) columns broadcast against g, one
+    # channel per row; each row equals the scalar call, whatever else is
+    # in the batch.
     zero = np.asarray(kappa) == 0.0
     if zero.any() and not zero.all():
         kappa, mu, gbar = np.broadcast_arrays(kappa, mu, gbar)
@@ -159,30 +185,109 @@ def _density(kappa, mu, gbar, g):
         for rows in (zero[:, 0], ~zero[:, 0]):
             out[rows] = _density(kappa[rows], mu[rows], gbar[rows], g)
         return out
-    log = functools.partial(_per_row, math.log)
+    log_mu, log1p_kappa, log_gbar, log_kappa, root_kappa, lgamma_mu = _per_row(
+        _row_constants, kappa, mu, gbar)
     # beyond the range of a double, terms overflow to the density's limits
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if zero.all():
-            return np.exp(mu * log(mu) + (mu - 1.0) * np.log(g) - mu * g / gbar
-                          - _per_row(math.lgamma, mu) - mu * log(gbar))
+            return np.exp(mu * log_mu + (mu - 1.0) * np.log(g) - mu * g / gbar
+                          - lgamma_mu - mu * log_gbar)
         x = (1.0 + kappa) * g / gbar
-        arg = 2.0 * mu * np.sqrt(kappa * x)
-        ie = np.asarray(ive(mu - 1.0, arg))
-        beyond = arg >= _IVE_RANGE
-        if beyond.any():
-            order = np.broadcast_to(mu - 1.0, arg.shape)[beyond]
-            ie[beyond] = [_k.bessel_ie(v, a)
-                          for v, a in zip(order.tolist(), arg[beyond].tolist())]
-        # -mu kappa - mu x + arg = -mu (sqrt(kappa) - sqrt(x))^2, taken as
+        # the Bessel argument 2 mu sqrt(kappa x) is 2 sqrt(s g) with
+        # sqrt(s) = mu sqrt(kappa (1 + kappa) / gbar)
+        log_ie = _log_bessel_ie(mu, lgamma_mu, mu * np.sqrt(kappa * (1.0 + kappa) / gbar), g)
+        # -mu kappa - mu x + 2 mu sqrt(kappa x), the exponent left with the
+        # scaled Bessel factor, is -mu (sqrt(kappa) - sqrt(x))^2, taken as
         # -mu d^2 / (sqrt(kappa) + sqrt(x))^2 with d = kappa - x formed
         # without cancellation (gbar - g is exact near the mean)
         d = (kappa * (gbar - g) - g) / gbar
-        lf = (log(mu)
-              + 0.5 * (mu + 1.0) * (_per_row(math.log1p, kappa) - log(gbar))
-              + 0.5 * (mu - 1.0) * (np.log(g) - log(kappa))
-              - mu * (d / (_per_row(math.sqrt, kappa) + np.sqrt(x))) ** 2
-              + np.log(ie))
+        lf = (log_mu
+              + 0.5 * (mu + 1.0) * (log1p_kappa - log_gbar)
+              + 0.5 * (mu - 1.0) * (np.log(g) - log_kappa)
+              - mu * (d / (root_kappa + np.sqrt(x))) ** 2
+              + log_ie)
     return np.where(lf > -745.0, np.exp(lf), 0.0)
+
+
+def _log_bessel_ie(mu, lgamma_mu, root, g):
+    # ln(e^-x I_nu(x)), nu = mu - 1, at x = 2 root sqrt(g), for mu > 0,
+    # lgamma_mu = ln Gamma(mu), root >= 0 and g > 0; mu, lgamma_mu and root
+    # scalars or (rows, 1) columns, g levels (1-D for columns). Each element
+    # takes one of three paths by its own x: up to _SERIES_RANGE the power
+    # series (x/2)^nu e^-x 0F1(; mu; (x/2)^2) / Gamma(mu) (DLMF 10.25.2),
+    # where it is finite; scipy's ive up to _IVE_RANGE; the kernel's
+    # large-argument expansion beyond.
+    from scipy.special import ive
+
+    if np.ndim(root) == 0:  # one channel: one row of the levels
+        mu, lgamma_mu, root = (np.reshape(v, (1, 1)) for v in (mu, lgamma_mu, root))
+        return _log_bessel_ie(mu, lgamma_mu, root, g.ravel()).reshape(g.shape)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        half = root * np.sqrt(g)  # x / 2
+        x = 2.0 * half
+        near = (x > 0.0) & (x <= _SERIES_RANGE)
+        out = np.empty(x.shape)
+        if near.any():
+            series = (mu - 1.0) * np.log(half) - x - lgamma_mu + np.log(
+                _hyp0f1(mu, root * root, g))
+            near &= np.isfinite(series)  # 0F1 overflows for mu below ~1e-290
+            out[near] = series[near]
+        far = ~near
+        if far.any():
+            order = np.broadcast_to(mu - 1.0, x.shape)[far]
+            arg = x[far]
+            ie = ive(order, arg)
+            beyond = arg >= _IVE_RANGE
+            if beyond.any():
+                ie[beyond] = [_k.bessel_ie(v, a)
+                              for v, a in zip(order[beyond].tolist(), arg[beyond].tolist())]
+            out[far] = np.log(ie)
+    return out
+
+
+def _hyp0f1(b, s, g):
+    # 0F1(; b; s g) summed to _SERIES_TERMS terms, for (rows, 1) columns
+    # b > 0 and s >= 0 and 1-D levels g > 0; truncated within 2.4e-21
+    # relative where s g <= 225, the range it serves. Row r's levels are
+    # scaled by 2^-e, an exact power of two from s_r alone with s_r 2^e in
+    # [112.5, 225): the row's terms are (s_r 2^e)^k / ((b)_k k!) times u^k,
+    # u = g 2^-e, rows with the same e share one table of u^k, and where
+    # s_r g <= 225, u < 2. Levels with u > 4, outside the range, enter the
+    # table as u = 0, so no inf or NaN from them reaches it. Each row is
+    # one einsum contraction over k of its terms, whatever the other rows,
+    # and levels go in blocks of _SERIES_BLOCK.
+    e = -np.frexp(s / 225.0)[1]
+    k = np.arange(1.0, _SERIES_TERMS)
+    coef = np.empty((s.shape[0], _SERIES_TERMS))
+    coef[:, 0] = 1.0
+    coef[:, 1:] = np.ldexp(s, e) / (k * (b + (k - 1.0)))
+    np.cumprod(coef, axis=1, out=coef)
+    shifts = sorted(set(e.ravel().tolist()))
+    rows = [e[:, 0] == shift for shift in shifts]
+    out = np.empty((s.shape[0], g.size))
+    for start in range(0, g.size, _SERIES_BLOCK):
+        block = slice(start, start + _SERIES_BLOCK)
+        u = np.ldexp(g[block], -np.array(shifts)[:, None])
+        u[~(u <= 4.0)] = 0.0
+        tables = np.ascontiguousarray(_powers(u).transpose(1, 2, 0))
+        for at, table in zip(rows, tables):
+            out[at, block] = np.einsum("rk,jk->rj", coef[at], table)
+    return out
+
+
+def _powers(u):
+    # u^0 .. u^(_SERIES_TERMS - 1) down a new first axis, by doubling:
+    # u^(n + i) = u^i (u^(n/2))^2 for n a power of two, at most 2 log2(k)
+    # roundings in u^k
+    table = np.empty((_SERIES_TERMS,) + u.shape)
+    table[0] = 1.0
+    table[1] = u
+    n = 2
+    while n < _SERIES_TERMS:
+        m = min(n, _SERIES_TERMS - n)
+        np.multiply(table[:m], table[n // 2] * table[n // 2], out=table[n:n + m])
+        n += m
+    return table
 
 
 def _as_input(name, x):

@@ -1,9 +1,9 @@
 """30-digit mpmath references for the kappa-mu model and exact SOP.
 
-Textbook formulas evaluated independently of the library: the density in
-its Bessel form, the distribution function as the Poisson mixture of
-regularized gamma laws, and the secure outage probability as a
-tanh-sinh integral of their product.
+Textbook formulas evaluated independently of the library: the scaled
+Bessel function, the density in its Bessel form, the distribution
+function as the Poisson mixture of regularized gamma laws, and the
+secure outage probability as a tanh-sinh integral of their product.
 """
 import mpmath as mp
 
@@ -35,6 +35,14 @@ def envelope_pdf(kappa, mu, r_hat, r):
                 / (k ** ((mu - 1) / 2) * mp.exp(mu * k) * rh)
                 * mp.exp(-mu * (1 + k) * rho ** 2)
                 * mp.besseli(mu - 1, 2 * mu * mp.sqrt(k * (1 + k)) * rho))
+
+
+def log_bessel_ie(nu, x):
+    """ln(e^-x I_nu(x)), the log of the scaled modified Bessel function of
+    the first kind, so that values below the double range stay comparable."""
+    with mp.workdps(DPS):
+        x = mp.mpf(x)
+        return mp.log(mp.besseli(mp.mpf(nu), x)) - x
 
 
 def snr_cdf(kappa, mu, gamma_bar, g):

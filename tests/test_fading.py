@@ -8,6 +8,7 @@ function; live 30-digit references come from ``mpref``.
 import functools
 import itertools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -247,6 +248,122 @@ class TestRowBatches:
             pick = rng.permutation(len(self.ROWS))[:size]
             out = self.envelope_rows([self.ROWS[i] for i in pick], 0.37)
             assert np.array_equal(out, full[pick])
+
+
+    # rows in four power-of-two buckets of the Bessel series, two rows
+    # sharing one; at these levels the Bessel arguments of the kappa 1.9
+    # and 2 rows and of the kappa 50 row straddle the series' range, the
+    # kappa 2 row's within an ulp of it
+    SERIES_ROWS = [(0.02, 0.7), (2.0, 3.0), (1.9, 3.0), (50.0, 2.5), (1e-6, 10.0)]
+    EDGE = 225.0 / (9.0 * 2.0 * 3.0)
+    SERIES_LEVELS = np.array([1e-4, 0.01, 0.3, 1.0, 3.9, EDGE, math.nextafter(EDGE, 5.0),
+                              9.0, 30.0])
+
+    def test_series_paths_covered(self):
+        kappa, mu = (np.array(col)[:, None] for col in zip(*self.SERIES_ROWS))
+        s = mu * mu * kappa * (1.0 + kappa)
+        buckets = np.frexp(s[:, 0] / 225.0)[1].tolist()
+        assert len(set(buckets)) == 4 and buckets[1] == buckets[2]
+        x = 2.0 * np.sqrt(s * self.SERIES_LEVELS)
+        near = x <= fading._SERIES_RANGE
+        assert [bool(row.any() and not row.all()) for row in near] == [
+            False, True, True, True, False]
+
+    def test_series_rows_equal_scalar_calls(self):
+        gbar = np.resize([1.0, 0.5, 2.0], (len(self.SERIES_ROWS), 1))
+        out = fading._density(*self.columns(self.SERIES_ROWS), gbar, self.SERIES_LEVELS)
+        for (kappa, mu), gb, row in zip(self.SERIES_ROWS, gbar[:, 0], out):
+            scalar = fading.snr_pdf(KappaMuParams(kappa, mu, gb), self.SERIES_LEVELS)
+            assert np.array_equal(row, scalar), (kappa, mu, gb)
+
+    def test_series_rows_do_not_depend_on_the_batch(self):
+        def density(rows):
+            return fading._density(*self.columns(rows), 1.0, self.SERIES_LEVELS)
+
+        full = density(self.SERIES_ROWS)
+        for pick in ([3, 1], [2, 0, 4, 1], [4], [1, 2, 3, 0, 4]):
+            out = density([self.SERIES_ROWS[i] for i in pick])
+            for i, row in zip(pick, out):
+                assert np.array_equal(row, full[i]), self.SERIES_ROWS[i]
+
+    def test_series_memory_is_bounded(self):
+        # the series' power tables go in blocks of levels, so the peak stays
+        # a few times the levels' own bytes; one table of all 1e5 levels
+        # would take 38 MB. At kappa 15 the levels take both Bessel paths
+        g = np.linspace(1e-3, 4.0, 100_000)
+        p = KappaMuParams(15.0, 1.0, 1.0)
+        fading.snr_pdf(p, g)  # lazy imports
+        tracemalloc.start()
+        try:
+            fading.snr_pdf(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * g.nbytes
+
+
+class TestBesselSeries:
+    """The density's scaled Bessel factor e^-x I_nu(x), from its power
+    series up to x = 30 and from scipy's ive above, against 30-digit
+    mpmath."""
+
+    XS = (1e-8, 0.5, 5.0, 29.9, 30.0, math.nextafter(30.0, math.inf))
+
+    @staticmethod
+    def log_ie(mu, x):
+        # ln(e^-x I_(mu-1)(x)) at x = 2 root sqrt(1), exactly the x given
+        return fading._log_bessel_ie(mu, math.lgamma(mu), 0.5 * x, np.array([1.0]))[0]
+
+    @staticmethod
+    def count_ive(monkeypatch):
+        from scipy import special
+
+        ive, handed = special.ive, []
+
+        def counting(v, x):
+            handed.append(np.size(x))
+            return ive(v, x)
+
+        monkeypatch.setattr(special, "ive", counting)
+        return handed
+
+    @pytest.mark.parametrize("nu", [-0.95, -0.5, 0.0, 0.37, 1.0, 4.5, 9.0, 39.0])
+    def test_matches_mpmath(self, nu, monkeypatch):
+        handed = self.count_ive(monkeypatch)
+        mu = nu + 1.0
+        for x in self.XS:
+            ref = mpref.log_bessel_ie(mp.mpf(mu) - 1, x)
+            miss = mp.expm1(mp.mpf(self.log_ie(mu, x)) - ref)
+            assert abs(miss) <= 1e-13, x
+        # every x but the double above 30 took the series
+        assert handed == [1]
+
+    @pytest.mark.parametrize("mu", [1e-300, 5e-324])
+    def test_order_near_minus_one(self, mu):
+        # 0F1's coefficients overflow for mu below about 1e-290; such
+        # elements take scipy's ive
+        for x in (0.5, 5.0, 29.9):
+            ref = mpref.log_bessel_ie(mp.mpf(mu) - 1, x)
+            assert abs(mp.expm1(mp.mpf(self.log_ie(mu, x)) - ref)) <= 1e-13, x
+
+    def test_far_levels_enter_the_table_as_zero(self):
+        # levels past the series' range would overflow its powers; they
+        # enter as 0, so every sum stays finite, 1 at those levels
+        b, s = np.array([[0.5], [3.0]]), np.array([[2.0], [1e-9]])
+        g = np.array([1.0, 1e3, 1e30, 1e300])
+        out = fading._hyp0f1(b, s, g)
+        assert np.isfinite(out).all()
+        assert out[0, 1:].tolist() == [1.0, 1.0, 1.0] and out[1, 3] == 1.0
+
+    def test_first_dropped_term(self):
+        # the truncation's worst case: order -> -1 (b = nu + 1 -> 0) at the
+        # top of the range, 0F1 argument (30 / 2)^2 = 225
+        assert (fading._SERIES_RANGE / 2.0) ** 2 == 225.0
+        n = fading._SERIES_TERMS
+        with mp.workdps(30):
+            b, z = mp.mpf("1e-25"), mp.mpf(225)
+            terms = [z ** k / (mp.rf(b, k) * mp.factorial(k)) for k in range(n + 1)]
+            assert terms[n] < mp.mpf("1e-17") * mp.fsum(terms[:n])
 
 
 class TestSnrCdf:
