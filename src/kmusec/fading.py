@@ -256,7 +256,7 @@ def _hyp0f1(b, s, g):
     # table as u = 0, so no inf or NaN from them reaches it. Each row is
     # one einsum contraction over k of its terms, whatever the other rows,
     # and levels go in blocks of _SERIES_BLOCK.
-    e = -np.frexp(s / 225.0)[1]
+    e = -np.frexp(s / (0.5 * _SERIES_RANGE) ** 2)[1]
     k = np.arange(1.0, _SERIES_TERMS)
     coef = np.empty((s.shape[0], _SERIES_TERMS))
     coef[:, 0] = 1.0
@@ -264,10 +264,11 @@ def _hyp0f1(b, s, g):
     np.cumprod(coef, axis=1, out=coef)
     shifts = sorted(set(e.ravel().tolist()))
     rows = [e[:, 0] == shift for shift in shifts]
+    down = -np.array(shifts)[:, None]
     out = np.empty((s.shape[0], g.size))
     for start in range(0, g.size, _SERIES_BLOCK):
         block = slice(start, start + _SERIES_BLOCK)
-        u = np.ldexp(g[block], -np.array(shifts)[:, None])
+        u = np.ldexp(g[block], down)
         u[~(u <= 4.0)] = 0.0
         tables = np.ascontiguousarray(_powers(u).transpose(1, 2, 0))
         for at, table in zip(rows, tables):
