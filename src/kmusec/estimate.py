@@ -77,11 +77,14 @@ def local_mean_normalize(trace, window):
     if window == 1:
         return EnvelopeTrace(np.ones_like(x))
     half = window // 2
+    n = x.size
     csum = np.concatenate(([0.0], np.cumsum(x)))
-    idx = np.arange(x.size)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half, x.size - 1)
-    mean = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    # window sums over the samples i - half .. i + half that exist: the
+    # window shrinks towards each edge and is whole in between
+    mean = np.concatenate((
+        (csum[half + 1:window] - csum[0]) / np.arange(half + 1, window),
+        (csum[window:] - csum[:n - window + 1]) / window,
+        (csum[n] - csum[n - window + 1:n - half]) / np.arange(window - 1, half, -1)))
     if np.any(mean <= 0.0):
         raise ValueError("local mean hits zero; cannot normalize")
     return EnvelopeTrace(x / mean)
@@ -153,11 +156,14 @@ def _simplex_runs(centers, dens, r_hat):
     """The bounded simplex search from each start of ``DEFAULT_STARTS``,
     all run in lockstep; a ``_SimplexRun`` per start, in order."""
 
+    # the levels' own work is done once, for every step of every search
+    levels = fading._EnvelopeLevels(centers, r_hat)
+
     def residuals(points):
         # one density row per point; each row's residual is its own dot
         # product, as a single point's would be
         kappa, mu = (np.array(col)[:, None] for col in zip(*points))
-        diff = fading._envelope(kappa, mu, centers, r_hat) - dens
+        diff = fading._envelope(kappa, mu, levels) - dens
         return [float(np.dot(row, row)) for row in diff]
 
     return _lockstep([_nelder_mead(start, (KAPPA_BOUNDS, MU_BOUNDS), maxiter=400,
@@ -183,8 +189,9 @@ def _nelder_mead(x0, bounds, maxiter, xatol, fatol):
     it needs, takes the value back through ``send``, and returns a
     ``_SimplexRun`` with the same ``x``, ``fun`` and ``nit``. The history
     holds what a callback sees after each iteration. The steps, ordering
-    and stopping test are scipy's, operation for operation, so the
-    results are equal to the last bit.
+    and stopping test are scipy's, operation for operation, on Python
+    floats, so the results are equal to the last bit; ``_by_value`` orders
+    ties as scipy does for the three vertices of a 2-D search.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
@@ -203,19 +210,18 @@ def _nelder_mead(x0, bounds, maxiter, xatol, fatol):
         sim.append(y)
     # vertices past an upper bound are reflected into the box
     sim = [clip([2 * hi - c if c > hi else c for c, hi in zip(v, upper)]) for v in sim]
-    fsim = np.empty(n + 1)
-    for k in range(n + 1):
-        fsim[k] = yield sim[k]
+    fsim = []
+    for v in sim:
+        fsim.append(float((yield v)))
     for _ in range(2):  # scipy sorts the first simplex twice
-        ind = np.argsort(fsim)
-        sim = [sim[i] for i in ind]
-        fsim = fsim[ind]
+        sim, fsim = _by_value(sim, fsim)
 
     nit = 1
     history = []
     while nit < maxiter:
-        if (max(abs(c - b) for v in sim[1:] for c, b in zip(v, sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        # scipy's max(...) <= tol, as all(... <= tol): False on a NaN too
+        if (all(abs(fsim[0] - f) <= fatol for f in fsim[1:])
+                and all(abs(c - b) <= xatol for v in sim[1:] for c, b in zip(v, sim[0]))):
             break
         # centroid of all but the worst vertex, summed row by row
         xbar = sim[0]
@@ -224,34 +230,43 @@ def _nelder_mead(x0, bounds, maxiter, xatol, fatol):
         xbar = [a / n for a in xbar]
         worst = sim[-1]
         xr = clip([(1 + rho) * a - rho * w for a, w in zip(xbar, worst)])
-        fxr = yield xr
+        fxr = float((yield xr))
         if fxr < fsim[0]:
             xe = clip([(1 + rho * chi) * a - rho * chi * w for a, w in zip(xbar, worst)])
-            fxe = yield xe
+            fxe = float((yield xe))
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # contraction outside
                 xc = clip([(1 + psi * rho) * a - psi * rho * w for a, w in zip(xbar, worst)])
-                fxc = yield xc
+                fxc = float((yield xc))
                 accept = fxc <= fxr
             else:  # contraction inside
                 xc = clip([(1 - psi) * a + psi * w for a, w in zip(xbar, worst)])
-                fxc = yield xc
+                fxc = float((yield xc))
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink towards the best vertex
                 for j in range(1, n + 1):
                     sim[j] = clip([b + sigma * (c - b) for b, c in zip(sim[0], sim[j])])
-                    fsim[j] = yield sim[j]
+                    fsim[j] = float((yield sim[j]))
         nit += 1
-        ind = np.argsort(fsim)
-        sim = [sim[i] for i in ind]
-        fsim = fsim[ind]
-        history.append(float(fsim[0]))
-    return _SimplexRun(tuple(sim[0]), float(np.min(fsim)), nit, tuple(history))
+        sim, fsim = _by_value(sim, fsim)
+        history.append(fsim[0])
+    # the simplex is sorted, NaN last: scipy's np.min(fsim)
+    fun = fsim[-1] if math.isnan(fsim[-1]) else fsim[0]
+    return _SimplexRun(tuple(sim[0]), fun, nit, tuple(history))
+
+
+def _by_value(sim, fsim):
+    """Vertices and their values in ascending order of value, NaN last,
+    ties kept in order: the order ``np.argsort`` gives three values in.
+    (On four or more, numpy's vectorized argsort on AVX-512 hosts may
+    order ties otherwise.)"""
+    order = sorted(range(len(fsim)), key=lambda i: (math.isnan(fsim[i]), fsim[i]))
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
 def _lockstep(searches, evaluate):

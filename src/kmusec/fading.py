@@ -5,6 +5,7 @@ special-case factories (Rayleigh, Rice, Nakagami-m, One-Sided Gaussian).
 SNR is linear throughout; gamma_bar is the mean SNR.
 """
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -169,33 +170,83 @@ def _row_constants(kappa, mu, gbar):
             math.lgamma(mu))
 
 
-def _density(kappa, mu, gbar, g):
-    # kappa-mu SNR density at an array g > 0, log domain with the scaled
+class _Levels:
+    """Levels g > 0 that densities are evaluated at, with what depends on
+    them alone: ln g, and on first use sqrt g (flat) and the Bessel
+    series' power tables, one per power-of-two shift (see ``_hyp0f1``).
+    The tables are kept when the levels fit in one block of _SERIES_BLOCK,
+    so a fit that evaluates all its steps at one histogram builds each
+    once, while a larger array keeps its bounded blocks."""
+
+    def __init__(self, g):
+        self.g = g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.log_g = np.log(g)
+        self.tables = {} if g.size <= _SERIES_BLOCK else None
+
+    @functools.cached_property
+    def root_g(self):
+        # for the Bessel factor; the gamma law at kappa = 0 needs none
+        return np.sqrt(self.g.ravel())
+
+    def powers(self, shift, start):
+        # u^0 .. u^(_SERIES_TERMS - 1) along the last axis, u = g 2^-shift
+        # at the block of levels from start on; levels with u > 4, outside
+        # the series' range, enter as u = 0, so no inf or NaN from them
+        # reaches the table
+        table = None if self.tables is None else self.tables.get(shift)
+        if table is None:
+            u = np.ldexp(self.g.ravel()[start:start + _SERIES_BLOCK], -shift)
+            u[~(u <= 4.0)] = 0.0
+            table = np.ascontiguousarray(_powers(u).T)
+            if self.tables is not None:
+                self.tables[shift] = table
+        return table
+
+
+class _EnvelopeLevels(_Levels):
+    """Envelope levels r >= 0 at RMS level r_hat as density levels: g =
+    rho^2, rho = r / r_hat, taken as 1 where rho^2 underflows to 0 (see
+    ``_envelope``), with the factor 2 rho / r_hat of the envelope law."""
+
+    def __init__(self, r, r_hat):
+        self.r_hat = r_hat
+        self.rho = r / r_hat
+        g = self.rho * self.rho
+        self.under = g == 0.0
+        self.factor = 2.0 * self.rho / r_hat
+        super().__init__(np.where(self.under, 1.0, g))
+
+
+def _density(kappa, mu, gbar, levels):
+    # kappa-mu SNR density at _Levels g > 0, log domain with the scaled
     # Bessel factor e^-x I_(mu-1)(x) from _log_bessel_ie, by one of three
     # paths per element: its power series up to x = 30, scipy's ive up to
     # 2^30, the kernel's large-argument expansion beyond. kappa = 0 is the
     # exact limit, a gamma law with shape mu and mean gbar. kappa, mu and
-    # gbar are scalars or (rows, 1) columns broadcast against g, one
-    # channel per row; each row equals the scalar call, whatever else is
-    # in the batch.
+    # gbar are scalars or (rows, 1) columns broadcast against 1-D levels,
+    # one channel per row; each row equals the scalar call, whatever else
+    # is in the batch.
+    g = levels.g
     zero = np.asarray(kappa) == 0.0
     if zero.any() and not zero.all():
         kappa, mu, gbar = np.broadcast_arrays(kappa, mu, gbar)
         out = np.empty(np.broadcast_shapes(kappa.shape, g.shape))
         for rows in (zero[:, 0], ~zero[:, 0]):
-            out[rows] = _density(kappa[rows], mu[rows], gbar[rows], g)
+            out[rows] = _density(kappa[rows], mu[rows], gbar[rows], levels)
         return out
     log_mu, log1p_kappa, log_gbar, log_kappa, root_kappa, lgamma_mu = _per_row(
         _row_constants, kappa, mu, gbar)
     # beyond the range of a double, terms overflow to the density's limits
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if zero.all():
-            return np.exp(mu * log_mu + (mu - 1.0) * np.log(g) - mu * g / gbar
+            return np.exp(mu * log_mu + (mu - 1.0) * levels.log_g - mu * g / gbar
                           - lgamma_mu - mu * log_gbar)
+        # the Bessel argument 2 mu sqrt(kappa x), x = (1 + kappa) g / gbar,
+        # is 2 sqrt(s g) with sqrt(s) = mu sqrt(kappa (1 + kappa) / gbar)
+        log_ie = _log_bessel_ie(mu, lgamma_mu, mu * np.sqrt(kappa * (1.0 + kappa) / gbar),
+                                levels)
         x = (1.0 + kappa) * g / gbar
-        # the Bessel argument 2 mu sqrt(kappa x) is 2 sqrt(s g) with
-        # sqrt(s) = mu sqrt(kappa (1 + kappa) / gbar)
-        log_ie = _log_bessel_ie(mu, lgamma_mu, mu * np.sqrt(kappa * (1.0 + kappa) / gbar), g)
         # -mu kappa - mu x + 2 mu sqrt(kappa x), the exponent left with the
         # scaled Bessel factor, is -mu (sqrt(kappa) - sqrt(x))^2, taken as
         # -mu d^2 / (sqrt(kappa) + sqrt(x))^2 with d = kappa - x formed
@@ -203,35 +254,40 @@ def _density(kappa, mu, gbar, g):
         d = (kappa * (gbar - g) - g) / gbar
         lf = (log_mu
               + 0.5 * (mu + 1.0) * (log1p_kappa - log_gbar)
-              + 0.5 * (mu - 1.0) * (np.log(g) - log_kappa)
+              + 0.5 * (mu - 1.0) * (levels.log_g - log_kappa)
               - mu * (d / (root_kappa + np.sqrt(x))) ** 2
               + log_ie)
     return np.where(lf > -745.0, np.exp(lf), 0.0)
 
 
-def _log_bessel_ie(mu, lgamma_mu, root, g):
-    # ln(e^-x I_nu(x)), nu = mu - 1, at x = 2 root sqrt(g), for mu > 0,
-    # lgamma_mu = ln Gamma(mu), root >= 0 and g > 0; mu, lgamma_mu and root
-    # scalars or (rows, 1) columns, g levels (1-D for columns). Each element
-    # takes one of three paths by its own x: up to _SERIES_RANGE the power
-    # series (x/2)^nu e^-x 0F1(; mu; (x/2)^2) / Gamma(mu) (DLMF 10.25.2),
-    # where it is finite; scipy's ive up to _IVE_RANGE; the kernel's
-    # large-argument expansion beyond.
+def _log_bessel_ie(mu, lgamma_mu, root, levels):
+    # ln(e^-x I_nu(x)), nu = mu - 1, at x = 2 root sqrt(g) for _Levels g,
+    # for mu > 0, lgamma_mu = ln Gamma(mu) and root >= 0; mu, lgamma_mu and
+    # root scalars (one channel: any shape of levels) or (rows, 1) columns
+    # (1-D levels). Each element takes one of three paths by its own x: up
+    # to _SERIES_RANGE the power series (x/2)^nu e^-x 0F1(; mu; (x/2)^2) /
+    # Gamma(mu) (DLMF 10.25.2), where it is finite; scipy's ive up to
+    # _IVE_RANGE; the kernel's large-argument expansion beyond.
     from scipy.special import ive
 
-    if np.ndim(root) == 0:  # one channel: one row of the levels
+    scalar = np.ndim(root) == 0  # one channel: one row of the flat levels
+    if scalar:
         mu, lgamma_mu, root = (np.reshape(v, (1, 1)) for v in (mu, lgamma_mu, root))
-        return _log_bessel_ie(mu, lgamma_mu, root, g.ravel()).reshape(g.shape)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        half = root * np.sqrt(g)  # x / 2
+        half = root * levels.root_g  # x / 2
         x = 2.0 * half
         near = (x > 0.0) & (x <= _SERIES_RANGE)
-        out = np.empty(x.shape)
         if near.any():
-            series = (mu - 1.0) * np.log(half) - x - lgamma_mu + np.log(
-                _hyp0f1(mu, root * root, g))
-            near &= np.isfinite(series)  # 0F1 overflows for mu below ~1e-290
-            out[near] = series[near]
+            # (mu - 1) ln(x / 2) - x - ln Gamma(mu) + ln 0F1, term by term
+            # in half's buffer, which bounds the peak on large arrays
+            out = np.log(half, out=half)
+            out *= mu - 1.0
+            out -= x
+            out -= lgamma_mu
+            out += np.log(_hyp0f1(mu, root * root, levels))
+            near &= np.isfinite(out)  # 0F1 overflows for mu below ~1e-290
+        else:
+            out = np.empty(x.shape)
         far = ~near
         if far.any():
             order = np.broadcast_to(mu - 1.0, x.shape)[far]
@@ -241,38 +297,34 @@ def _log_bessel_ie(mu, lgamma_mu, root, g):
             if beyond.any():
                 ie[beyond] = [_k.bessel_ie(v, a)
                               for v, a in zip(order[beyond].tolist(), arg[beyond].tolist())]
-            out[far] = np.log(ie)
-    return out
+            out[far] = np.log(ie, out=ie)
+    return out.reshape(levels.g.shape) if scalar else out
 
 
-def _hyp0f1(b, s, g):
+def _hyp0f1(b, s, levels):
     # 0F1(; b; s g) summed to _SERIES_TERMS terms, for (rows, 1) columns
-    # b > 0 and s >= 0 and 1-D levels g > 0; truncated within 2.4e-21
-    # relative where s g <= 225, the range it serves. Row r's levels are
-    # scaled by 2^-e, an exact power of two from s_r alone with s_r 2^e in
-    # [112.5, 225): the row's terms are (s_r 2^e)^k / ((b)_k k!) times u^k,
-    # u = g 2^-e, rows with the same e share one table of u^k, and where
-    # s_r g <= 225, u < 2. Levels with u > 4, outside the range, enter the
-    # table as u = 0, so no inf or NaN from them reaches it. Each row is
-    # one einsum contraction over k of its terms, whatever the other rows,
-    # and levels go in blocks of _SERIES_BLOCK.
+    # b > 0 and s >= 0 and _Levels g, one row of the flat levels per row;
+    # truncated within 2.4e-21 relative where s g <= 225, the range it
+    # serves. Row r's levels are scaled by 2^-e, an exact power of two
+    # from s_r alone with s_r 2^e in [112.5, 225): the row's terms are
+    # (s_r 2^e)^k / ((b)_k k!) times u^k, u = g 2^-e, rows with the same e
+    # share one table of u^k from levels.powers, and where s_r g <= 225,
+    # u < 2. Each row is one einsum contraction over k of its terms,
+    # whatever the other rows, and levels go in blocks of _SERIES_BLOCK.
     e = -np.frexp(s / (0.5 * _SERIES_RANGE) ** 2)[1]
     k = np.arange(1.0, _SERIES_TERMS)
     coef = np.empty((s.shape[0], _SERIES_TERMS))
     coef[:, 0] = 1.0
     coef[:, 1:] = np.ldexp(s, e) / (k * (b + (k - 1.0)))
     np.cumprod(coef, axis=1, out=coef)
-    shifts = sorted(set(e.ravel().tolist()))
-    rows = [e[:, 0] == shift for shift in shifts]
-    down = -np.array(shifts)[:, None]
-    out = np.empty((s.shape[0], g.size))
-    for start in range(0, g.size, _SERIES_BLOCK):
-        block = slice(start, start + _SERIES_BLOCK)
-        u = np.ldexp(g[block], down)
-        u[~(u <= 4.0)] = 0.0
-        tables = np.ascontiguousarray(_powers(u).transpose(1, 2, 0))
-        for at, table in zip(rows, tables):
-            out[at, block] = np.einsum("rk,jk->rj", coef[at], table)
+    size = levels.g.size
+    out = np.empty((s.shape[0], size))
+    for shift in set(e[:, 0].tolist()):
+        at = e[:, 0] == shift
+        terms = coef[at]
+        for start in range(0, size, _SERIES_BLOCK):
+            out[at, start:start + _SERIES_BLOCK] = np.einsum(
+                "rk,jk->rj", terms, levels.powers(shift, start))
     return out
 
 
@@ -311,12 +363,12 @@ def snr_pdf(params, gamma):
     kappa, mu, gbar = params.kappa, params.mu, params.gamma_bar
     origin = g == 0.0
     if not origin.any():
-        return _as_output(_density(kappa, mu, gbar, g))
+        return _as_output(_density(kappa, mu, gbar, _Levels(g)))
     if mu < 1.0:
         raise ValueError("the density diverges at gamma = 0 for mu < 1; "
                          "evaluate at gamma > 0")
     at_origin = 0.0 if mu > 1.0 else math.exp(_log_origin_coefficient(kappa, mu)) / gbar
-    dens = _density(kappa, mu, gbar, np.where(origin, 1.0, g))
+    dens = _density(kappa, mu, gbar, _Levels(np.where(origin, 1.0, g)))
     return _as_output(np.where(origin, at_origin, dens))
 
 
@@ -388,29 +440,27 @@ def envelope_pdf(params, r, r_hat=1.0):
     rv = np.asarray(r, dtype=float)
     if (rv < 0.0).any():
         raise ValueError("envelope level must be >= 0")
-    return _as_output(_envelope(params.kappa, params.mu, rv, r_hat))
+    return _as_output(_envelope(params.kappa, params.mu, _EnvelopeLevels(rv, r_hat)))
 
 
-def _envelope(kappa, mu, r, r_hat):
-    # envelope_pdf at an array r >= 0, kappa and mu scalars or (rows, 1)
-    # columns broadcast against r (one channel per row, as _density takes
-    # them); each row equals the scalar call
-    rho = r / r_hat
-    g = rho * rho
-    under = g == 0.0
-    if not under.any():
-        return 2.0 * rho / r_hat * _density(kappa, mu, 1.0, g)
+def _envelope(kappa, mu, levels):
+    # envelope_pdf at _EnvelopeLevels, kappa and mu scalars or (rows, 1)
+    # columns broadcast against 1-D levels (one channel per row, as
+    # _density takes them); each row equals the scalar call
+    dens = levels.factor * _density(kappa, mu, 1.0, levels)
+    if not levels.under.any():
+        return dens
     # r = 0, or rho^2 below the smallest double: the leading term
     # 2 C rho^(2 mu - 1) / r_hat of the small-r law is then exact; taken in
     # the log domain, where C alone may overflow
-    if (np.asarray(mu) < 0.5).any() and (rho[under] == 0.0).any():
+    rho = levels.rho
+    if (np.asarray(mu) < 0.5).any() and (rho[levels.under] == 0.0).any():
         raise ValueError("the envelope density diverges at r = 0 for mu < 0.5")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # rho^0 = 1 at mu = 0.5, also at rho = 0
         power = np.where(mu == 0.5, 0.0, (2.0 * mu - 1.0) * np.log(rho))
-        small = 2.0 * np.exp(_per_row(_log_origin_coefficient, kappa, mu) + power) / r_hat
-    dens = 2.0 * rho / r_hat * _density(kappa, mu, 1.0, np.where(under, 1.0, g))
-    return np.where(under, small, dens)
+        small = 2.0 * np.exp(_per_row(_log_origin_coefficient, kappa, mu) + power) / levels.r_hat
+    return np.where(levels.under, small, dens)
 
 
 def make_special_case(name, *, K=None, m=None, kappa=None, mu=None, gamma_bar=1.0):

@@ -38,11 +38,12 @@ def test_bench_fit_runs():
     assert list(out) == ["d2d", "ban", "v2v", "total"]
     for part in out.values():
         assert set(part) == {"fit_cpu_ms", "density_calls", "density_rows",
-                             "ive_elements", "iterations"}
+                             "ive_elements", "power_elements", "iterations"}
         assert part["fit_cpu_ms"] > 0.0
         # the starts' points of a step share one call
         assert 0 < part["density_calls"] < part["density_rows"]
         assert isinstance(part["ive_elements"], int) and part["ive_elements"] >= 0
+        assert isinstance(part["power_elements"], int) and part["power_elements"] >= 0
         assert part["iterations"] > 0
 
 

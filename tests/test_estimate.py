@@ -4,6 +4,7 @@ Recovery bands are derived from a repeated-seed spread measured over the
 synthetic generator (8 to 10 seeds per configuration); each test here
 pins one seed, so results are deterministic.
 """
+import itertools
 import math
 
 import numpy as np
@@ -43,6 +44,23 @@ class TestLocalMeanNormalize:
         tr = EnvelopeTrace(np.ones(5000))
         with pytest.raises(ValueError):
             local_mean_normalize(tr, window)
+
+    @pytest.mark.parametrize("window", [3, 501, 9999])
+    def test_matches_gathered_window_sums(self, window):
+        # bit for bit the former formula, a gather of every sample's window
+        # bounds from the cumulative sum; 9999 is the largest window a
+        # 20,000-sample trace allows
+        x = np.random.default_rng(23).gamma(2.0, 1.0, size=20_000)
+        half = window // 2
+        csum = np.concatenate(([0.0], np.cumsum(x)))
+        idx = np.arange(x.size)
+        lo = np.maximum(idx - half, 0)
+        hi = np.minimum(idx + half, x.size - 1)
+        gathered = x / ((csum[hi + 1] - csum[lo]) / (hi - lo + 1))
+        assert np.array_equal(local_mean_normalize(EnvelopeTrace(x), window).samples, gathered)
+        if window == 9999:
+            with pytest.raises(ValueError, match="shorter than twice"):
+                local_mean_normalize(EnvelopeTrace(x), window + 2)
 
     def test_rejects_short_trace(self):
         tr = EnvelopeTrace(np.ones(100))
@@ -229,6 +247,10 @@ class TestSimplexTranscription:
     def walled(p):
         return math.inf if p[0] + p[1] > 1.2 else (p[0] - 0.9) ** 2 + (p[1] - 0.5) ** 2
 
+    @staticmethod
+    def holed(p):
+        return math.nan if p[0] + p[1] > 1.2 else (p[0] - 0.9) ** 2 + (p[1] - 0.5) ** 2
+
     CASES = {
         "rosenbrock": ("rosenbrock", (-1.2, 1.0), [(-2.0, 2.0), (-1.0, 3.0)], 400),
         "optimum outside": ("outside", (0.5, 0.5), [(0.0, 1.0), (0.0, 1.0)], 400),
@@ -236,6 +258,8 @@ class TestSimplexTranscription:
         # the absolute step
         "reflect and zero": ("outside", (0.99, 0.0), [(0.0, 1.0), (0.0, 1.0)], 400),
         "inf region": ("walled", (0.2, 0.3), [(0.0, 1.0), (0.0, 1.0)], 400),
+        # two vertices of the first simplex are NaN: sorted last, in order
+        "nan region": ("holed", (0.6, 0.6), [(0.0, 1.0), (0.0, 1.0)], 400),
         "maxiter 5": ("rosenbrock", (-1.2, 1.0), [(-2.0, 2.0), (-1.0, 3.0)], 5),
     }
 
@@ -245,11 +269,26 @@ class TestSimplexTranscription:
         fun = getattr(self, name)
         options = dict(FIT_OPTIONS, maxiter=maxiter)
         res, history = scipy_nelder_mead(fun, start, bounds, options)
-        [run] = em._lockstep([em._nelder_mead(start, bounds, **options)],
-                             lambda points: [fun(p) for p in points])
+        values = []
+
+        def evaluate(points):
+            values.extend(fun(p) for p in points)
+            return values[-len(points):]
+
+        [run] = em._lockstep([em._nelder_mead(start, bounds, **options)], evaluate)
         assert_same_run(run, res, history)
         if maxiter == 5:
             assert run.nit == 5
+        if name == "holed":
+            assert [math.isnan(v) for v in values[:3]] == [False, True, True]
+
+    def test_vertex_order_is_argsorts(self):
+        # every three values from a set with ties, signed zeros, infinities
+        # and NaN: the order scipy's np.argsort gives the simplex
+        pool = (0.0, -0.0, 1.0, math.inf, -math.inf, math.nan)
+        for fsim in itertools.product(pool, repeat=3):
+            order, _ = em._by_value(list(range(3)), list(fsim))
+            assert order == np.argsort(np.array(fsim)).tolist(), fsim
 
 
 class TestTraceIo:

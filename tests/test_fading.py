@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from kmusec import fading, secrecy
+from kmusec import estimate, fading, secrecy
 from kmusec.fading import (EPSILON_KAPPA, ClusterSpec, KappaMuParams,
                            make_special_case)
 
@@ -218,7 +218,7 @@ class TestRowBatches:
         return (np.array([[v] for v in col]) for col in zip(*rows))
 
     def envelope_rows(self, rows, r_hat):
-        return fading._envelope(*self.columns(rows), self.LEVELS, r_hat)
+        return fading._envelope(*self.columns(rows), fading._EnvelopeLevels(self.LEVELS, r_hat))
 
     def test_paths_covered(self):
         g = (self.LEVELS / 0.37) ** 2
@@ -236,7 +236,7 @@ class TestRowBatches:
     def test_snr_rows_equal_scalar_calls(self):
         g = np.array([1e-300, 1e-12, 0.3, 1.0, 2.5, 1e3, 1e20])
         gbar = np.resize([1.0, 0.1, 10.0], (len(self.ROWS), 1))
-        out = fading._density(*self.columns(self.ROWS), gbar, g)
+        out = fading._density(*self.columns(self.ROWS), gbar, fading._Levels(g))
         for (kappa, mu), gb, row in zip(self.ROWS, gbar[:, 0], out):
             scalar = fading.snr_pdf(KappaMuParams(kappa, mu, gb), g)
             assert np.array_equal(row, scalar), (kappa, mu, gb)
@@ -271,20 +271,77 @@ class TestRowBatches:
 
     def test_series_rows_equal_scalar_calls(self):
         gbar = np.resize([1.0, 0.5, 2.0], (len(self.SERIES_ROWS), 1))
-        out = fading._density(*self.columns(self.SERIES_ROWS), gbar, self.SERIES_LEVELS)
+        out = fading._density(*self.columns(self.SERIES_ROWS), gbar,
+                              fading._Levels(self.SERIES_LEVELS))
         for (kappa, mu), gb, row in zip(self.SERIES_ROWS, gbar[:, 0], out):
             scalar = fading.snr_pdf(KappaMuParams(kappa, mu, gb), self.SERIES_LEVELS)
             assert np.array_equal(row, scalar), (kappa, mu, gb)
 
     def test_series_rows_do_not_depend_on_the_batch(self):
         def density(rows):
-            return fading._density(*self.columns(rows), 1.0, self.SERIES_LEVELS)
+            return fading._density(*self.columns(rows), 1.0, fading._Levels(self.SERIES_LEVELS))
 
         full = density(self.SERIES_ROWS)
         for pick in ([3, 1], [2, 0, 4, 1], [4], [1, 2, 3, 0, 4]):
             out = density([self.SERIES_ROWS[i] for i in pick])
             for i, row in zip(pick, out):
                 assert np.array_equal(row, full[i]), self.SERIES_ROWS[i]
+
+    @staticmethod
+    def shifts(kappa, mu):
+        # the series' power-of-two shift of each envelope row, as _density
+        # forms its s = root^2
+        return -np.frexp((mu * np.sqrt(kappa * (1.0 + kappa))) ** 2 / 225.0)[1]
+
+    def test_shared_levels_rows_equal_scalar_calls(self, monkeypatch):
+        # one levels object serves every step of a fit: rows in four shift
+        # buckets, levels past x = 30 (scipy's ive) for the kappa 2, 1.9 and
+        # 50 rows, and a second call that takes every table from the first
+        r, r_hat = np.array([1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0]), 0.8
+        kappa, mu = self.columns(self.SERIES_ROWS)
+        x = 2.0 * mu * np.sqrt(kappa * (1.0 + kappa)) * r / r_hat
+        assert (x > fading._SERIES_RANGE).any(axis=1).tolist() == [False, True, True, True, False]
+        assert len(set(self.shifts(kappa, mu)[:, 0].tolist())) == 4
+        levels = fading._EnvelopeLevels(r, r_hat)
+        first = fading._envelope(kappa, mu, levels)
+        built = dict(levels.tables)
+        assert len(built) == 4
+        powered = []
+        powers = fading._powers
+        monkeypatch.setattr(fading, "_powers", lambda u: powered.append(u) or powers(u))
+        second = fading._envelope(kappa, mu, levels)
+        assert powered == []
+        assert all(levels.tables[shift] is table for shift, table in built.items())
+        for (k, m), a, b in zip(self.SERIES_ROWS, first, second):
+            scalar = fading.envelope_pdf(KappaMuParams(k, m, 1.0), r, r_hat)
+            assert np.array_equal(a, scalar) and np.array_equal(b, scalar), (k, m)
+
+    def test_stored_tables_are_bounded(self):
+        # levels in one block keep a table per shift for the whole fit. The
+        # fit's bounds give s = mu^2 kappa (1 + kappa) from 2.5e-9 to 2.55e5,
+        # shifts -11 to 36: at most 48 tables of 1024 levels x 48 powers x
+        # 8 B, 18.9 MB, for the largest histogram whose tables are kept
+        grid = itertools.product(np.geomspace(*estimate.KAPPA_BOUNDS, 200),
+                                 np.geomspace(*estimate.MU_BOUNDS, 200))
+        kappa, mu = (np.array(col)[:, None] for col in zip(*grid))
+        e = self.shifts(kappa, mu)[:, 0]
+        corners = self.shifts(np.array(estimate.KAPPA_BOUNDS), np.array(estimate.MU_BOUNDS))
+        assert corners.tolist() == [36, -11] and set(e.tolist()) == set(range(-11, 37))
+        pick = [e.tolist().index(shift) for shift in range(-11, 37)]
+        r = np.linspace(1e-3, 3.0, fading._SERIES_BLOCK)
+        fading._envelope(kappa[pick], mu[pick], fading._EnvelopeLevels(r, 1.0))  # lazy imports
+        tracemalloc.start()
+        try:
+            levels = fading._EnvelopeLevels(r, 1.0)
+            before = tracemalloc.get_traced_memory()[0]
+            fading._envelope(kappa[pick], mu[pick], levels)
+            stored = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        bound = 48 * fading._SERIES_BLOCK * fading._SERIES_TERMS * 8
+        assert sorted(levels.tables) == list(range(-11, 37))
+        assert sum(t.nbytes for t in levels.tables.values()) == bound
+        assert stored < bound + 100_000
 
     def test_series_memory_is_bounded(self):
         # the series' power tables go in blocks of levels, so the peak stays
@@ -312,7 +369,8 @@ class TestBesselSeries:
     @staticmethod
     def log_ie(mu, x):
         # ln(e^-x I_(mu-1)(x)) at x = 2 root sqrt(1), exactly the x given
-        return fading._log_bessel_ie(mu, math.lgamma(mu), 0.5 * x, np.array([1.0]))[0]
+        return fading._log_bessel_ie(mu, math.lgamma(mu), 0.5 * x,
+                                     fading._Levels(np.array([1.0])))[0]
 
     @staticmethod
     def count_ive(monkeypatch):
@@ -351,7 +409,7 @@ class TestBesselSeries:
         # enter as 0, so every sum stays finite, 1 at those levels
         b, s = np.array([[0.5], [3.0]]), np.array([[2.0], [1e-9]])
         g = np.array([1.0, 1e3, 1e30, 1e300])
-        out = fading._hyp0f1(b, s, g)
+        out = fading._hyp0f1(b, s, fading._Levels(g))
         assert np.isfinite(out).all()
         assert out[0, 1:].tolist() == [1.0, 1.0, 1.0] and out[1, 3] == 1.0
 
