@@ -10,6 +10,7 @@ usage/input, 3 non-convergence, 4 validation failure.
 """
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -499,9 +500,15 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    # one parser per process: parsing leaves it as it was, and building it
+    # costs about 2 ms, more than some commands' own work
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

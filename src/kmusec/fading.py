@@ -149,56 +149,82 @@ _SERIES_TERMS = 48
 #: levels per block of the series' power tables, which bounds their size
 _SERIES_BLOCK = 1024
 
+#: the smallest normal double; smaller powers enter the tables as 0
+_TINY = np.finfo(float).tiny
+
+#: k and k - 1 for the series' term ratios, k = 1 .. _SERIES_TERMS - 1
+_K = np.arange(1.0, _SERIES_TERMS)
+_K_LESS_1 = _K - 1.0
+
 
 def _per_row(fn, *params):
     # fn, a function of scalars built on math, at scalar params, or row by
-    # row down columns of them: numpy's log and lgamma may round otherwise
-    # than math's, and a row must equal the scalar call bit for bit. An fn
-    # that returns a tuple gives one array per entry.
+    # row down (rows, 1) columns of them, single values broadcast: numpy's
+    # log and lgamma may round otherwise than math's, and a row must equal
+    # the scalar call bit for bit. An fn that returns a tuple gives one
+    # column per entry.
     if all(np.ndim(p) == 0 for p in params):
         return fn(*params)
-    rows = np.broadcast(*params)
-    table = np.array([fn(*row) for row in rows])
-    return table.T.reshape(table.shape[1:] + rows.shape)
+    rows = max(np.size(p) for p in params)
+    table = np.array([fn(*row) for row in zip(*(
+        np.ravel(p).tolist() * (rows // np.size(p)) for p in params))])
+    return table.T.reshape(table.shape[1:] + (rows, 1))
 
 
 def _row_constants(kappa, mu, gbar):
-    # ln mu, ln(1 + kappa), ln gbar, ln kappa, sqrt(kappa) and ln Gamma(mu)
-    # of one channel, by math
-    return (math.log(mu), math.log1p(kappa), math.log(gbar),
-            math.log(kappa) if kappa > 0.0 else -math.inf, math.sqrt(kappa),
-            math.lgamma(mu))
+    # one channel's constants for the density's form up to x = 30, ln f =
+    # c0 + nu ln g - rate g + ln 0F1(; mu; root^2 g): c0 = ln C - mu ln
+    # gbar, nu = mu - 1, rate = mu (1 + kappa) / gbar and root = mu
+    # sqrt(kappa (1 + kappa) / gbar), so that the Bessel argument is x =
+    # 2 root sqrt(g)
+    return (_log_origin_coefficient(kappa, mu) - mu * math.log(gbar), mu - 1.0,
+            mu * (1.0 + kappa) / gbar, mu * math.sqrt(kappa * (1.0 + kappa) / gbar))
+
+
+def _bessel_form_constants(kappa, mu, gbar):
+    # one channel's constants for the form with the scaled Bessel factor:
+    # ln mu + (mu + 1) / 2 ln((1 + kappa) / gbar), ln kappa and sqrt(kappa)
+    return (math.log(mu) + 0.5 * (mu + 1.0) * (math.log1p(kappa) - math.log(gbar)),
+            math.log(kappa) if kappa > 0.0 else -math.inf, math.sqrt(kappa))
 
 
 class _Levels:
-    """Levels g > 0 that densities are evaluated at, with what depends on
-    them alone: ln g, and on first use sqrt g (flat) and the Bessel
-    series' power tables, one per power-of-two shift (see ``_hyp0f1``).
-    The tables are kept when the levels fit in one block of _SERIES_BLOCK,
-    so a fit that evaluates all its steps at one histogram builds each
-    once, while a larger array keeps its bounded blocks."""
+    """Levels g > 0 that densities are evaluated at, held flat with the
+    shape they came in, with what depends on them alone: ln g, and on
+    first use sqrt g, its largest value and the Bessel series' power
+    tables, one per power-of-two shift (see ``_hyp0f1``). The tables are
+    kept when the levels fit in one block of _SERIES_BLOCK, so a fit that
+    evaluates all its steps at one histogram builds each once, while a
+    larger array keeps its bounded blocks."""
 
     def __init__(self, g):
-        self.g = g
+        self.shape = g.shape
+        self.g = g.ravel()
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.log_g = np.log(g)
-        self.tables = {} if g.size <= _SERIES_BLOCK else None
+            self.log_g = np.log(self.g)
+        self.tables = {} if self.g.size <= _SERIES_BLOCK else None
 
     @functools.cached_property
     def root_g(self):
-        # for the Bessel factor; the gamma law at kappa = 0 needs none
-        return np.sqrt(self.g.ravel())
+        return np.sqrt(self.g)
+
+    @functools.cached_property
+    def root_g_max(self):
+        return self.root_g.max(initial=0.0)
 
     def powers(self, shift, start):
         # u^0 .. u^(_SERIES_TERMS - 1) along the last axis, u = g 2^-shift
         # at the block of levels from start on; levels with u > 4, outside
         # the series' range, enter as u = 0, so no inf or NaN from them
-        # reaches the table
+        # reaches the table. Subnormal powers enter as 0: times coefficients
+        # below 1e12, they lie far below the half ulp of a sum whose first
+        # term is 1, and they would slow every contraction
         table = None if self.tables is None else self.tables.get(shift)
         if table is None:
-            u = np.ldexp(self.g.ravel()[start:start + _SERIES_BLOCK], -shift)
+            u = np.ldexp(self.g[start:start + _SERIES_BLOCK], -shift)
             u[~(u <= 4.0)] = 0.0
             table = np.ascontiguousarray(_powers(u).T)
+            table[table < _TINY] = 0.0
             if self.tables is not None:
                 self.tables[shift] = table
         return table
@@ -219,86 +245,96 @@ class _EnvelopeLevels(_Levels):
 
 
 def _density(kappa, mu, gbar, levels):
-    # kappa-mu SNR density at _Levels g > 0, log domain with the scaled
-    # Bessel factor e^-x I_(mu-1)(x) from _log_bessel_ie, by one of three
-    # paths per element: its power series up to x = 30, scipy's ive up to
-    # 2^30, the kernel's large-argument expansion beyond. kappa = 0 is the
-    # exact limit, a gamma law with shape mu and mean gbar. kappa, mu and
-    # gbar are scalars or (rows, 1) columns broadcast against 1-D levels,
-    # one channel per row; each row equals the scalar call, whatever else
-    # is in the batch.
+    # kappa-mu SNR density at _Levels g > 0; kappa, mu and gbar scalars (one
+    # channel, returned in the levels' shape) or (rows, 1) columns against
+    # 1-D levels, one channel per row, each row equal to the scalar call
+    # bit for bit whatever else is in the batch. Each element takes its
+    # path by its own Bessel argument x = 2 root sqrt(g) (_row_constants).
+    # Up to _SERIES_RANGE, I_(mu-1) as its power series (DLMF 10.25.2)
+    # folds into the density's other factors: ln f = c0 + nu ln g - rate g
+    # + ln 0F1(; mu; root^2 g), with ln 0F1 inside the exponent, as the
+    # density may be normal where the rest alone is subnormal. kappa = 0,
+    # the exact gamma law with shape mu and mean gbar, is that form with
+    # 0F1 = 1. Past _SERIES_RANGE, or where 0F1 overflows (mu below about
+    # 1e-290), the form with the scaled Bessel factor of _bessel_form.
+    scalar = all(np.ndim(v) == 0 for v in (kappa, mu, gbar))
+    if scalar:
+        kappa, mu, gbar = (np.full((1, 1), v, dtype=float) for v in (kappa, mu, gbar))
+    c0, nu, rate, root = _per_row(_row_constants, kappa, mu, gbar)
     g = levels.g
-    zero = np.asarray(kappa) == 0.0
-    if zero.any() and not zero.all():
-        kappa, mu, gbar = np.broadcast_arrays(kappa, mu, gbar)
-        out = np.empty(np.broadcast_shapes(kappa.shape, g.shape))
-        for rows in (zero[:, 0], ~zero[:, 0]):
-            out[rows] = _density(kappa[rows], mu[rows], gbar[rows], levels)
-        return out
-    log_mu, log1p_kappa, log_gbar, log_kappa, root_kappa, lgamma_mu = _per_row(
-        _row_constants, kappa, mu, gbar)
     # beyond the range of a double, terms overflow to the density's limits
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if zero.all():
-            return np.exp(mu * log_mu + (mu - 1.0) * levels.log_g - mu * g / gbar
-                          - lgamma_mu - mu * log_gbar)
-        # the Bessel argument 2 mu sqrt(kappa x), x = (1 + kappa) g / gbar,
-        # is 2 sqrt(s g) with sqrt(s) = mu sqrt(kappa (1 + kappa) / gbar)
-        log_ie = _log_bessel_ie(mu, lgamma_mu, mu * np.sqrt(kappa * (1.0 + kappa) / gbar),
-                                levels)
-        x = (1.0 + kappa) * g / gbar
-        # -mu kappa - mu x + 2 mu sqrt(kappa x), the exponent left with the
-        # scaled Bessel factor, is -mu (sqrt(kappa) - sqrt(x))^2, taken as
-        # -mu d^2 / (sqrt(kappa) + sqrt(x))^2 with d = kappa - x formed
-        # without cancellation (gbar - g is exact near the mean)
-        d = (kappa * (gbar - g) - g) / gbar
-        lf = (log_mu
-              + 0.5 * (mu + 1.0) * (log1p_kappa - log_gbar)
-              + 0.5 * (mu - 1.0) * (levels.log_g - log_kappa)
-              - mu * (d / (root_kappa + np.sqrt(x))) ** 2
-              + log_ie)
-    return np.where(lf > -745.0, np.exp(lf), 0.0)
+        lf = nu * levels.log_g
+        lf -= rate * g
+        lf += c0
+        # x / 2 = root sqrt(g) rounds monotonically in root and g, so no
+        # element passes the series' range unless the largest does
+        limit, top = 0.5 * _SERIES_RANGE, root.max()
+        far = root * levels.root_g > limit if top * levels.root_g_max > limit else None
+        if top > 0.0:  # kappa = 0 rows alone: 0F1 = 1
+            log_f = _hyp0f1(mu, root * root, levels)
+            np.log(log_f, out=log_f)
+            lf += log_f
+            finite = np.isfinite(log_f)
+            if not finite.all():
+                far = ~finite if far is None else far | ~finite
+            del log_f, finite
+        if far is not None and far.any():
+            lf[far] = _bessel_form(kappa, mu, gbar, root, levels, far)
+        out = np.where(lf > -745.0, np.exp(lf), 0.0)
+    return out.reshape(levels.shape) if scalar else out
 
 
-def _log_bessel_ie(mu, lgamma_mu, root, levels):
-    # ln(e^-x I_nu(x)), nu = mu - 1, at x = 2 root sqrt(g) for _Levels g,
-    # for mu > 0, lgamma_mu = ln Gamma(mu) and root >= 0; mu, lgamma_mu and
-    # root scalars (one channel: any shape of levels) or (rows, 1) columns
-    # (1-D levels). Each element takes one of three paths by its own x: up
-    # to _SERIES_RANGE the power series (x/2)^nu e^-x 0F1(; mu; (x/2)^2) /
-    # Gamma(mu) (DLMF 10.25.2), where it is finite; scipy's ive up to
-    # _IVE_RANGE; the kernel's large-argument expansion beyond.
+def _bessel_form(kappa, mu, gbar, root, levels, far):
+    # ln f at the elements of levels where far is set, as the density's
+    # Bessel form with the scaled factor e^-x I_(mu-1)(x), x = 2 root
+    # sqrt(g), of _log_bessel_ie; kappa, mu, gbar and root (rows, 1) columns
+    # or single values. Element by element in place, which bounds the peak
+    # on large arrays, with single values kept scalar.
+    head, log_kappa, root_kappa = _per_row(_bessel_form_constants, kappa, mu, gbar)
+    r, c = np.nonzero(far)
+    k, m, gb, hd, lk, rk, rt = (np.ravel(v)[r] if np.size(v) > 1 else np.ravel(v)[0]
+                                for v in (kappa, mu, gbar, head, log_kappa, root_kappa, root))
+    x = 2.0 * (rt * levels.root_g[c])
+    # -mu kappa - mu y + 2 mu sqrt(kappa y), y = (1 + kappa) g / gbar, the
+    # exponent left with the scaled Bessel factor, is -mu (sqrt(kappa) -
+    # sqrt(y))^2, taken as -mu d^2 / (sqrt(kappa) + sqrt(y))^2 with d =
+    # kappa - y formed without cancellation (gbar - g is exact near the
+    # mean)
+    gf = levels.g[c]
+    d = k * (gb - gf)
+    d -= gf
+    d /= gb
+    gf *= 1.0 + k
+    gf /= gb
+    np.sqrt(gf, out=gf)
+    gf += rk
+    d /= gf
+    del gf
+    d *= d
+    d *= m
+    out = levels.log_g[c]
+    out -= lk
+    out *= 0.5 * (m - 1.0)
+    out += hd
+    out -= d
+    del d
+    out += _log_bessel_ie(m - 1.0, x)
+    return out
+
+
+def _log_bessel_ie(order, x):
+    # ln(e^-x I_order(x)) elementwise, for the density's arguments past the
+    # series' range: scipy's ive up to _IVE_RANGE, the kernel's
+    # large-argument expansion beyond
     from scipy.special import ive
 
-    scalar = np.ndim(root) == 0  # one channel: one row of the flat levels
-    if scalar:
-        mu, lgamma_mu, root = (np.reshape(v, (1, 1)) for v in (mu, lgamma_mu, root))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        half = root * levels.root_g  # x / 2
-        x = 2.0 * half
-        near = (x > 0.0) & (x <= _SERIES_RANGE)
-        if near.any():
-            # (mu - 1) ln(x / 2) - x - ln Gamma(mu) + ln 0F1, term by term
-            # in half's buffer, which bounds the peak on large arrays
-            out = np.log(half, out=half)
-            out *= mu - 1.0
-            out -= x
-            out -= lgamma_mu
-            out += np.log(_hyp0f1(mu, root * root, levels))
-            near &= np.isfinite(out)  # 0F1 overflows for mu below ~1e-290
-        else:
-            out = np.empty(x.shape)
-        far = ~near
-        if far.any():
-            order = np.broadcast_to(mu - 1.0, x.shape)[far]
-            arg = x[far]
-            ie = ive(order, arg)
-            beyond = arg >= _IVE_RANGE
-            if beyond.any():
-                ie[beyond] = [_k.bessel_ie(v, a)
-                              for v, a in zip(order[beyond].tolist(), arg[beyond].tolist())]
-            out[far] = np.log(ie, out=ie)
-    return out.reshape(levels.g.shape) if scalar else out
+    ie = ive(order, x)
+    beyond = x >= _IVE_RANGE
+    if beyond.any():
+        order = np.broadcast_to(order, x.shape)[beyond]
+        ie[beyond] = [_k.bessel_ie(v, a) for v, a in zip(order.tolist(), x[beyond].tolist())]
+    return np.log(ie, out=ie)
 
 
 def _hyp0f1(b, s, levels):
@@ -312,14 +348,16 @@ def _hyp0f1(b, s, levels):
     # u < 2. Each row is one einsum contraction over k of its terms,
     # whatever the other rows, and levels go in blocks of _SERIES_BLOCK.
     e = -np.frexp(s / (0.5 * _SERIES_RANGE) ** 2)[1]
-    k = np.arange(1.0, _SERIES_TERMS)
     coef = np.empty((s.shape[0], _SERIES_TERMS))
     coef[:, 0] = 1.0
-    coef[:, 1:] = np.ldexp(s, e) / (k * (b + (k - 1.0)))
+    coef[:, 1:] = np.ldexp(s, e) / (_K * (b + _K_LESS_1))
     np.cumprod(coef, axis=1, out=coef)
     size = levels.g.size
+    shifts = set(e[:, 0].tolist())
+    if len(shifts) == 1 and size <= _SERIES_BLOCK:
+        return np.einsum("rk,jk->rj", coef, levels.powers(shifts.pop(), 0))
     out = np.empty((s.shape[0], size))
-    for shift in set(e[:, 0].tolist()):
+    for shift in shifts:
         at = e[:, 0] == shift
         terms = coef[at]
         for start in range(0, size, _SERIES_BLOCK):

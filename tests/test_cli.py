@@ -225,6 +225,38 @@ def test_auto_spsc_takes_series_past_closed_form_overflow(capsys, ue):
     assert auto["method"] == "series"
 
 
+class TestParserReuse:
+    """main() builds its parser once per process. Successive calls with
+    other subcommands, usage errors and help print and exit as calls on a
+    freshly built parser do."""
+
+    ARGVS = (["spsc", "--preset", "fig2-rice"], ["--help"], ["sop", "--help"],
+             ["spsc", "--method", "bogus"], ["sweep", "--preset", "fig4"], ["fit"],
+             ["sop", "--preset", "fig4", "--bound", "lower", "--format", "csv"],
+             ["spsc", "--preset", "d2d", "--seed", "x"], ["spsc", "--preset", "fig2-rice"])
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # help and usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_successive_calls_match_fresh_parsers(self, capsys):
+        from kmusec import cli
+
+        fresh = []
+        for argv in self.ARGVS:
+            cli._parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        reused = [self.call(capsys, argv) for argv in self.ARGVS]
+        assert cli._parser.cache_info().misses == 1
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 2, 2, 0, 2, 0]
+        assert reused == fresh
+
+
 class TestSop:
     def test_lower_is_spsc_complement(self, capsys):
         spsc = run_json(capsys, "spsc", "--preset", "d2d", "--method", "series")

@@ -360,17 +360,27 @@ class TestRowBatches:
 
 
 class TestBesselSeries:
-    """The density's scaled Bessel factor e^-x I_nu(x), from its power
-    series up to x = 30 and from scipy's ive above, against 30-digit
-    mpmath."""
-
-    XS = (1e-8, 0.5, 5.0, 29.9, 30.0, math.nextafter(30.0, math.inf))
+    """The density with its Bessel factor as the power series of 0F1 up to
+    x = 30, and with scipy's scaled ive past it, against 30-digit mpmath,
+    with which elements reach ive."""
 
     @staticmethod
-    def log_ie(mu, x):
-        # ln(e^-x I_(mu-1)(x)) at x = 2 root sqrt(1), exactly the x given
-        return fading._log_bessel_ie(mu, math.lgamma(mu), 0.5 * x,
-                                     fading._Levels(np.array([1.0])))[0]
+    def kappa_at(mu, x):
+        # kappa at which the Bessel argument 2 mu sqrt(kappa (1 + kappa) g /
+        # gbar) is x at g = gbar = 1, near the density's mean
+        t = (x / (2.0 * mu)) ** 2
+        return 2.0 * t / (math.sqrt(1.0 + 4.0 * t) + 1.0)
+
+    @staticmethod
+    def straddle(root):
+        # the largest level whose argument x = 2 root sqrt(g) rounds to at
+        # most 30, as the density forms it, and the next double above it
+        g = (15.0 / root) ** 2
+        while root * math.sqrt(g) > 15.0:
+            g = math.nextafter(g, 0.0)
+        while root * math.sqrt(math.nextafter(g, math.inf)) <= 15.0:
+            g = math.nextafter(g, math.inf)
+        return [g, math.nextafter(g, math.inf)]
 
     @staticmethod
     def count_ive(monkeypatch):
@@ -387,22 +397,70 @@ class TestBesselSeries:
 
     @pytest.mark.parametrize("nu", [-0.95, -0.5, 0.0, 0.37, 1.0, 4.5, 9.0, 39.0])
     def test_matches_mpmath(self, nu, monkeypatch):
+        # x = 1e-8 .. 29.9 at the mean, and the two levels either side of
+        # x = 30
         handed = self.count_ive(monkeypatch)
         mu = nu + 1.0
-        for x in self.XS:
-            ref = mpref.log_bessel_ie(mp.mpf(mu) - 1, x)
-            miss = mp.expm1(mp.mpf(self.log_ie(mu, x)) - ref)
-            assert abs(miss) <= 1e-13, x
-        # every x but the double above 30 took the series
+        for x in (1e-8, 0.5, 5.0, 29.9, 30.0):
+            kappa = self.kappa_at(mu, x)
+            root = mu * math.sqrt(kappa * (1.0 + kappa))
+            g = self.straddle(root) if x == 30.0 else [1.0]
+            out = fading.snr_pdf(KappaMuParams(kappa, mu, 1.0), np.array(g))
+            for level, value in zip(g, out):
+                ref = mpref.snr_pdf(kappa, mu, 1.0, level)
+                assert float(abs(value - ref) / ref) <= 1e-13, (x, level)
+        # every level but the one past x = 30 took the series
         assert handed == [1]
 
+    def test_rest_of_the_exponent_subnormal(self, monkeypatch):
+        # at kappa 740 and x = 30 the density is normal, 1.8e-307, while
+        # exp(ln f - ln 0F1) alone is 2.3e-319, subnormal with 5 digits:
+        # ln 0F1 must go into the exponent, not multiply its exp
+        handed = self.count_ive(monkeypatch)
+        kappa, mu = 740.0, 1.0
+        g = self.straddle(mu * math.sqrt(kappa * (1.0 + kappa)))[0]
+        rest = fading._log_origin_coefficient(kappa, mu) - mu * (1.0 + kappa) * g
+        assert 0.0 < math.exp(rest) < 1e-318
+        value = fading.snr_pdf(KappaMuParams(kappa, mu, 1.0), g)
+        ref = mpref.snr_pdf(kappa, mu, 1.0, g)
+        assert 1e-307 < value and float(abs(value - ref) / ref) <= 1e-13
+        assert handed == []
+
     @pytest.mark.parametrize("mu", [1e-300, 5e-324])
-    def test_order_near_minus_one(self, mu):
-        # 0F1's coefficients overflow for mu below about 1e-290; such
-        # elements take scipy's ive
+    def test_order_near_minus_one(self, mu, monkeypatch):
+        # scipy's ive serves the elements that the series cannot: 0F1's
+        # coefficients overflow for mu below about 1e-290 where its argument
+        # s = mu^2 kappa (1 + kappa) is nonzero, as at mu 1e-300 and kappa
+        # 1e150; at mu 5e-324, s underflows to 0, and 0F1 = 1
         for x in (0.5, 5.0, 29.9):
             ref = mpref.log_bessel_ie(mp.mpf(mu) - 1, x)
-            assert abs(mp.expm1(mp.mpf(self.log_ie(mu, x)) - ref)) <= 1e-13, x
+            log_ie = fading._log_bessel_ie(mu - 1.0, np.array([x]))[0]
+            assert abs(mp.expm1(mp.mpf(log_ie) - ref)) <= 1e-13, x
+        handed = self.count_ive(monkeypatch)
+        kappa = 1e150
+        out = fading.snr_pdf(KappaMuParams(kappa, mu, 1.0), np.array([0.5, 1.0, 2.0]))
+        assert np.isfinite(out).all()
+        assert handed == ([3] if (mu * math.sqrt(kappa * (1.0 + kappa))) ** 2 > 0.0 else [])
+
+    def test_subnormal_powers_flush_to_zero(self, monkeypatch):
+        # rows with s 1e-9..1e-6 scale the levels by 2^-27..2^-37, so their
+        # high powers fall below the smallest normal double; entered as 0,
+        # they leave every sum as it was, bit for bit
+        b = np.array([[0.05], [0.7], [2.5], [10.0]])
+        s = np.geomspace(1e-9, 1e-6, 4)[:, None]
+        g = np.linspace(1e-3, 3.0, 115)
+        flushed = fading._Levels(g)
+        sums = fading._hyp0f1(b, s, flushed)
+        monkeypatch.setattr(fading, "_TINY", 0.0)
+        kept = fading._Levels(g)
+        assert np.array_equal(fading._hyp0f1(b, s, kept), sums)
+        assert sorted(kept.tables) == sorted(flushed.tables) and len(kept.tables) == 4
+        tiny = np.finfo(float).tiny
+        for shift, table in kept.tables.items():
+            subnormal = (table > 0.0) & (table < tiny)
+            assert subnormal.any(), shift
+            assert (flushed.tables[shift][subnormal] == 0.0).all()
+            assert np.array_equal(flushed.tables[shift][~subnormal], table[~subnormal])
 
     def test_far_levels_enter_the_table_as_zero(self):
         # levels past the series' range would overflow its powers; they
