@@ -152,23 +152,17 @@ _SERIES_BLOCK = 1024
 #: the smallest normal double; smaller powers enter the tables as 0
 _TINY = np.finfo(float).tiny
 
-#: k and k - 1 for the series' term ratios, k = 1 .. _SERIES_TERMS - 1
-_K = np.arange(1.0, _SERIES_TERMS)
-_K_LESS_1 = _K - 1.0
-
 
 def _per_row(fn, *params):
     # fn, a function of scalars built on math, at scalar params, or row by
-    # row down (rows, 1) columns of them, single values broadcast: numpy's
-    # log and lgamma may round otherwise than math's, and a row must equal
-    # the scalar call bit for bit. An fn that returns a tuple gives one
-    # column per entry.
+    # row down columns of them, broadcast together: numpy's log and lgamma
+    # may round otherwise than math's, and a row must equal the scalar call
+    # bit for bit. An fn that returns a tuple gives one array per entry.
     if all(np.ndim(p) == 0 for p in params):
         return fn(*params)
-    rows = max(np.size(p) for p in params)
-    table = np.array([fn(*row) for row in zip(*(
-        np.ravel(p).tolist() * (rows // np.size(p)) for p in params))])
-    return table.T.reshape(table.shape[1:] + (rows, 1))
+    rows = np.broadcast_arrays(*params)
+    table = np.array([fn(*row) for row in zip(*(p.ravel().tolist() for p in rows))])
+    return table.T.reshape(table.shape[1:] + rows[0].shape)
 
 
 def _row_constants(kappa, mu, gbar):
@@ -191,8 +185,7 @@ def _bessel_form_constants(kappa, mu, gbar):
 class _Levels:
     """Levels g > 0 that densities are evaluated at, held flat with the
     shape they came in, with what depends on them alone: ln g, and on
-    first use sqrt g, its largest value and the Bessel series' power
-    tables, one per power-of-two shift (see ``_hyp0f1``). The tables are
+    first use sqrt g and the Bessel series' power tables, one per power-of-two shift (see ``_hyp0f1``). The tables are
     kept when the levels fit in one block of _SERIES_BLOCK, so a fit that
     evaluates all its steps at one histogram builds each once, while a
     larger array keeps its bounded blocks."""
@@ -207,10 +200,6 @@ class _Levels:
     @functools.cached_property
     def root_g(self):
         return np.sqrt(self.g)
-
-    @functools.cached_property
-    def root_g_max(self):
-        return self.root_g.max(initial=0.0)
 
     def powers(self, shift, start):
         # u^0 .. u^(_SERIES_TERMS - 1) along the last axis, u = g 2^-shift
@@ -267,19 +256,15 @@ def _density(kappa, mu, gbar, levels):
         lf = nu * levels.log_g
         lf -= rate * g
         lf += c0
-        # x / 2 = root sqrt(g) rounds monotonically in root and g, so no
-        # element passes the series' range unless the largest does
-        limit, top = 0.5 * _SERIES_RANGE, root.max()
-        far = root * levels.root_g > limit if top * levels.root_g_max > limit else None
-        if top > 0.0:  # kappa = 0 rows alone: 0F1 = 1
+        # each element by its own x / 2 = root sqrt(g)
+        far = root * levels.root_g > 0.5 * _SERIES_RANGE
+        if (root > 0.0).any():  # kappa = 0 rows alone: 0F1 = 1
             log_f = _hyp0f1(mu, root * root, levels)
             np.log(log_f, out=log_f)
             lf += log_f
-            finite = np.isfinite(log_f)
-            if not finite.all():
-                far = ~finite if far is None else far | ~finite
-            del log_f, finite
-        if far is not None and far.any():
+            far |= ~np.isfinite(log_f)
+            del log_f
+        if far.any():
             lf[far] = _bessel_form(kappa, mu, gbar, root, levels, far)
         out = np.where(lf > -745.0, np.exp(lf), 0.0)
     return out.reshape(levels.shape) if scalar else out
@@ -348,16 +333,14 @@ def _hyp0f1(b, s, levels):
     # u < 2. Each row is one einsum contraction over k of its terms,
     # whatever the other rows, and levels go in blocks of _SERIES_BLOCK.
     e = -np.frexp(s / (0.5 * _SERIES_RANGE) ** 2)[1]
+    k = np.arange(1.0, _SERIES_TERMS)
     coef = np.empty((s.shape[0], _SERIES_TERMS))
     coef[:, 0] = 1.0
-    coef[:, 1:] = np.ldexp(s, e) / (_K * (b + _K_LESS_1))
+    coef[:, 1:] = np.ldexp(s, e) / (k * (b + (k - 1.0)))
     np.cumprod(coef, axis=1, out=coef)
     size = levels.g.size
-    shifts = set(e[:, 0].tolist())
-    if len(shifts) == 1 and size <= _SERIES_BLOCK:
-        return np.einsum("rk,jk->rj", coef, levels.powers(shifts.pop(), 0))
     out = np.empty((s.shape[0], size))
-    for shift in shifts:
+    for shift in set(e[:, 0].tolist()):
         at = e[:, 0] == shift
         terms = coef[at]
         for start in range(0, size, _SERIES_BLOCK):

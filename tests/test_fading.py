@@ -249,6 +249,24 @@ class TestRowBatches:
             out = self.envelope_rows([self.ROWS[i] for i in pick], 0.37)
             assert np.array_equal(out, full[pick])
 
+    def test_nan_level_beside_far_levels(self):
+        # a NaN level moves no other level off its path: at kappa 4, SNR 50
+        # and envelope 5 lie past x = 30 with densities far from 0, SNR 5
+        # and envelope 0.5 within it, and every level keeps its scalar
+        # call's value, in one row and in a batch
+        rows = [(4.0, 1.0), (50.0, 2.5), (0.0, 0.7)]
+        levels = np.array([np.nan, 0.5, 5.0, 50.0, 1e3])
+        batch = fading._density(*self.columns(rows), 1.0, fading._Levels(levels))
+        env_batch = fading._envelope(*self.columns(rows), fading._EnvelopeLevels(levels, 1.0))
+        for (kappa, mu), row, env_row in zip(rows, batch, env_batch):
+            p = KappaMuParams(kappa, mu, 1.0)
+            snr, env = fading.snr_pdf(p, levels), fading.envelope_pdf(p, levels)
+            assert np.isnan(env[0]) and np.isnan(env_row[0])
+            for i, level in enumerate(levels[1:].tolist(), 1):
+                assert snr[i] == row[i] == fading.snr_pdf(p, level), (kappa, mu, level)
+                assert env[i] == env_row[i] == fading.envelope_pdf(p, level), (kappa, mu, level)
+        assert batch[0, 3] > 1e-90 and env_batch[0, 2] > 1e-90
+
 
     # rows in four power-of-two buckets of the Bessel series, two rows
     # sharing one; at these levels the Bessel arguments of the kappa 1.9
