@@ -154,12 +154,10 @@ _TINY = np.finfo(float).tiny
 
 
 def _per_row(fn, *params):
-    # fn, a function of scalars built on math, at scalar params, or row by
-    # row down columns of them, broadcast together: numpy's log and lgamma
-    # may round otherwise than math's, and a row must equal the scalar call
-    # bit for bit. An fn that returns a tuple gives one array per entry.
-    if all(np.ndim(p) == 0 for p in params):
-        return fn(*params)
+    # fn, a function of scalars built on math, row by row down columns of
+    # params broadcast together: numpy's log and lgamma may round otherwise
+    # than math's, and a row must equal the scalar call bit for bit. An fn
+    # that returns a tuple gives one array per entry.
     rows = np.broadcast_arrays(*params)
     table = np.array([fn(*row) for row in zip(*(p.ravel().tolist() for p in rows))])
     return table.T.reshape(table.shape[1:] + rows[0].shape)
@@ -183,18 +181,28 @@ def _bessel_form_constants(kappa, mu, gbar):
 
 
 class _Levels:
-    """Levels g > 0 that densities are evaluated at, held flat with the
+    """Levels g >= 0 that densities are evaluated at, held flat with the
     shape they came in, with what depends on them alone: ln g, and on
-    first use sqrt g and the Bessel series' power tables, one per power-of-two shift (see ``_hyp0f1``). The tables are
-    kept when the levels fit in one block of _SERIES_BLOCK, so a fit that
-    evaluates all its steps at one histogram builds each once, while a
-    larger array keeps its bounded blocks."""
+    first use sqrt g and the Bessel series' power tables, one per
+    power-of-two shift (see ``_hyp0f1``). The tables are kept when the
+    levels fit in one block of _SERIES_BLOCK, so a fit that evaluates all
+    its steps at one histogram builds each once, while a larger array
+    keeps its bounded blocks.
 
-    def __init__(self, g):
+    A caller that changes variables gives ``log_g``, exact where g itself
+    underflows to 0, a power ``delta`` and a log weight ``weight`` (a
+    scalar, or one value per level): ``_density`` then gives f(g) g^delta
+    e^weight, all in its one log-domain line."""
+
+    def __init__(self, g, log_g=None, delta=0.0, weight=0.0):
         self.shape = g.shape
         self.g = g.ravel()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.log_g = np.log(self.g)
+        if log_g is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_g = np.log(self.g)
+        self.log_g = np.ravel(log_g)
+        self.delta = delta
+        self.weight = weight
         self.tables = {} if self.g.size <= _SERIES_BLOCK else None
 
     @functools.cached_property
@@ -220,42 +228,47 @@ class _Levels:
 
 
 class _EnvelopeLevels(_Levels):
-    """Envelope levels r >= 0 at RMS level r_hat as density levels: g =
-    rho^2, rho = r / r_hat, taken as 1 where rho^2 underflows to 0 (see
-    ``_envelope``), with the factor 2 rho / r_hat of the envelope law."""
+    """Envelope levels r >= 0 at RMS level r_hat as density levels g =
+    rho^2, rho = r / r_hat, with ln g = 2 ln rho, exact also where rho^2
+    underflows, and the envelope law's factor 2 rho / r_hat as g^(1/2)
+    e^w, w = ln 2 - ln r_hat."""
 
     def __init__(self, r, r_hat):
-        self.r_hat = r_hat
-        self.rho = r / r_hat
-        g = self.rho * self.rho
-        self.under = g == 0.0
-        self.factor = 2.0 * self.rho / r_hat
-        super().__init__(np.where(self.under, 1.0, g))
+        with np.errstate(over="ignore", divide="ignore"):
+            rho = r / r_hat
+            super().__init__(rho * rho, 2.0 * np.log(rho), 0.5,
+                             math.log(2.0) - math.log(r_hat))
 
 
 def _density(kappa, mu, gbar, levels):
-    # kappa-mu SNR density at _Levels g > 0; kappa, mu and gbar scalars (one
-    # channel, returned in the levels' shape) or (rows, 1) columns against
-    # 1-D levels, one channel per row, each row equal to the scalar call
-    # bit for bit whatever else is in the batch. Each element takes its
-    # path by its own Bessel argument x = 2 root sqrt(g) (_row_constants).
-    # Up to _SERIES_RANGE, I_(mu-1) as its power series (DLMF 10.25.2)
-    # folds into the density's other factors: ln f = c0 + nu ln g - rate g
-    # + ln 0F1(; mu; root^2 g), with ln 0F1 inside the exponent, as the
-    # density may be normal where the rest alone is subnormal. kappa = 0,
-    # the exact gamma law with shape mu and mean gbar, is that form with
-    # 0F1 = 1. Past _SERIES_RANGE, or where 0F1 overflows (mu below about
-    # 1e-290), the form with the scaled Bessel factor of _bessel_form.
+    # kappa-mu SNR density f at _Levels g, times g^delta e^weight of the
+    # levels; kappa, mu and gbar scalars (one channel, returned in the
+    # levels' shape) or (rows, 1) columns against 1-D levels, one channel
+    # per row, each row equal to the scalar call bit for bit whatever else
+    # is in the batch. Each element takes its path by its own Bessel
+    # argument x = 2 root sqrt(g) (_row_constants). Up to _SERIES_RANGE,
+    # I_(mu-1) as its power series (DLMF 10.25.2) folds into the density's
+    # other factors: ln f g^delta e^weight = c0 + (nu + delta) ln g - rate
+    # g + weight + ln 0F1(; mu; root^2 g), with ln 0F1 inside the exponent,
+    # as the density may be normal where the rest alone is subnormal. The
+    # line is exact wherever ln g is, also where g underflows to 0, and
+    # holds at g = 0 itself with g^0 = 1. kappa = 0, the exact gamma law
+    # with shape mu and mean gbar, is that form with 0F1 = 1. Past
+    # _SERIES_RANGE, or where 0F1 overflows (mu below about 1e-290), the
+    # form with the scaled Bessel factor of _bessel_form.
     scalar = all(np.ndim(v) == 0 for v in (kappa, mu, gbar))
     if scalar:
         kappa, mu, gbar = (np.full((1, 1), v, dtype=float) for v in (kappa, mu, gbar))
     c0, nu, rate, root = _per_row(_row_constants, kappa, mu, gbar)
     g = levels.g
+    power = nu + levels.delta
     # beyond the range of a double, terms overflow to the density's limits
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lf = nu * levels.log_g
+        lf = power * levels.log_g
+        lf[(power == 0.0)[:, 0]] = 0.0  # g^0 = 1, also at g = 0
         lf -= rate * g
         lf += c0
+        lf += levels.weight
         # each element by its own x / 2 = root sqrt(g)
         far = root * levels.root_g > 0.5 * _SERIES_RANGE
         if (root > 0.0).any():  # kappa = 0 rows alone: 0F1 = 1
@@ -271,11 +284,12 @@ def _density(kappa, mu, gbar, levels):
 
 
 def _bessel_form(kappa, mu, gbar, root, levels, far):
-    # ln f at the elements of levels where far is set, as the density's
-    # Bessel form with the scaled factor e^-x I_(mu-1)(x), x = 2 root
-    # sqrt(g), of _log_bessel_ie; kappa, mu, gbar and root (rows, 1) columns
-    # or single values. Element by element in place, which bounds the peak
-    # on large arrays, with single values kept scalar.
+    # ln f g^delta e^weight at the elements of levels where far is set,
+    # with the density's Bessel form with the scaled factor e^-x
+    # I_(mu-1)(x), x = 2 root sqrt(g), of _log_bessel_ie; kappa, mu, gbar
+    # and root (rows, 1) columns or single values. Element by element in
+    # place, which bounds the peak on large arrays, with single values kept
+    # scalar.
     head, log_kappa, root_kappa = _per_row(_bessel_form_constants, kappa, mu, gbar)
     r, c = np.nonzero(far)
     k, m, gb, hd, lk, rk, rt = (np.ravel(v)[r] if np.size(v) > 1 else np.ravel(v)[0]
@@ -305,6 +319,8 @@ def _bessel_form(kappa, mu, gbar, root, levels, far):
     out -= d
     del d
     out += _log_bessel_ie(m - 1.0, x)
+    out += levels.delta * levels.log_g[c]
+    out += np.broadcast_to(levels.weight, levels.g.shape)[c]
     return out
 
 
@@ -364,12 +380,13 @@ def _powers(u):
     return table
 
 
-def _as_input(name, x):
-    # float array of a nonnegative argument, the scalar error message kept
+def _as_input(requires, x):
+    # float array of a nonnegative argument, NaN refused; the error reads
+    # "<requires> >= 0, got <the first bad value>"
     arr = np.asarray(x, dtype=float)
-    negative = arr < 0.0
-    if negative.any():
-        raise ValueError(f"{name} requires gamma >= 0, got {arr[negative].flat[0]}")
+    bad = ~(arr >= 0.0)
+    if bad.any():
+        raise ValueError(f"{requires} >= 0, got {arr[bad].flat[0]}")
     return arr
 
 
@@ -380,17 +397,11 @@ def _as_output(arr):
 
 def snr_pdf(params, gamma):
     """SNR density of a kappa-mu channel at ``gamma`` (scalar or array)."""
-    g = _as_input("snr_pdf", gamma)
-    kappa, mu, gbar = params.kappa, params.mu, params.gamma_bar
-    origin = g == 0.0
-    if not origin.any():
-        return _as_output(_density(kappa, mu, gbar, _Levels(g)))
-    if mu < 1.0:
+    g = _as_input("snr_pdf requires gamma", gamma)
+    if params.mu < 1.0 and (g == 0.0).any():
         raise ValueError("the density diverges at gamma = 0 for mu < 1; "
                          "evaluate at gamma > 0")
-    at_origin = 0.0 if mu > 1.0 else math.exp(_log_origin_coefficient(kappa, mu)) / gbar
-    dens = _density(kappa, mu, gbar, _Levels(np.where(origin, 1.0, g)))
-    return _as_output(np.where(origin, at_origin, dens))
+    return _as_output(_density(params.kappa, params.mu, params.gamma_bar, _Levels(g)))
 
 
 def snr_cdf(params, gamma):
@@ -399,7 +410,7 @@ def snr_cdf(params, gamma):
     the noncentral chi-square law with 2 mu degrees of freedom and
     noncentrality 2 kappa mu at 2 (1+kappa) mu gamma / gamma_bar, and the
     gamma law at kappa = 0."""
-    g = _as_input("snr_cdf", gamma)
+    g = _as_input("snr_cdf requires gamma", gamma)
     return _as_output(_distribution(params.kappa, params.mu, params.gamma_bar, g))
 
 
@@ -458,9 +469,9 @@ def envelope_pdf(params, r, r_hat=1.0):
     times 2 rho / r_hat."""
     if not r_hat > 0.0:
         raise ValueError("r_hat must be positive")
-    rv = np.asarray(r, dtype=float)
-    if (rv < 0.0).any():
-        raise ValueError("envelope level must be >= 0")
+    rv = _as_input("envelope_pdf requires r", r)
+    if params.mu < 0.5 and (rv == 0.0).any():
+        raise ValueError("the envelope density diverges at r = 0 for mu < 0.5")
     return _as_output(_envelope(params.kappa, params.mu, _EnvelopeLevels(rv, r_hat)))
 
 
@@ -468,20 +479,7 @@ def _envelope(kappa, mu, levels):
     # envelope_pdf at _EnvelopeLevels, kappa and mu scalars or (rows, 1)
     # columns broadcast against 1-D levels (one channel per row, as
     # _density takes them); each row equals the scalar call
-    dens = levels.factor * _density(kappa, mu, 1.0, levels)
-    if not levels.under.any():
-        return dens
-    # r = 0, or rho^2 below the smallest double: the leading term
-    # 2 C rho^(2 mu - 1) / r_hat of the small-r law is then exact; taken in
-    # the log domain, where C alone may overflow
-    rho = levels.rho
-    if (np.asarray(mu) < 0.5).any() and (rho[levels.under] == 0.0).any():
-        raise ValueError("the envelope density diverges at r = 0 for mu < 0.5")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # rho^0 = 1 at mu = 0.5, also at rho = 0
-        power = np.where(mu == 0.5, 0.0, (2.0 * mu - 1.0) * np.log(rho))
-        small = 2.0 * np.exp(_per_row(_log_origin_coefficient, kappa, mu) + power) / levels.r_hat
-    return np.where(levels.under, small, dens)
+    return _density(kappa, mu, 1.0, levels)
 
 
 def make_special_case(name, *, K=None, m=None, kappa=None, mu=None, gamma_bar=1.0):

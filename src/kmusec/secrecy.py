@@ -245,11 +245,6 @@ _ROUNDING_ULPS = 8
 #: equal pieces of (0, 1) in the first quadrature pass
 _INITIAL_PIECES = 8
 
-#: below x / gamma_bar_E = 1e-100 the eavesdropper density equals its
-#: leading term C x^(mu - 1) / gamma_bar^mu to far below double precision,
-#: and the outage integrand is evaluated from that term
-_ORIGIN_LAW = 1e-100
-
 
 def _gauss_kronrod(integrand, quad_ctl, points=1):
     """Adaptive G10K21 quadrature over (0, 1) of ``points`` integrands at
@@ -353,11 +348,15 @@ def sop_exact_many(pairs, quad_ctl=None):
     for mu_E <= 1, bounded where the density diverges, and 2 C u^(2 mu_E - 1)
     above, smooth enough that the rule converges fast. Scaling by
     gamma_bar_E keeps the body of the law near t = 1/2 at any mean SNR.
-    The eavesdropper density is evaluated once per distinct channel on its
-    distinct nodes, which pairs of a sweep share. ``est_error`` adds the
-    errors of the density and distribution function and a rounding floor
-    to the quadrature estimate; ``terms_k`` counts integrand evaluations.
-    A rate beyond ``_RATE_SATURATION`` gives 1 without quadrature."""
+    The density and the Jacobian dgamma_E/dt = gamma_E (1+u) / (m t) are
+    one log-domain line of ``fading._density``, at ln gamma_E = ln
+    gamma_bar_E + ln(u) / m, exact also where gamma_E underflows, with
+    power 1 and weight ln(1+u) - ln m - ln t. It is evaluated once per
+    distinct eavesdropper channel on its distinct nodes, which pairs of a
+    sweep share. ``est_error`` adds the errors of the density and
+    distribution function and a rounding floor to the quadrature
+    estimate; ``terms_k`` counts integrand evaluations. A rate beyond
+    ``_RATE_SATURATION`` gives 1 without quadrature."""
     quad_ctl = quad_ctl or QuadSpec()
     pairs = list(pairs)
     results = [EvalResult(value=1.0, terms_k=0, terms_l=0, est_error=0.0,
@@ -370,37 +369,32 @@ def sop_exact_many(pairs, quad_ctl=None):
     index = {}  # distinct eavesdropper channels, numbered in order of appearance
     channel = np.array([index.setdefault(eve, len(index)) for eve in eves])
     channels = list(index)
-    m = np.array([0.5 * min(eve.mu, 1.0) for eve in eves])
-    # the leading law only reaches nodes with u < 1e-100^m; above mu_E = 1
-    # (u < 1e-50) it is zero to double precision
-    origin = np.array([math.exp(fading._log_origin_coefficient(eve.kappa, eve.mu)) / mi
-                       if eve.mu <= 1.0 else 0.0 for eve, mi in zip(eves, m)])
-    power = np.array([eve.mu for eve in eves]) / m - 1.0
-    gbar_e = np.array([eve.gamma_bar for eve in eves])
     ers = np.array([math.exp(pairs[i].rate) for i in todo])
     offset = np.array([math.expm1(pairs[i].rate) for i in todo])
     kappa_m, mu_m, gbar_m = (np.array(v) for v in zip(
         *((main.kappa, main.mu, main.gamma_bar) for main in mains)))
 
+    def levels(eve, t):
+        # one eavesdropper channel's nodes t as density levels x, with the
+        # map's Jacobian x (1 + u) / (m t) as x^1 e^w
+        m = 0.5 * min(eve.mu, 1.0)
+        u = t / (1.0 - t)
+        return fading._Levels(eve.gamma_bar * u ** (1.0 / m),
+                              math.log(eve.gamma_bar) + np.log(u) / m, 1.0,
+                              np.log1p(u) - math.log(m) - np.log(t))
+
     def integrand(owner, t):
-        # f_E(x) dx/dt F_M(e^R (1 + x) - 1), dx/dt = x (1 + u) / (m t)
-        rows = np.broadcast_to(owner[:, None], t.shape)  # point of each node
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u = t / (1.0 - t)
-            s = u ** (1.0 / m)[owner, None]
-            x = gbar_e[owner, None] * s
-            small = s < _ORIGIN_LAW
-            dens = np.zeros(t.shape)
-            us, at = u[small], rows[small]
-            dens[small] = origin[at] * us ** power[at] * (1.0 + us) ** 2
-            body = ~small & (x < math.inf)
-            xb, at = x[body], rows[body]
-            pdf = np.empty(xb.size)
+        # f_E(x) dx/dt F_M(e^R (1 + x) - 1)
+        rows = channel[owner]  # eavesdropper channel of each row of nodes
+        dens, x = np.empty(t.shape), np.empty(t.shape)
+        with np.errstate(over="ignore"):
             for c, eve in enumerate(channels):
-                sel = channel[at] == c if len(channels) > 1 else slice(None)
-                nodes, where = np.unique(xb[sel], return_inverse=True)
-                pdf[sel] = fading.snr_pdf(eve, nodes)[where]
-            dens[body] = pdf * xb * (1.0 + u[body]) / (m[at] * t[body])
+                sel = rows == c
+                nodes, where = np.unique(t[sel], return_inverse=True)
+                where = where.reshape(-1, t.shape[1])
+                at = levels(eve, nodes)
+                dens[sel] = fading._density(eve.kappa, eve.mu, eve.gamma_bar, at)[where]
+                x[sel] = at.g[where]
             threshold = offset[owner, None] + ers[owner, None] * x
         return dens * fading._distribution(kappa_m[owner, None], mu_m[owner, None],
                                            gbar_m[owner, None], threshold)

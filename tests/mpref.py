@@ -72,11 +72,24 @@ def snr_cdf(kappa, mu, gamma_bar, g):
 
 def sop_exact(main, eve, rate):
     """Pr(gamma_M <= e^R (1 + gamma_E) - 1) for (kappa, mu, gamma_bar)
-    triples ``main`` and ``eve``: the integral over gamma_E of the
-    eavesdropper density times the main distribution function."""
+    triples ``main`` and ``eve``: the integral of the eavesdropper density
+    times the main distribution function. Up to gamma_E = 50 gamma_bar_E
+    it is taken over v = (gamma_E / gamma_bar_E)^mu_E, in which the
+    density's law near the origin, C gamma_E^(mu_E - 1) /
+    gamma_bar_E^mu_E, becomes the bounded C / mu_E, which tanh-sinh
+    resolves also for mu_E < 1, where it diverges in gamma_E; the tail
+    beyond is taken over gamma_E itself."""
     with mp.workdps(DPS):
         ers = mp.exp(mp.mpf(rate))
-        gb = mp.mpf(eve[2])
-        cuts = [0] + [gb * c for c in (0.25, 1, 3, 8, 20, 50)] + [mp.inf]
-        return mp.quad(lambda x: snr_pdf(*eve, x) * snr_cdf(*main, ers * (1 + x) - 1),
-                       cuts)
+        mu, gb = mp.mpf(eve[1]), mp.mpf(eve[2])
+
+        def in_x(x):
+            return snr_pdf(*eve, x) * snr_cdf(*main, ers * (1 + x) - 1)
+
+        def in_v(v):
+            x = gb * v ** (1 / mu)
+            return in_x(x) * x / (mu * v)
+
+        cuts = (0.25, 1, 3, 8, 20, 50)
+        return (mp.quad(in_v, [0] + [mp.mpf(c) ** mu for c in cuts])
+                + mp.quad(in_x, [gb * cuts[-1], mp.inf]))

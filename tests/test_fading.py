@@ -93,6 +93,23 @@ class TestSnrPdf:
         with pytest.raises(ValueError):
             fading.snr_pdf(KappaMuParams(1.0, 1.0, 1.0), -0.3)
 
+    @pytest.mark.parametrize("kappa", [0.0, 4.0])
+    def test_edge_levels(self, kappa):
+        # C / gbar at the origin for mu = 1, C = (1 + kappa) e^-kappa, and 0
+        # above; 0 at an infinite level; NaN refused. RuntimeWarnings from
+        # the library fail the suite (pyproject.toml)
+        assert fading.snr_pdf(KappaMuParams(kappa, 1.0, 2.0), 0.0) == pytest.approx(
+            (1.0 + kappa) * math.exp(-kappa) / 2.0, rel=1e-15)
+        for mu in (0.7, 1.0, 2.5):
+            p = KappaMuParams(kappa, mu, 2.0)
+            assert fading.snr_pdf(p, math.inf) == 0.0
+            assert fading.snr_pdf(p, [1.0, math.inf])[1] == 0.0
+            if mu > 1.0:
+                assert fading.snr_pdf(p, 0.0) == 0.0
+            for fn in (fading.snr_pdf, fading.snr_cdf):
+                with pytest.raises(ValueError, match="got nan"):
+                    fn(p, [1.0, math.nan])
+
     def test_exact_zero_kappa_matches_epsilon(self):
         exact = KappaMuParams(0.0, 1.7, 2.0)
         eps = KappaMuParams(EPSILON_KAPPA, 1.7, 2.0)
@@ -260,11 +277,13 @@ class TestRowBatches:
         env_batch = fading._envelope(*self.columns(rows), fading._EnvelopeLevels(levels, 1.0))
         for (kappa, mu), row, env_row in zip(rows, batch, env_batch):
             p = KappaMuParams(kappa, mu, 1.0)
-            snr, env = fading.snr_pdf(p, levels), fading.envelope_pdf(p, levels)
-            assert np.isnan(env[0]) and np.isnan(env_row[0])
+            with pytest.raises(ValueError, match="got nan"):
+                fading.snr_pdf(p, levels)
+            with pytest.raises(ValueError, match="got nan"):
+                fading.envelope_pdf(p, levels)
             for i, level in enumerate(levels[1:].tolist(), 1):
-                assert snr[i] == row[i] == fading.snr_pdf(p, level), (kappa, mu, level)
-                assert env[i] == env_row[i] == fading.envelope_pdf(p, level), (kappa, mu, level)
+                assert row[i] == fading.snr_pdf(p, level), (kappa, mu, level)
+                assert env_row[i] == fading.envelope_pdf(p, level), (kappa, mu, level)
         assert batch[0, 3] > 1e-90 and env_batch[0, 2] > 1e-90
 
 
@@ -707,6 +726,23 @@ class TestEnvelopePdf:
         ref = mpref.envelope_pdf(kappa, 0.5, r_hat, mp.mpf("1e-20") * r_hat)
         got = fading.envelope_pdf(KappaMuParams(kappa, 0.5, 1.0), 0.0, r_hat)
         assert float(abs(got - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("kappa", [0.0, 4.0])
+    def test_edge_levels(self, kappa):
+        # rho = 1e-160 puts rho^2 among the subnormal doubles and 1e-170
+        # below them, where only ln rho^2 = 2 ln rho is exact; 0 at an
+        # infinite level; NaN refused
+        r_hat = 1.3
+        for mu in (0.05, 0.5, 0.7):
+            p = KappaMuParams(kappa, mu, 1.0)
+            for rho in ("1e-170", "1e-160"):
+                ref = mpref.envelope_pdf(kappa, mu, r_hat, mp.mpf(rho) * r_hat)
+                got = fading.envelope_pdf(p, float(mp.mpf(rho) * r_hat), r_hat)
+                assert float(abs(got - ref) / ref) <= 1e-12, (mu, rho)
+            assert fading.envelope_pdf(p, math.inf, r_hat) == 0.0
+            assert fading.envelope_pdf(p, [1.0, math.inf], r_hat)[1] == 0.0
+            with pytest.raises(ValueError, match="got nan"):
+                fading.envelope_pdf(p, [1.0, math.nan], r_hat)
 
     def test_origin_law_beyond_exp_range(self):
         # mu^mu / Gamma(mu) alone overflows a double at mu = 800

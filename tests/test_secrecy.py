@@ -310,6 +310,17 @@ class TestSopExact:
         assert miss <= res.est_error
         assert miss <= 1e-9
 
+    @pytest.mark.parametrize("main,eve", [
+        ((3.0, 1.0, 1.0), (1.0, 0.05, 1.0)),
+        ((5.02, 0.70, 10.0 ** 0.5), (7.17, 0.60, 1.0)),  # v2v's shapes at 5 dB
+    ])
+    def test_singular_eavesdropper_against_mpmath(self, main, eve):
+        # mu_E < 1: the eavesdropper density diverges at the origin; at
+        # mu_E 0.05 the first pass's smallest node has gamma_E near 1e-143
+        res = sop_exact(WiretapPair(KappaMuParams(*main), KappaMuParams(*eve), 0.1))
+        miss = float(abs(res.value - mpref.sop_exact(main, eve, 0.1)))
+        assert miss <= res.est_error
+
     @pytest.mark.parametrize("mu_e,expected", [
         (0.05, 0.1270258802734558), (0.2, 0.21622792139473293),
         (0.5, 0.2552539955119921), (0.92, 0.2658899241257522),
@@ -377,7 +388,7 @@ class TestSopExactMany:
         pairs += [
             pair(0.0, 1.7, 2.0, 1.0, 0.5, 1.0, rate=0.3),  # kappa_M = 0: gamma law
             pair(0.0, 0.6, 0.5, 0.0, 2.0, 1.0),
-            pair(3.0, 1.0, 1.0, 1.0, 0.05, 1.0, rate=0.1),  # the origin law
+            pair(3.0, 1.0, 1.0, 1.0, 0.05, 1.0, rate=0.1),  # gamma_E down to 1e-143
             pair(2.0, 1.3, 1.7, 2.0, 1.3, 1.7, rate=800.0),  # saturated
         ]
         order = np.random.default_rng(7).permutation(len(pairs))
@@ -386,30 +397,17 @@ class TestSopExactMany:
         assert batch == [sop_exact(pairs[i]) for i in order]
         assert batch[list(order).index(len(pairs) - 1)].terms_k == 0
 
-    def test_origin_law_is_reached(self, monkeypatch):
-        # mu_E = 0.05 puts first-pass nodes below x / gbar_E = 1e-100
-        reached = []
-        density = secrecy.fading.snr_pdf
-
-        def counted(params, gamma):
-            reached.append(np.size(gamma))
-            return density(params, gamma)
-
-        monkeypatch.setattr(secrecy.fading, "snr_pdf", counted)
-        sop_exact(pair(3.0, 1.0, 1.0, 1.0, 0.05, 1.0, rate=0.1))
-        assert reached[0] < secrecy._INITIAL_PIECES * secrecy._GK_NODES.size
-
     def test_density_once_per_distinct_node(self, monkeypatch):
         # a sweep over the main channel shares the eavesdropper and its
         # first-pass nodes: one density call over 168 nodes for all points
         sizes = []
-        density = secrecy.fading.snr_pdf
+        density = secrecy.fading._density
 
-        def counted(params, gamma):
-            sizes.append(np.size(gamma))
-            return density(params, gamma)
+        def counted(kappa, mu, gbar, levels):
+            sizes.append(levels.g.size)
+            return density(kappa, mu, gbar, levels)
 
-        monkeypatch.setattr(secrecy.fading, "snr_pdf", counted)
+        monkeypatch.setattr(secrecy.fading, "_density", counted)
         secrecy.sop_exact_many(self.sweep_pairs("gamma_bar_m_db", 41))
         assert sizes[0] == secrecy._INITIAL_PIECES * secrecy._GK_NODES.size
 
