@@ -269,8 +269,8 @@ class TestRowBatches:
     def test_nan_level_beside_far_levels(self):
         # a NaN level moves no other level off its path: at kappa 4, SNR 50
         # and envelope 5 lie past x = 30 with densities far from 0, SNR 5
-        # and envelope 0.5 within it, and every level keeps its scalar
-        # call's value, in one row and in a batch
+        # and envelope 0.5 within it, and every other level of a batch
+        # keeps its scalar call's value; the public functions refuse NaN
         rows = [(4.0, 1.0), (50.0, 2.5), (0.0, 0.7)]
         levels = np.array([np.nan, 0.5, 5.0, 50.0, 1e3])
         batch = fading._density(*self.columns(rows), 1.0, fading._Levels(levels))
