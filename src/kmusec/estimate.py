@@ -163,7 +163,7 @@ def _simplex_runs(centers, dens, r_hat):
         # one density row per point; each row's residual is its own dot
         # product, as a single point's would be
         kappa, mu = (np.array(col)[:, None] for col in zip(*points))
-        diff = fading._envelope(kappa, mu, levels) - dens
+        diff = fading._density(kappa, mu, 1.0, levels) - dens
         return [float(np.dot(row, row)) for row in diff]
 
     return _lockstep([_nelder_mead(start, (KAPPA_BOUNDS, MU_BOUNDS), maxiter=400,

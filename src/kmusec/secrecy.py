@@ -109,8 +109,8 @@ class ClosedFormParams:
 def secrecy_capacity(gamma_m, gamma_e):
     """Secrecy capacity in nats for one SNR realization: the positive
     part of ln(1+gamma_M) - ln(1+gamma_E)."""
-    if gamma_m < 0.0 or gamma_e < 0.0:
-        raise ValueError("SNRs must be >= 0")
+    if not (0.0 <= gamma_m < math.inf and 0.0 <= gamma_e < math.inf):
+        raise ValueError(f"SNRs must be finite and >= 0, got {gamma_m}, {gamma_e}")
     if gamma_m <= gamma_e:
         return 0.0
     return math.log1p(gamma_m) - math.log1p(gamma_e)
@@ -473,8 +473,9 @@ def spsc_rice_reference(K_m, K_e, gbar_m, gbar_e, ctl=None):
     """SPSC for Rice/Rice channels by the dedicated closed form
     (test oracle for the mu = 1 reduction)."""
     ctl = ctl or DEFAULT_CONTROL
-    if K_m <= 0.0 or K_e <= 0.0:
-        raise ValueError("Rice factors must be positive")
+    if not (0.0 < K_m < math.inf and 0.0 < K_e < math.inf):
+        raise ValueError(f"Rice factors must be finite and positive, got {K_m}, {K_e}")
+    _check_mean_snrs(gbar_m, gbar_e)
     a = 1.0 / gbar_m
     b = 1.0 / gbar_e
     den = b * (1.0 + K_e) + a * (1.0 + K_m)
@@ -492,6 +493,10 @@ def spsc_rice_reference(K_m, K_e, gbar_m, gbar_e, ctl=None):
 
 def spsc_rayleigh_reference(gbar_m, gbar_e):
     """SPSC for Rayleigh/Rayleigh channels: gbar_M / (gbar_M + gbar_E)."""
-    if gbar_m <= 0.0 or gbar_e <= 0.0:
-        raise ValueError("mean SNRs must be positive")
+    _check_mean_snrs(gbar_m, gbar_e)
     return gbar_m / (gbar_m + gbar_e)
+
+
+def _check_mean_snrs(gbar_m, gbar_e):
+    if not (0.0 < gbar_m < math.inf and 0.0 < gbar_e < math.inf):
+        raise ValueError(f"mean SNRs must be finite and positive, got {gbar_m}, {gbar_e}")

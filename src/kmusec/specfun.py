@@ -39,15 +39,27 @@ class MarcumResult:
     est_error: float
 
 
+def _finite(fn, **args):
+    # the arguments as floats, in order; NaN and +-inf refused, naming fn
+    # and the argument
+    out = []
+    for name, value in args.items():
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"{fn} requires a finite {name}, got {value}")
+        out.append(value)
+    return out
+
+
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
-    return _k.log_gamma(float(x))
+    (x,) = _finite("log_gamma", x=x)
+    return _k.log_gamma(x)
 
 
 def upper_incomplete_gamma(s, x):
     """Upper incomplete gamma Gamma(s, x) for s > 0, x >= 0."""
-    s = float(s)
-    x = float(x)
+    s, x = _finite("upper_incomplete_gamma", s=s, x=x)
     q = _k.gammainc_upper_reg(s, x)
     if q == 0.0:
         return 0.0
@@ -60,12 +72,12 @@ def bessel_i(v, x):
     Supports orders v > -1 plus negative integers (mapped through
     I_{-n} = I_n). Overflows to inf around x ~ 700 like the true value.
     """
-    return _k.bessel_i(float(v), float(x))
+    return _k.bessel_i(*_finite("bessel_i", v=v, x=x))
 
 
 def bessel_i_scaled(v, x):
     """Overflow-safe variant e^-x I_v(x)."""
-    return _k.bessel_ie(float(v), float(x))
+    return _k.bessel_ie(*_finite("bessel_i_scaled", v=v, x=x))
 
 
 def gauss_2f1(a, b, c, z, ctl=None):
@@ -74,13 +86,22 @@ def gauss_2f1(a, b, c, z, ctl=None):
     Raises ConvergenceError if the series cap is reached first.
     """
     ctl = ctl or DEFAULT_CONTROL
-    c = float(c)
-    z = float(z)
+    a, b, c, z = _finite("gauss_2f1", a=a, b=b, c=c, z=z)
     if c <= 0.0:
         raise ValueError(f"gauss_2f1 requires c > 0, got {c}")
     if not 0.0 <= z < 1.0:
         raise ValueError(f"gauss_2f1 requires 0 <= z < 1, got {z}")
-    return _k.gauss_2f1(float(a), float(b), c, z, 1e-12, ctl.max_terms)
+    return _k.gauss_2f1(a, b, c, z, 1e-12, ctl.max_terms)
+
+
+def _marcum_args(fn, m, alpha, beta):
+    # finite m > 0 and alpha, beta >= 0 as floats
+    m, alpha, beta = _finite(fn, m=m, alpha=alpha, beta=beta)
+    if m <= 0.0:
+        raise ValueError(f"{fn} requires m > 0, got {m}")
+    if alpha < 0.0 or beta < 0.0:
+        raise ValueError(f"{fn} requires alpha, beta >= 0")
+    return m, alpha, beta
 
 
 def marcum_q(m, alpha, beta, ctl=None):
@@ -91,13 +112,7 @@ def marcum_q(m, alpha, beta, ctl=None):
 def marcum_q_detail(m, alpha, beta, ctl=None):
     """Marcum Q with term count and a rigorous truncation-error bound."""
     ctl = ctl or DEFAULT_CONTROL
-    m = float(m)
-    alpha = float(alpha)
-    beta = float(beta)
-    if m <= 0.0:
-        raise ValueError(f"marcum_q requires m > 0, got {m}")
-    if alpha < 0.0 or beta < 0.0:
-        raise ValueError("marcum_q requires alpha, beta >= 0")
+    m, alpha, beta = _marcum_args("marcum_q", m, alpha, beta)
     value, terms, est = _k.marcum_q_series(m, alpha, beta, ctl.abs_tol, ctl.max_terms)
     return MarcumResult(value=value, terms=terms, est_error=est)
 
@@ -109,13 +124,7 @@ def marcum_q_reference(m, alpha, beta):
     """
     from scipy.integrate import quad
 
-    m = float(m)
-    alpha = float(alpha)
-    beta = float(beta)
-    if m <= 0.0:
-        raise ValueError(f"marcum_q_reference requires m > 0, got {m}")
-    if alpha < 0.0 or beta < 0.0:
-        raise ValueError("marcum_q_reference requires alpha, beta >= 0")
+    m, alpha, beta = _marcum_args("marcum_q_reference", m, alpha, beta)
     if beta == 0.0:
         return 1.0
     if alpha == 0.0:

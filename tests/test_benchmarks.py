@@ -23,6 +23,32 @@ def run_script(name, *argv):
     return json.loads(proc.stdout)
 
 
+_BINDINGS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+import kmusec
+patches = tracer.Patches(tracer.Tracer())
+with patches:
+    pass
+assert patches.swaps
+assert isinstance(kmusec.backend_name(), str)
+"""
+
+
+def test_harness_bindings_exist():
+    # the traced benchmark run wraps library names at their modules
+    # (kmubench/tracer.py) and every timed run calls backend_name(): a
+    # library change that removes one of them fails here, not in the harness
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", _BINDINGS, os.path.join(ROOT, "kmubench")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bench_sweep_split_runs():
     out = run_script("bench_sweep_split.py", "--reps", "1")
     sweeps = [f"{preset} gamma_bar_m_db" for preset in

@@ -62,6 +62,13 @@ COMMANDS = [
     ["fit", "--trace", "{traces}/nakagami.kmu"],
     # kappa well above 0 and mu above 1: a positive Bessel order
     ["fit", "--trace", "{traces}/rice.kmu"],
+    # sweeps and an exact SOP from kappa = 0 exactly: the gamma law
+    ["sweep", "--preset", "ban", "--gbar-m-db", "5", "--variable", "kappa_m",
+     "--start", "0", "--stop", "3", "--steps", "4"],
+    ["sweep", "--preset", "ban", "--gbar-m-db", "5", "--variable", "kappa_e",
+     "--start", "0", "--stop", "3", "--steps", "4"],
+    ["sop", "--km", "0", "--um", "1.5", "--ke", "0", "--ue", "0.7",
+     "--gbar-m-db", "3", "--rate-nats", "0.2"],
 ]
 
 #: traces for the fit commands: file name -> (kappa, mu, seed, kind),

@@ -235,7 +235,7 @@ class TestRowBatches:
         return (np.array([[v] for v in col]) for col in zip(*rows))
 
     def envelope_rows(self, rows, r_hat):
-        return fading._envelope(*self.columns(rows), fading._EnvelopeLevels(self.LEVELS, r_hat))
+        return fading._density(*self.columns(rows), 1.0, fading._EnvelopeLevels(self.LEVELS, r_hat))
 
     def test_paths_covered(self):
         g = (self.LEVELS / 0.37) ** 2
@@ -274,7 +274,7 @@ class TestRowBatches:
         rows = [(4.0, 1.0), (50.0, 2.5), (0.0, 0.7)]
         levels = np.array([np.nan, 0.5, 5.0, 50.0, 1e3])
         batch = fading._density(*self.columns(rows), 1.0, fading._Levels(levels))
-        env_batch = fading._envelope(*self.columns(rows), fading._EnvelopeLevels(levels, 1.0))
+        env_batch = fading._density(*self.columns(rows), 1.0, fading._EnvelopeLevels(levels, 1.0))
         for (kappa, mu), row, env_row in zip(rows, batch, env_batch):
             p = KappaMuParams(kappa, mu, 1.0)
             with pytest.raises(ValueError, match="got nan"):
@@ -285,6 +285,19 @@ class TestRowBatches:
                 assert row[i] == fading.snr_pdf(p, level), (kappa, mu, level)
                 assert env_row[i] == fading.envelope_pdf(p, level), (kappa, mu, level)
         assert batch[0, 3] > 1e-90 and env_batch[0, 2] > 1e-90
+
+    def test_distribution_rows_mixing_zero_kappa(self):
+        # kappa = 0 rows (the gamma law) beside kappa > 0 rows, as an exact
+        # SOP sweep of kappa_m from 0 batches them
+        rows = [(0.0, 0.7), (2.0, 1.0), (0.0, 3.0), (1e-6, 10.0)]
+        gbar = np.array([[1.0], [0.5], [2.0], [10.0]])
+        g = np.array([0.0, 1e-300, 1e-6, 0.3, 1.0, 2.5, 40.0, 1e3, np.inf])
+        out = fading._distribution(*self.columns(rows), gbar, g)
+        assert out.shape == (len(rows), g.size)
+        for (kappa, mu), gb, row in zip(rows, gbar[:, 0], out):
+            scalar = fading.snr_cdf(KappaMuParams(kappa, mu, gb), g)
+            assert np.array_equal(row, scalar), (kappa, mu, gb)
+            assert row[0] == 0.0 and row[-1] == 1.0
 
 
     # rows in four power-of-two buckets of the Bessel series, two rows
@@ -340,13 +353,13 @@ class TestRowBatches:
         assert (x > fading._SERIES_RANGE).any(axis=1).tolist() == [False, True, True, True, False]
         assert len(set(self.shifts(kappa, mu)[:, 0].tolist())) == 4
         levels = fading._EnvelopeLevels(r, r_hat)
-        first = fading._envelope(kappa, mu, levels)
+        first = fading._density(kappa, mu, 1.0, levels)
         built = dict(levels.tables)
         assert len(built) == 4
         powered = []
         powers = fading._powers
         monkeypatch.setattr(fading, "_powers", lambda u: powered.append(u) or powers(u))
-        second = fading._envelope(kappa, mu, levels)
+        second = fading._density(kappa, mu, 1.0, levels)
         assert powered == []
         assert all(levels.tables[shift] is table for shift, table in built.items())
         for (k, m), a, b in zip(self.SERIES_ROWS, first, second):
@@ -366,12 +379,12 @@ class TestRowBatches:
         assert corners.tolist() == [36, -11] and set(e.tolist()) == set(range(-11, 37))
         pick = [e.tolist().index(shift) for shift in range(-11, 37)]
         r = np.linspace(1e-3, 3.0, fading._SERIES_BLOCK)
-        fading._envelope(kappa[pick], mu[pick], fading._EnvelopeLevels(r, 1.0))  # lazy imports
+        fading._density(kappa[pick], mu[pick], 1.0, fading._EnvelopeLevels(r, 1.0))  # lazy imports
         tracemalloc.start()
         try:
             levels = fading._EnvelopeLevels(r, 1.0)
             before = tracemalloc.get_traced_memory()[0]
-            fading._envelope(kappa[pick], mu[pick], levels)
+            fading._density(kappa[pick], mu[pick], 1.0, levels)
             stored = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

@@ -513,6 +513,19 @@ class TestReferenceReductions:
         with pytest.raises(ValueError):
             spsc_rayleigh_reference(-1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn,args", [
+        (secrecy_capacity, (2.0, 1.0)),
+        (spsc_rice_reference, (2.0, 1.5, 1.0, 1.0)),
+        (spsc_rayleigh_reference, (1.0, 2.0)),
+    ])
+    def test_non_finite_input_refused(self, fn, args, bad):
+        # as KappaMuParams refuses it: no NaN result, no ConvergenceError
+        fn(*args)
+        for i in range(len(args)):
+            with pytest.raises(ValueError, match="must be finite"):
+                fn(*args[:i], bad, *args[i + 1:])
+
 
 class TestSeriesControlPropagation:
     def test_loose_control_converges_faster(self):

@@ -248,3 +248,29 @@ class TestMarcumQReference:
         res = specfun.marcum_q_detail(m, alpha, beta)
         oracle = specfun.marcum_q_reference(m, alpha, beta)
         assert res.est_error >= abs(res.value - oracle) - 1e-12
+
+
+#: each public function with valid arguments by name, and the name its
+#: errors give
+_PUBLIC = [
+    (specfun.log_gamma, "log_gamma", dict(x=2.0)),
+    (specfun.upper_incomplete_gamma, "upper_incomplete_gamma", dict(s=1.5, x=0.7)),
+    (specfun.bessel_i, "bessel_i", dict(v=1.0, x=2.0)),
+    (specfun.bessel_i_scaled, "bessel_i_scaled", dict(v=1.0, x=2.0)),
+    (specfun.gauss_2f1, "gauss_2f1", dict(a=1.0, b=2.0, c=2.5, z=0.3)),
+    (specfun.marcum_q, "marcum_q", dict(m=1.0, alpha=1.0, beta=1.0)),
+    (specfun.marcum_q_detail, "marcum_q", dict(m=1.0, alpha=1.0, beta=1.0)),
+    (specfun.marcum_q_reference, "marcum_q_reference", dict(m=1.0, alpha=1.0, beta=1.0)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn,name,args,arg", [
+    pytest.param(fn, name, args, arg, id=f"{fn.__name__}-{arg}")
+    for fn, name, args in _PUBLIC for arg in args])
+def test_non_finite_arguments_refused(fn, name, args, arg, bad):
+    # refused before any kernel runs: no ConvergenceError after a term cap,
+    # no leaked conversion error and no finite value at an infinite argument
+    fn(**args)  # the valid arguments pass
+    with pytest.raises(ValueError, match=f"^{name} requires a finite {arg}, got {bad}$"):
+        fn(**dict(args, **{arg: bad}))
