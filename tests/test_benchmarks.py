@@ -1,6 +1,8 @@
 """Smoke tests for the scripts in ``benchmarks/``: they must keep running
 against the library, and ``bench_backends`` must keep offering what the
-benchmark harness (``kmubench/twin.py``) imports from it."""
+benchmark harness (``kmubench/twin.py``) imports from it. The library in
+turn must keep the names the harness's tracer (``kmubench/tracer.py``)
+binds."""
 import importlib.util
 import json
 import os
@@ -11,14 +13,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHMARKS = os.path.join(ROOT, "benchmarks")
 
 
-def run_script(name, *argv):
-    """Run a benchmark script on this checkout's library; its JSON output."""
+def library_env():
+    """The environment with this checkout's library first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def run_script(name, *argv):
+    """Run a benchmark script on this checkout's library; its JSON output."""
     proc = subprocess.run(
         [sys.executable, os.path.join(BENCHMARKS, name), *argv],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=library_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -40,12 +47,9 @@ def test_harness_bindings_exist():
     # the traced benchmark run wraps library names at their modules
     # (kmubench/tracer.py) and every timed run calls backend_name(): a
     # library change that removes one of them fails here, not in the harness
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-c", _BINDINGS, os.path.join(ROOT, "kmubench")],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=library_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 
