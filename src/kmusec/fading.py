@@ -416,16 +416,12 @@ def snr_cdf(params, gamma):
 def _distribution(kappa, mu, gbar, g):
     # snr_cdf at g >= 0 elementwise, each of kappa, mu and gbar a scalar or
     # an array broadcast against g (one channel per row, say); each value
-    # depends on its own element's arguments alone. kappa = 0 elements take
-    # the gamma law from gammainc; chndtr at zero noncentrality differs from
-    # it by up to 1.6e-12 relative where mu is in the hundreds.
-    from scipy.special import chndtr, gammainc
+    # depends on its own element's arguments alone, kappa = 0 (the gamma
+    # law, zero noncentrality) included
+    from scipy.special import chndtr
 
     with np.errstate(over="ignore"):  # an infinite argument gives 1
         out = chndtr(2.0 * (1.0 + kappa) * mu * g / gbar, 2.0 * mu, 2.0 * kappa * mu)
-        zero = np.asarray(kappa) == 0.0
-        if zero.any():
-            out = np.where(zero, gammainc(mu, mu * g / gbar), out)
     return np.clip(out, 0.0, 1.0)
 
 

@@ -156,14 +156,15 @@ def test_snr_pdf_matches_mpmath_high_kappa(kappa, mu):
         assert float(abs(fading.snr_pdf(p, g) - ref) / ref) <= 1e-12, z
 
 
-@pytest.mark.parametrize("kappa,mu", _MP_GRID)
+@pytest.mark.parametrize("kappa,mu", _MP_GRID + [(0.0, mu) for mu in (50.0, 200.0, 500.0, 1000.0)])
 def test_snr_cdf_matches_mpmath(kappa, mu):
     # the error model sop_exact's est_error rests on: relative
     # secrecy._CDF_REL_ERR, or absolute secrecy._CDF_ABS_ERR for values
-    # the special function flushes to zero; deep lower tail to upper tail
+    # the special function flushes to zero; deep lower tail to upper tail,
+    # and the gamma law's lower tail at mu in the hundreds (rho 0.7, 0.76)
     gbar = 2.5
     p = KappaMuParams(kappa, mu, gbar)
-    for rho in (1e-4, 0.05) + _MP_RHO + (2.5, 4.0):
+    for rho in sorted((1e-4, 0.05, 0.7, 0.76, 2.5, 4.0) + _MP_RHO):
         g = rho * rho * gbar
         ref = mpref.snr_cdf(kappa, mu, gbar, g)
         miss = float(abs(fading.snr_cdf(p, g) - ref))
