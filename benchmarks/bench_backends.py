@@ -8,12 +8,20 @@ the extension built (``python setup.py build_ext --inplace`` compiles the
 shipped ``_ckernels.c``; Cython is not needed):
 
     python benchmarks/bench_backends.py
+
+The checkout's ``src`` is appended to the import path, so a ``kmusec``
+already on it (a copy with the compiled kernels, say) comes first.
 """
+import os
+import sys
 import time
 
 import numpy as np
 
-from kmusec import _pykernels
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "src"))
+
+from kmusec import _pykernels  # noqa: E402
 
 try:
     from kmusec import _ckernels

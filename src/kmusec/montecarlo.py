@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from kmusec.fading import _sample_snr_with
-from kmusec.secrecy import _RATE_SATURATION
 
 #: pairs per chunk; it fixes which stream each draw comes from, so it is
 #: part of every estimate's definition, not a tuning knob
@@ -78,19 +77,15 @@ def _count(pair, n, seed, events):
 
 
 def _outage_events(pair):
-    """Events function for (exact, lower-bound) outage at the pair's rate.
-    Beyond the rate at which the analytic paths saturate, every draw is in
-    outage, as there."""
-    if pair.rate > _RATE_SATURATION:
-        def saturated(gm, ge):
-            every = np.ones(gm.shape, dtype=bool)
-            return every, every
-        return saturated
+    """Events function for (exact, lower-bound) outage at the pair's rate,
+    any rate a ``WiretapPair`` admits: where e^{R_S} times a drawn SNR
+    overflows, the threshold is infinite and the draw is in outage."""
     ers = math.exp(pair.rate)
 
     def events(gm, ge):
-        lower = gm <= ers * ge
-        exact = gm <= ers * (1.0 + ge) - 1.0
+        with np.errstate(over="ignore"):
+            lower = gm <= ers * ge
+            exact = gm <= ers * (1.0 + ge) - 1.0
         if bool(np.any(lower & ~exact)):
             raise AssertionError("lower-bound event escaped the exact event")
         return exact, lower

@@ -12,6 +12,7 @@ single-pair functions give it alone, whichever pairs share the batch.
 Rates are in nats throughout; the CLI converts from bits.
 """
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,23 +27,24 @@ from kmusec.specfun import DEFAULT_CONTROL
 #: with A or B near zero) and evaluation falls back to the series
 KAPPA_MIN_CLOSED_FORM = 1e-6
 
-#: beyond this rate e^{R_S} overflows a double; the outage is 1 to well
-#: below any representable tolerance (the threshold exceeds all mass)
-_RATE_SATURATION = 700.0
+#: the largest rate in nats (about 1,024 bits) whose e^{R_S} is a double
+_MAX_RATE = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class WiretapPair:
     """Main and eavesdropper channels plus the target secrecy rate R_S
-    in nats (>= 0). Channels are independent by assumption."""
+    in nats, 0 <= R_S <= ``_MAX_RATE`` (about 709.78), the largest rate
+    whose e^{R_S} is a double. Channels are independent by assumption."""
 
     main: KappaMuParams
     eve: KappaMuParams
     rate: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.rate < math.inf:
-            raise ValueError(f"rate must be finite and >= 0 nats, got {self.rate}")
+        if not 0.0 <= self.rate <= _MAX_RATE:
+            raise ValueError(f"rate must be between 0 and {_MAX_RATE!r} nats, "
+                             f"where e^rate is a double, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -96,14 +98,12 @@ class ClosedFormParams:
             raise ValueError("closed form requires integer mu for the eavesdropper")
         r = math.sqrt(fading.gamma_mixture(pair.main)[2]
                       / fading.gamma_mixture(pair.eve)[2])
-        return cls(
-            A=math.sqrt(2.0 * pair.eve.kappa * mu_e),
-            B=math.sqrt(2.0 * pair.main.kappa * mu_m),
-            r=r,
-            R=r + 1.0 / r,
-            mu_idx=mu_e - 1,
-            v_idx=mu_m - 1,
-        )
+        A = math.sqrt(2.0 * pair.eve.kappa * mu_e)
+        B = math.sqrt(2.0 * pair.main.kappa * mu_m)
+        if not (0.0 < r < math.inf and math.isfinite(A) and math.isfinite(B)):
+            # a mean-SNR ratio beyond a double drives r to 0 or infinity
+            raise _double_failure("closed form", f"r = {r}, A = {A}, B = {B}")
+        return cls(A=A, B=B, r=r, R=r + 1.0 / r, mu_idx=mu_e - 1, v_idx=mu_m - 1)
 
 
 def secrecy_capacity(gamma_m, gamma_e):
@@ -134,11 +134,12 @@ def _survival(pair, rate_scale, ctl):
     and ``est_error`` bounds both."""
     m_shape, m_mean, m_rate = fading.gamma_mixture(pair.main.with_kappa_floor())
     e_shape, e_mean, e_rate = fading.gamma_mixture(pair.eve.with_kappa_floor())
+    m_rate *= rate_scale
     if not all(map(math.isfinite, (m_shape, m_mean, m_rate, e_shape, e_mean, e_rate))):
-        # at mu 1e308, say, the rate (1+kappa) mu / gbar overflows
+        # at mu 1e308, say, the rate (1+kappa) mu / gbar overflows, and so
+        # may the main rate times e^{R_S} near ``_MAX_RATE``
         raise _double_failure("survival series",
                               "a gamma-mixture shape, mean or rate is not finite")
-    m_rate *= rate_scale
     try:
         if m_rate >= e_rate:
             value, kt, lt, err = _k.survival_series(
@@ -163,10 +164,6 @@ def _series_result(survival, side):
                       method="series")
 
 
-#: SOP^L beyond ``_RATE_SATURATION``, where no series is summed
-_SATURATED = EvalResult(value=1.0, terms_k=0, terms_l=0, est_error=0.0, method="series")
-
-
 def spsc_series(pair, ctl=None):
     """Probability of strictly positive secrecy capacity,
     Pr(gamma_M > gamma_E), by the double series (any real mu > 0)."""
@@ -181,8 +178,6 @@ def sop_lower(pair, ctl=None):
     Poisson weights in k), so the bound is the complement of the double
     series taken with beta_M scaled by e^{R_S}.
     """
-    if pair.rate > _RATE_SATURATION:
-        return _SATURATED
     return _series_result(_survival(pair, math.exp(pair.rate), ctl or DEFAULT_CONTROL), 1)
 
 
@@ -201,8 +196,8 @@ def series_many(pairs, ctl=None):
             survivals[key] = _survival(pair, scale, ctl)
         return _series_result(survivals[key], side)
 
-    return [(series(pair, 1.0, 0), _SATURATED if pair.rate > _RATE_SATURATION
-             else series(pair, math.exp(pair.rate), 1)) for pair in pairs]
+    return [(series(pair, 1.0, 0), series(pair, math.exp(pair.rate), 1))
+            for pair in pairs]
 
 
 def _gauss_kronrod_21():
@@ -355,24 +350,20 @@ def sop_exact_many(pairs, quad_ctl=None):
     distinct eavesdropper channel on its distinct nodes, which pairs of a
     sweep share. ``est_error`` adds the errors of the density and
     distribution function and a rounding floor to the quadrature
-    estimate; ``terms_k`` counts integrand evaluations. A rate beyond
-    ``_RATE_SATURATION`` gives 1 without quadrature."""
+    estimate; ``terms_k`` counts integrand evaluations. Every rate up to
+    ``_MAX_RATE`` is integrated: where e^{R_S} times a level overflows, the
+    threshold is infinite and F_M there is 1."""
     quad_ctl = quad_ctl or QuadSpec()
     pairs = list(pairs)
-    results = [EvalResult(value=1.0, terms_k=0, terms_l=0, est_error=0.0,
-                          method="quadrature")] * len(pairs)
-    todo = [i for i, pair in enumerate(pairs) if pair.rate <= _RATE_SATURATION]
-    if not todo:
-        return results
-    mains = [pairs[i].main for i in todo]
-    eves = [pairs[i].eve for i in todo]
+    if not pairs:
+        return []
     index = {}  # distinct eavesdropper channels, numbered in order of appearance
-    channel = np.array([index.setdefault(eve, len(index)) for eve in eves])
+    channel = np.array([index.setdefault(pair.eve, len(index)) for pair in pairs])
     channels = list(index)
-    ers = np.array([math.exp(pairs[i].rate) for i in todo])
-    offset = np.array([math.expm1(pairs[i].rate) for i in todo])
+    ers = np.array([math.exp(pair.rate) for pair in pairs])
+    offset = np.array([math.expm1(pair.rate) for pair in pairs])
     kappa_m, mu_m, gbar_m = (np.array(v) for v in zip(
-        *((main.kappa, main.mu, main.gamma_bar) for main in mains)))
+        *((pair.main.kappa, pair.main.mu, pair.main.gamma_bar) for pair in pairs)))
 
     def levels(eve, t):
         # one eavesdropper channel's nodes t as density levels x, with the
@@ -399,12 +390,11 @@ def sop_exact_many(pairs, quad_ctl=None):
         return dens * fading._distribution(kappa_m[owner, None], mu_m[owner, None],
                                            gbar_m[owner, None], threshold)
 
-    for i, (value, error, neval) in zip(todo, _gauss_kronrod(integrand, quad_ctl, len(todo))):
-        est_error = (error + (_PDF_REL_ERR + _CDF_REL_ERR) * abs(value) + _CDF_ABS_ERR
-                     + _ROUNDING_ULPS * math.ulp(value))
-        results[i] = EvalResult(value=min(max(value, 0.0), 1.0), terms_k=neval, terms_l=0,
-                                est_error=est_error, method="quadrature")
-    return results
+    return [EvalResult(value=min(max(value, 0.0), 1.0), terms_k=neval, terms_l=0,
+                       est_error=(error + (_PDF_REL_ERR + _CDF_REL_ERR) * abs(value)
+                                  + _CDF_ABS_ERR + _ROUNDING_ULPS * math.ulp(value)),
+                       method="quadrature")
+            for value, error, neval in _gauss_kronrod(integrand, quad_ctl, len(pairs))]
 
 
 def spsc_closed_form(pair, ctl=None):

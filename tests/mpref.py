@@ -93,3 +93,15 @@ def sop_exact(main, eve, rate):
         cuts = (0.25, 1, 3, 8, 20, 50)
         return (mp.quad(in_v, [0] + [mp.mpf(c) ** mu for c in cuts])
                 + mp.quad(in_x, [gb * cuts[-1], mp.inf]))
+
+
+def gamma_escape(mu_m, mu_e, gamma_bar_m, gamma_bar_e, rate):
+    """Pr(gamma_M > e^R gamma_E) for gamma laws (kappa = 0 on both
+    channels): with rates b = mu / gamma_bar, gamma_E b_E / (gamma_M b_M +
+    gamma_E b_E) is Beta(mu_E, mu_M), so the probability is I_w(mu_E, mu_M)
+    at w = b_E / (b_M e^R + b_E)."""
+    with mp.workdps(DPS):
+        b_m = mp.mpf(mu_m) / mp.mpf(gamma_bar_m)
+        b_e = mp.mpf(mu_e) / mp.mpf(gamma_bar_e)
+        w = b_e / (b_m * mp.exp(mp.mpf(rate)) + b_e)
+        return mp.betainc(mu_e, mu_m, 0, w, regularized=True)

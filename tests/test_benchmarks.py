@@ -88,3 +88,19 @@ def test_bench_backends_offers_the_harness_loops():
     assert hasattr(bb, "_ckernels")  # None where the twin is not built
     for make in (bb.marcum_workload, bb.survival_point, bb.survival_sweep):
         make(bb._pykernels)()
+
+
+def test_twin_runs_without_the_compiled_twin(tmp_path):
+    # the harness's twin comparison with no kmusec copy on the path (none
+    # is made where the checkout has no _ckernels.c): bench_backends finds
+    # the checkout's library, and only the pure-Python kernels are timed
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "kmubench", "twin.py")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert list(out) == ["marcum_x400", "survival_point", "survival_sweep41"]
+    for loop in out.values():
+        assert loop["c_ms"] is None
+        assert loop["python_ms"] > 0.0

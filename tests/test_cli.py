@@ -215,6 +215,21 @@ def test_huge_finite_shape_exit_3(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("--gbar-e-linear", "1e-320", "--method", "closed"),
+    ("--gbar-m-linear", "1e308", "--gbar-e-linear", "1e-308"),
+    ("--gbar-m-linear", "1e-320"),
+    ("--km", "1e308", "--um", "2", "--method", "closed")])
+def test_mean_snr_ratio_beyond_double_exit_3(capsys, argv):
+    # the closed form's ratio r = sqrt(beta_M / beta_E) is 0 or infinite,
+    # or B is: it fails as the series does past a double, and auto's
+    # fallback to the series fails there too
+    code, out, err = run(capsys, "spsc", "--km", "1", "--um", "1", "--ke", "1",
+                         "--ue", "1", *argv)
+    assert (code, out) == (3, "")
+    assert "double precision" in err
+
+
 @pytest.mark.parametrize("ue", ["500", "2000"])
 def test_auto_spsc_takes_series_past_closed_form_overflow(capsys, ue):
     # integer mu selects the closed form, whose powers overflow here (exit
@@ -285,10 +300,31 @@ class TestSop:
 
     @pytest.mark.parametrize("bound", ["exact", "lower"])
     def test_mc_rate_beyond_exp_overflow(self, capsys, bound):
-        rec = run_json(capsys, "sop", "--preset", "d2d", "--rate-nats", "800",
-                       "--method", "mc", "--mc-n", "1000", "--bound", bound)
+        # e^800 overflows a double, so 800 nats is no rate; at 705 every
+        # draw's event says outage
+        argv = ("sop", "--preset", "d2d", "--method", "mc", "--mc-n", "1000",
+                "--bound", bound)
+        code, out, err = run(capsys, *argv, "--rate-nats", "800")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rate must be between 0 and 709.78")
+        rec = run_json(capsys, *argv, "--rate-nats", "705")
         assert rec["value"] == 1.0
         assert rec["metric"] == f"sop_{bound}"
+
+    @pytest.mark.parametrize("rate", [("--rate-nats", "800"), ("--rate-bits", "1100")])
+    def test_rate_beyond_exp_overflow_exit_2(self, capsys, rate):
+        code, out, err = run(capsys, "sop", "--preset", "d2d", *rate)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rate must be between 0 and 709.782712893384 nats")
+        assert err.count("\n") == 1
+
+    def test_main_rate_times_exp_rate_overflow_exit_3(self, capsys):
+        # the main rate 2e4 times e^700 overflows: no series is summed on it
+        code, out, err = run(capsys, "sop", "--km", "1", "--um", "1", "--ke", "1",
+                             "--ue", "1", "--gbar-m-db", "-40", "--rate-nats", "700",
+                             "--bound", "lower")
+        assert (code, out) == (3, "")
+        assert "double precision" in err
 
 
 class TestSweep:
@@ -469,7 +505,7 @@ class TestBatchedExactSop:
         (("--preset", "ban", "--gbar-e-db", "5"), "kappa_e", "0.5", "8"),
         (("--preset", "v2v", "--gbar-m-db", "5"), "mu_m", "0.5", "3"),
         (("--preset", "v2v", "--gbar-e-db", "5"), "mu_e", "0.3", "3"),
-        (("--preset", "fig4", "--gbar-m-db", "10"), "rate", "0", "800")])
+        (("--preset", "fig4", "--gbar-m-db", "10"), "rate", "0", "705")])
     def test_rows_equal_sop_command(self, capsys, base, variable, start, stop):
         code, out, err = run(capsys, "sweep", *base, "--variable", variable,
                              "--start", start, "--stop", stop, "--steps", "6")

@@ -10,6 +10,8 @@ from kmusec import montecarlo, secrecy
 from kmusec.fading import EPSILON_KAPPA, KappaMuParams, _sample_snr_with
 from kmusec.secrecy import WiretapPair
 
+import mpref
+
 
 def pair(km, um, gbm, ke, ue, gbe, rate=0.0):
     return WiretapPair(KappaMuParams(km, um, gbm), KappaMuParams(ke, ue, gbe), rate)
@@ -125,15 +127,27 @@ class TestSharedDraws:
         assert abs(est.estimate - 0.5) <= 4.0 * est.std_error
 
     def test_rate_beyond_exp_overflow_saturates(self):
-        # e^800 overflows a double; outage is 1, as in the analytic paths,
-        # while the spsc event on the same draws is counted as usual
-        p = pair(1.07, 0.91, 1.0, 1.11, 0.92, 1.0, rate=800.0)
+        # at 705 nats every drawn pair is in outage by its events, as the
+        # analytic paths compute, while the spsc event on the same draws is
+        # counted as usual; e^705 times a large SNR overflows to an infinite
+        # threshold
+        p = pair(1.07, 0.91, 1.0, 1.11, 0.92, 1.0, rate=705.0)
         spsc, exact, lower = montecarlo.mc_all(p, 20_000, seed=24)
         assert exact.estimate == lower.estimate == 1.0
         assert exact.std_error == lower.std_error == 0.0
         assert spsc == montecarlo.mc_spsc(p, 20_000, seed=24)
         assert 0.0 < spsc.estimate < 1.0
         assert secrecy.sop_exact(p).value == secrecy.sop_lower(p).value == 1.0
+
+    def test_lower_bound_near_exp_overflow(self):
+        # gamma laws, where an eavesdropper mu of 0.01 keeps SOP^L about
+        # 9e-4 below 1 at 701 nats: the draws against the incomplete-beta
+        # complement
+        p = pair(0.0, 1.0, 1.0, 0.0, 0.01, 1.0, rate=701.0)
+        _, lower = montecarlo.mc_sop_both(p, 200_000, seed=25)
+        ref = 1.0 - float(mpref.gamma_escape(1.0, 0.01, 1.0, 1.0, 701.0))
+        assert lower.estimate < 1.0
+        assert abs(lower.estimate - ref) <= 3.0 * lower.std_error
 
 
 class TestConvergence:

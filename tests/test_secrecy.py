@@ -12,14 +12,14 @@ import pytest
 
 from kmusec import fading, secrecy
 from kmusec.cli import SWEEP_VARIABLES, SweepSpec
-from kmusec.errors import QuadratureError
+from kmusec.errors import PrecisionError, QuadratureError
 from kmusec.fading import EPSILON_KAPPA, KappaMuParams, make_special_case
 from kmusec.secrecy import (ClosedFormParams, EvalResult, QuadSpec,
                             WiretapPair, secrecy_capacity, series_many,
                             sop_exact, sop_lower, spsc_closed_form,
                             spsc_rayleigh_reference, spsc_rice_reference,
                             spsc_series)
-from kmusec.specfun import SeriesControl
+from kmusec.specfun import DEFAULT_CONTROL, SeriesControl
 
 import mpref
 
@@ -35,6 +35,14 @@ class TestTypes:
         for rate in (-0.1, math.inf, math.nan):
             with pytest.raises(ValueError):
                 pair(1, 1, 1, 1, 1, 1, rate=rate)
+
+    def test_rate_range_ends_where_exp_overflows(self):
+        assert math.exp(pair(1, 1, 1, 1, 1, 1, rate=secrecy._MAX_RATE).rate) < math.inf
+        beyond = float(np.nextafter(secrecy._MAX_RATE, math.inf))
+        with pytest.raises(OverflowError):
+            math.exp(beyond)
+        with pytest.raises(ValueError, match="rate must be between 0 and 709.78"):
+            pair(1, 1, 1, 1, 1, 1, rate=beyond)
 
     def test_eval_result_validation(self):
         with pytest.raises(ValueError):
@@ -57,6 +65,12 @@ class TestTypes:
     def test_closed_form_requires_integer_mu(self):
         with pytest.raises(ValueError):
             ClosedFormParams.from_pair(pair(4, 1.4, 2, 2, 1.2, 1))
+
+    @pytest.mark.parametrize("gbm,gbe", [(1.0, 1e-320), (1e-320, 1.0), (1e308, 1e-308)])
+    def test_closed_form_params_beyond_double_ratio(self, gbm, gbe):
+        # a mean-SNR ratio beyond a double drives r to 0 or infinity
+        with pytest.raises(PrecisionError, match="double precision"):
+            ClosedFormParams.from_pair(pair(1, 1, gbm, 1, 1, gbe))
 
 
 class TestSecrecyCapacity:
@@ -212,12 +226,28 @@ class TestSopLower:
             scaled = pair(4.0, 1.4, 2.0 * c, 2.0, 1.2, 1.0 * c, rate=0.7)
             assert sop_lower(scaled).value == pytest.approx(v0, abs=1e-9)
 
+    @pytest.mark.parametrize("mu_m,mu_e", [(1.0, 0.01), (3.0, 0.02)])
+    @pytest.mark.parametrize("rate", [699.0, 701.0, 705.0, 709.0])
+    def test_gamma_laws_near_exp_overflow(self, mu_m, mu_e, rate):
+        # kappa = 0 on both channels, against the incomplete-beta
+        # complement; the small side Pr(gamma_M > e^R gamma_E) is the one
+        # summed. At (3, 0.02) and 709 nats b_M e^R overflows a double
+        p = pair(0.0, mu_m, 1.0, 0.0, mu_e, 1.0, rate=rate)
+        if (mu_m, rate) == (3.0, 709.0):
+            with pytest.raises(PrecisionError):
+                sop_lower(p)
+            return
+        sides, _, _, _ = secrecy._survival(p, math.exp(rate), DEFAULT_CONTROL)
+        assert sop_lower(p).value == sides[1]
+        ref = mpref.gamma_escape(mu_m, mu_e, 1.0, 1.0, rate)
+        assert float(abs(sides[0] - ref) / ref) <= 1e-12
+
 
 class TestSeriesMany:
     # main rate (1 + kappa) mu / gamma_bar of 14 and 0.35 against the
     # eavesdropper's 3.6: the series runs with either channel first
     @pytest.mark.parametrize("gbm,main_first", [(0.5, True), (20.0, False)])
-    @pytest.mark.parametrize("rate", [0.0, RS_1DB, 800.0])
+    @pytest.mark.parametrize("rate", [0.0, RS_1DB, 705.0])
     def test_equals_separate_calls(self, survival_calls, gbm, main_first, rate):
         p = pair(4.0, 1.4, gbm, 2.0, 1.2, 1.0, rate=rate)
         m_rate = fading.gamma_mixture(p.main)[2]
@@ -226,26 +256,25 @@ class TestSeriesMany:
         separate = (spsc_series(p, ctl), sop_lower(p, ctl))
         survival_calls.clear()
         assert series_many([p], ctl) == [separate]
-        # one series at rate 0; past 700 nats the bound saturates uncomputed
-        assert len(survival_calls) == {0.0: 1, RS_1DB: 2, 800.0: 1}[rate]
+        # one series at rate 0
+        assert len(survival_calls) == {0.0: 1, RS_1DB: 2, 705.0: 2}[rate]
 
     def test_default_control(self):
         p = pair(1.07, 0.91, 1.0, 1.11, 0.92, 1.0)
         assert series_many([p]) == [(spsc_series(p), sop_lower(p))]
 
     def test_mixed_batch(self, survival_calls):
-        # both channel orders at rates 0, 10^0.1 and 800 nats, then a
-        # repeated pair: each distinct (main, eve, rate scale) below
-        # saturation, scales 1 and e^(10^0.1) per channel pair, costs one
-        # kernel call
+        # both channel orders at rates 0, 10^0.1 and 705 nats, then a
+        # repeated pair: each distinct (main, eve, rate scale), scales 1,
+        # e^(10^0.1) and e^705 per channel pair, costs one kernel call
         pairs = [pair(4.0, 1.4, gbm, 2.0, 1.2, 1.0, rate=rate)
-                 for gbm in (0.5, 20.0) for rate in (0.0, RS_1DB, 800.0)]
+                 for gbm in (0.5, 20.0) for rate in (0.0, RS_1DB, 705.0)]
         pairs.append(pairs[1])
         ctl = SeriesControl(abs_tol=1e-13)
         separate = [(spsc_series(p, ctl), sop_lower(p, ctl)) for p in pairs]
         survival_calls.clear()
         assert series_many(pairs, ctl) == separate
-        assert len(survival_calls) == 4
+        assert len(survival_calls) == 6
 
     def test_empty(self, survival_calls):
         assert series_many([]) == []
@@ -262,9 +291,13 @@ class TestSopExact:
         assert sop_exact(p).value == pytest.approx(1.0, abs=1e-9)
 
     def test_rate_beyond_exp_overflow(self):
-        p = pair(2.0, 1.3, 1.7, 2.0, 1.3, 1.7, rate=1000.0)
-        assert sop_exact(p).value == 1.0
-        assert sop_lower(p).value == 1.0
+        # e^1000 overflows a double: no such pair; at the largest rate whose
+        # e^{R_S} is a double the quadrature runs and finds outage certain
+        with pytest.raises(ValueError, match="rate must be between 0 and 709.78"):
+            pair(2.0, 1.3, 1.7, 2.0, 1.3, 1.7, rate=1000.0)
+        res = sop_exact(pair(2.0, 1.3, 1.7, 2.0, 1.3, 1.7, rate=secrecy._MAX_RATE))
+        assert res.terms_k > 0
+        assert abs(res.value - 1.0) <= res.est_error
 
     def test_fig4_style_against_monte_carlo(self):
         # frozen independent MC: 10^7 draws, estimate 0.6262911, se 1.530e-4
@@ -389,13 +422,13 @@ class TestSopExactMany:
             pair(0.0, 1.7, 2.0, 1.0, 0.5, 1.0, rate=0.3),  # kappa_M = 0: gamma law
             pair(0.0, 0.6, 0.5, 0.0, 2.0, 1.0),
             pair(3.0, 1.0, 1.0, 1.0, 0.05, 1.0, rate=0.1),  # gamma_E down to 1e-143
-            pair(2.0, 1.3, 1.7, 2.0, 1.3, 1.7, rate=800.0),  # saturated
+            pair(2.0, 1.3, 1.7, 2.0, 1.3, 1.7, rate=705.0),  # e^R near overflow
         ]
         order = np.random.default_rng(7).permutation(len(pairs))
         batch = secrecy.sop_exact_many([pairs[i] for i in order])
         assert len({p.eve for p in pairs}) > 10
         assert batch == [sop_exact(pairs[i]) for i in order]
-        assert batch[list(order).index(len(pairs) - 1)].terms_k == 0
+        assert batch[list(order).index(len(pairs) - 1)].terms_k > 0
 
     def test_density_once_per_distinct_node(self, monkeypatch):
         # a sweep over the main channel shares the eavesdropper and its
@@ -420,7 +453,7 @@ class TestSopExactMany:
 
     def test_empty_and_saturated(self):
         assert secrecy.sop_exact_many([]) == []
-        p = pair(2.0, 1.3, 1.7, 2.0, 1.3, 1.7, rate=1000.0)
+        p = pair(2.0, 1.3, 1.7, 2.0, 1.3, 1.7, rate=705.0)
         assert secrecy.sop_exact_many((p, p)) == [sop_exact(p)] * 2
 
 
