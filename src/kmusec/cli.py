@@ -156,8 +156,15 @@ def _gbar(db, linear):
 def _resolve_rate(args, preset):
     if getattr(args, "rate_nats", None) is not None:
         return args.rate_nats
-    if getattr(args, "rate_bits", None) is not None:
-        return args.rate_bits * math.log(2.0)
+    bits = getattr(args, "rate_bits", None)
+    if bits is not None:
+        # refused in the unit given; below this bound the rate in nats is
+        # within the one WiretapPair checks, as 1024 ln 2 rounds to it
+        bound = secrecy._MAX_RATE / math.log(2.0)
+        if not 0.0 <= bits <= bound:
+            raise ValueError(f"rate must be between 0 and {bound!r} bits, where e^rate "
+                             f"is a double, got {bits}")
+        return bits * math.log(2.0)
     if preset and "rate_nats" in preset:
         return preset["rate_nats"]
     return 0.0

@@ -30,6 +30,12 @@ DEFAULT_STARTS = tuple((k, m) for k in (0.1, 1.0, 5.0) for m in (0.5, 1.0, 2.0))
 KAPPA_BOUNDS = (1e-6, 50.0)
 MU_BOUNDS = (0.05, 10.0)
 
+#: RMS levels a fit admits. The densities scale as 1 / RMS and the
+#: residual's terms as RMS^-2, which this range keeps between 1e-200 and
+#: 1e200: a term stays a normal double down to 1e-108 of that scale, and
+#: finite up to 1e108 times it
+RMS_RANGE = (1e-100, 1e100)
+
 
 class BinWidthError(ValueError):
     """A histogram bin width that gives more bins than there are samples."""
@@ -132,9 +138,10 @@ def fit_kappa_mu(trace, bin_width=None, keep_history=False):
     samples = trace.samples
     if samples.size < 1000:
         raise ValueError("need at least 1000 samples to fit")
-    r_hat = float(np.sqrt(np.mean(samples ** 2)))
-    if r_hat <= 0.0:
-        raise ValueError("trace RMS is zero")
+    r_hat = _rms(samples)
+    if not RMS_RANGE[0] <= r_hat <= RMS_RANGE[1]:
+        raise ValueError(f"trace RMS {r_hat:.6g} is outside {RMS_RANGE[0]:g} to "
+                         f"{RMS_RANGE[1]:g}, the range a fit admits; rescale the trace")
     runs = _simplex_runs(*_histogram_density(samples, bin_width), r_hat)
     best = runs[0]
     for run in runs[1:]:
@@ -152,6 +159,17 @@ def fit_kappa_mu(trace, bin_width=None, keep_history=False):
     )
 
 
+def _rms(samples):
+    """sqrt(mean(x^2)) of samples x >= 0 that are scaled by 2^-e, e the
+    binary exponent of the largest, so that no square overflows or, for
+    the largest, underflows. The scaling is exact: wherever the plain
+    formula's squares stay normal, the value equals it bit for bit."""
+    e = math.frexp(float(samples.max()))[1]
+    scaled = np.ldexp(samples, -e)
+    scaled *= scaled
+    return math.ldexp(float(np.sqrt(np.mean(scaled))), e)
+
+
 def _simplex_runs(centers, dens, r_hat):
     """The bounded simplex search from each start of ``DEFAULT_STARTS``,
     all run in lockstep; a ``_SimplexRun`` per start, in order."""
@@ -162,7 +180,7 @@ def _simplex_runs(centers, dens, r_hat):
     def residuals(points):
         # one density row per point; each row's residual is its own dot
         # product, as a single point's would be
-        kappa, mu = (np.array(col)[:, None] for col in zip(*points))
+        kappa, mu = np.array(points).T[:, :, None]
         diff = fading._density(kappa, mu, 1.0, levels) - dens
         return [float(np.dot(row, row)) for row in diff]
 
@@ -185,88 +203,92 @@ class _SimplexRun:
 def _nelder_mead(x0, bounds, maxiter, xatol, fatol):
     """scipy's bounded Nelder-Mead (``scipy.optimize.minimize`` with
     ``method="Nelder-Mead"``, ``adaptive=False`` and no ``maxfev``, as of
-    scipy 1.17) as a generator: it yields each point whose objective value
-    it needs, takes the value back through ``send``, and returns a
-    ``_SimplexRun`` with the same ``x``, ``fun`` and ``nit``. The history
-    holds what a callback sees after each iteration. The steps, ordering
-    and stopping test are scipy's, operation for operation, on Python
-    floats, so the results are equal to the last bit; ``_by_value`` orders
-    ties as scipy does for the three vertices of a 2-D search.
+    scipy 1.17) over two parameters, as a generator: it yields each point
+    whose objective value it needs, as a pair of floats, takes the value
+    back through ``send`` as a float, and returns a ``_SimplexRun`` with
+    the same ``x``, ``fun`` and ``nit``. The history holds what a callback
+    sees after each iteration. The steps, ordering and stopping test are
+    scipy's, operation for operation and in scipy's order, on Python
+    floats, so the points and results are equal to the last bit.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
-    lower = [lo for lo, _ in bounds]
-    upper = [hi for _, hi in bounds]
+    # scipy's coefficients rho = 1, chi = 2, psi = sigma = 0.5 enter the
+    # steps below as the products scipy forms of them, all exact
+    (lo0, hi0), (lo1, hi1) = bounds
 
-    def clip(v):
-        return [min(max(c, lo), hi) for c, lo, hi in zip(v, lower, upper)]
+    def clip(a, b):
+        # np.clip, as min(max(a, lo), hi): a NaN stays NaN
+        return (lo0 if a < lo0 else hi0 if a > hi0 else a,
+                lo1 if b < lo1 else hi1 if b > hi1 else b)
 
-    x0 = clip([float(c) for c in x0])
-    n = len(x0)
-    sim = [x0]
-    for k in range(n):
-        y = list(x0)
-        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
-        sim.append(y)
-    # vertices past an upper bound are reflected into the box
-    sim = [clip([2 * hi - c if c > hi else c for c, hi in zip(v, upper)]) for v in sim]
-    fsim = []
-    for v in sim:
-        fsim.append(float((yield v)))
-    for _ in range(2):  # scipy sorts the first simplex twice
-        sim, fsim = _by_value(sim, fsim)
+    p0 = a0, b0 = clip(float(x0[0]), float(x0[1]))
+    # each coordinate in turn 5% further from 0, or 0.00025 at 0, and
+    # reflected into the box past its upper bound
+    a1 = (1 + 0.05) * a0 if a0 != 0 else 0.00025
+    b2 = (1 + 0.05) * b0 if b0 != 0 else 0.00025
+    p1 = clip(2 * hi0 - a1 if a1 > hi0 else a1, b0)
+    p2 = clip(a0, 2 * hi1 - b2 if b2 > hi1 else b2)
+    f0 = yield p0
+    f1 = yield p1
+    f2 = yield p2
+    # scipy sorts the first simplex twice; the second leaves it as it is
+    p0, f0, p1, f1, p2, f2 = _sorted3(p0, f0, p1, f1, p2, f2)
 
     nit = 1
     history = []
     while nit < maxiter:
-        # scipy's max(...) <= tol, as all(... <= tol): False on a NaN too
-        if (all(abs(fsim[0] - f) <= fatol for f in fsim[1:])
-                and all(abs(c - b) <= xatol for v in sim[1:] for c, b in zip(v, sim[0]))):
+        (a0, b0), (a1, b1), (a2, b2) = p0, p1, p2
+        # scipy's max(...) <= tol, each term <= tol: False on a NaN too
+        if (abs(a1 - a0) <= xatol and abs(b1 - b0) <= xatol
+                and abs(a2 - a0) <= xatol and abs(b2 - b0) <= xatol
+                and abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol):
             break
-        # centroid of all but the worst vertex, summed row by row
-        xbar = sim[0]
-        for v in sim[1:-1]:
-            xbar = [a + b for a, b in zip(xbar, v)]
-        xbar = [a / n for a in xbar]
-        worst = sim[-1]
-        xr = clip([(1 + rho) * a - rho * w for a, w in zip(xbar, worst)])
-        fxr = float((yield xr))
-        if fxr < fsim[0]:
-            xe = clip([(1 + rho * chi) * a - rho * chi * w for a, w in zip(xbar, worst)])
-            fxe = float((yield xe))
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+        # centroid of the two best vertices, then reflection: (1 + rho)
+        # xbar - rho worst
+        ca, cb = (a0 + a1) / 2, (b0 + b1) / 2
+        pr = clip(2 * ca - a2, 2 * cb - b2)
+        fr = yield pr
+        if fr < f0:  # expansion: (1 + rho chi) xbar - rho chi worst
+            pe = clip(3 * ca - 2 * a2, 3 * cb - 2 * b2)
+            fe = yield pe
+            p2, f2 = (pe, fe) if fe < fr else (pr, fr)
+        elif fr < f1:
+            p2, f2 = pr, fr
         else:
-            if fxr < fsim[-1]:  # contraction outside
-                xc = clip([(1 + psi * rho) * a - psi * rho * w for a, w in zip(xbar, worst)])
-                fxc = float((yield xc))
-                accept = fxc <= fxr
-            else:  # contraction inside
-                xc = clip([(1 - psi) * a + psi * w for a, w in zip(xbar, worst)])
-                fxc = float((yield xc))
-                accept = fxc < fsim[-1]
+            if fr < f2:  # contraction outside: (1 + psi rho) xbar - psi rho worst
+                pc = clip(1.5 * ca - 0.5 * a2, 1.5 * cb - 0.5 * b2)
+                fc = yield pc
+                accept = fc <= fr
+            else:  # contraction inside: (1 - psi) xbar + psi worst
+                pc = clip(0.5 * ca + 0.5 * a2, 0.5 * cb + 0.5 * b2)
+                fc = yield pc
+                accept = fc < f2
             if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = clip([b + sigma * (c - b) for b, c in zip(sim[0], sim[j])])
-                    fsim[j] = float((yield sim[j]))
+                p2, f2 = pc, fc
+            else:  # shrink towards the best vertex: best + sigma (v - best)
+                p1 = clip(a0 + 0.5 * (a1 - a0), b0 + 0.5 * (b1 - b0))
+                f1 = yield p1
+                p2 = clip(a0 + 0.5 * (a2 - a0), b0 + 0.5 * (b2 - b0))
+                f2 = yield p2
         nit += 1
-        sim, fsim = _by_value(sim, fsim)
-        history.append(fsim[0])
+        p0, f0, p1, f1, p2, f2 = _sorted3(p0, f0, p1, f1, p2, f2)
+        history.append(f0)
     # the simplex is sorted, NaN last: scipy's np.min(fsim)
-    fun = fsim[-1] if math.isnan(fsim[-1]) else fsim[0]
-    return _SimplexRun(tuple(sim[0]), fun, nit, tuple(history))
+    return _SimplexRun(p0, f2 if f2 != f2 else f0, nit, tuple(history))
 
 
-def _by_value(sim, fsim):
-    """Vertices and their values in ascending order of value, NaN last,
-    ties kept in order: the order ``np.argsort`` gives three values in.
-    (On four or more, numpy's vectorized argsort on AVX-512 hosts may
-    order ties otherwise.)"""
-    order = sorted(range(len(fsim)), key=lambda i: (math.isnan(fsim[i]), fsim[i]))
-    return [sim[i] for i in order], [fsim[i] for i in order]
+def _sorted3(p0, f0, p1, f1, p2, f2):
+    """Three vertices and their values in the order ``np.argsort`` gives
+    three values in: numpy's insertion sort of small arrays, stable, with
+    a < b or (b is NaN and a is not) as its less-than, so NaN goes last.
+    (On four or more values, numpy's vectorized argsort on AVX-512 hosts
+    may order ties otherwise.)"""
+    if f1 < f0 or (f0 != f0 and f1 == f1):
+        p0, f0, p1, f1 = p1, f1, p0, f0
+    if f2 < f1 or (f1 != f1 and f2 == f2):
+        if f2 < f0 or (f0 != f0 and f2 == f2):
+            return p2, f2, p0, f0, p1, f1
+        return p0, f0, p2, f2, p1, f1
+    return p0, f0, p1, f1, p2, f2
 
 
 def _lockstep(searches, evaluate):

@@ -149,18 +149,24 @@ _SERIES_TERMS = 48
 #: levels per block of the series' power tables, which bounds their size
 _SERIES_BLOCK = 1024
 
+#: k and k - 1 for the series' term ratios s / (k (b + k - 1)), k >= 1
+_K = np.arange(1.0, _SERIES_TERMS)
+_K_MINUS_1 = _K - 1.0
+
 #: the smallest normal double; smaller powers enter the tables as 0
 _TINY = np.finfo(float).tiny
 
 
 def _per_row(fn, *params):
-    # fn, a function of scalars built on math, row by row down columns of
-    # params broadcast together: numpy's log and lgamma may round otherwise
-    # than math's, and a row must equal the scalar call bit for bit. An fn
-    # that returns a tuple gives one array per entry.
-    rows = np.broadcast_arrays(*params)
-    table = np.array([fn(*row) for row in zip(*(p.ravel().tolist() for p in rows))])
-    return table.T.reshape(table.shape[1:] + rows[0].shape)
+    # fn, a function of scalars built on math, row by row down params, each
+    # a (rows, 1) column or a single value that every row repeats: numpy's
+    # log and lgamma may round otherwise than math's, and a row must equal
+    # the scalar call bit for bit. An fn that returns a tuple gives one
+    # (rows, 1) column per entry.
+    cols = [np.ravel(p).tolist() for p in params]
+    n = max(map(len, cols))
+    table = np.array([fn(*row) for row in zip(*(c if len(c) == n else c * n for c in cols))])
+    return table.T.reshape(table.shape[1], n, 1)
 
 
 def _row_constants(kappa, mu, gbar):
@@ -348,14 +354,18 @@ def _hyp0f1(b, s, levels):
     # u < 2. Each row is one einsum contraction over k of its terms,
     # whatever the other rows, and levels go in blocks of _SERIES_BLOCK.
     e = -np.frexp(s / (0.5 * _SERIES_RANGE) ** 2)[1]
-    k = np.arange(1.0, _SERIES_TERMS)
     coef = np.empty((s.shape[0], _SERIES_TERMS))
     coef[:, 0] = 1.0
-    coef[:, 1:] = np.ldexp(s, e) / (k * (b + (k - 1.0)))
+    coef[:, 1:] = np.ldexp(s, e) / (_K * (b + _K_MINUS_1))
     np.cumprod(coef, axis=1, out=coef)
     size = levels.g.size
+    shifts = set(e[:, 0].tolist())
+    if len(shifts) == 1 and size <= _SERIES_BLOCK:
+        # every row takes one table: the loop's one contraction, made
+        # straight into the output
+        return np.einsum("rk,jk->rj", coef, levels.powers(shifts.pop(), 0))
     out = np.empty((s.shape[0], size))
-    for shift in set(e[:, 0].tolist()):
+    for shift in shifts:
         at = e[:, 0] == shift
         terms = coef[at]
         for start in range(0, size, _SERIES_BLOCK):

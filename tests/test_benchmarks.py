@@ -68,10 +68,13 @@ def test_bench_fit_runs():
     assert list(out) == ["d2d", "ban", "v2v", "total"]
     for part in out.values():
         assert set(part) == {"fit_cpu_ms", "density_calls", "density_rows",
-                             "ive_elements", "power_elements", "iterations"}
+                             "single_shift_calls", "ive_elements", "power_elements",
+                             "iterations", "histogram_ms", "density_ms", "simplex_ms"}
         assert part["fit_cpu_ms"] > 0.0
+        assert all(part[key] > 0.0 for key in ("histogram_ms", "density_ms", "simplex_ms"))
         # the starts' points of a step share one call
         assert 0 < part["density_calls"] < part["density_rows"]
+        assert 0 <= part["single_shift_calls"] <= part["density_calls"]
         assert isinstance(part["ive_elements"], int) and part["ive_elements"] >= 0
         assert isinstance(part["power_elements"], int) and part["power_elements"] >= 0
         assert part["iterations"] > 0

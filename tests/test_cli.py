@@ -315,8 +315,22 @@ class TestSop:
     def test_rate_beyond_exp_overflow_exit_2(self, capsys, rate):
         code, out, err = run(capsys, "sop", "--preset", "d2d", *rate)
         assert (code, out) == (2, "")
-        assert err.startswith("error: rate must be between 0 and 709.782712893384 nats")
+        bound = {"--rate-nats": "709.782712893384 nats", "--rate-bits": "1024.0 bits"}[rate[0]]
+        assert err.startswith(f"error: rate must be between 0 and {bound}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bits", ["1100", "-1", "nan"])
+    def test_rate_bits_refused_in_bits(self, capsys, bits):
+        # the refusal names the bits given, not their value in nats
+        code, out, err = run(capsys, "sop", "--preset", "d2d", "--rate-bits", bits)
+        assert (code, out) == (2, "")
+        assert err == (f"error: rate must be between 0 and 1024.0 bits, where e^rate is "
+                       f"a double, got {float(bits)}\n")
+
+    def test_rate_bits_bound_is_the_nats_bound(self):
+        # 1024 bits is 709.78 nats, the largest rate a pair admits
+        args = build_parser().parse_args(["sop", "--preset", "d2d", "--rate-bits", "1024"])
+        assert pair_from_args(args).rate == secrecy._MAX_RATE
 
     def test_main_rate_times_exp_rate_overflow_exit_3(self, capsys):
         # the main rate 2e4 times e^700 overflows: no series is summed on it
@@ -609,6 +623,39 @@ class TestFit:
         code, out, err = run(capsys, "fit", "--trace", str(path))
         assert (code, out) == (2, "")
         assert err == "error: cannot read trace: trace samples must be finite\n"
+
+    @staticmethod
+    def scaled_csv(tmp_path, scale):
+        # a text trace keeps the doubles, which the float32 format cannot
+        samples = sample_envelope(KappaMuParams(2.0, 1.2, 1.0), 20_000, seed=9).samples * scale
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join(map(repr, samples.tolist())))
+        return path, samples
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_rms_outside_range_exit_2(self, capsys, tmp_path, scale):
+        # at 1e-160 the residual's terms overflowed and the fit ended in a
+        # traceback; at 1e160 they were subnormal and r_hat printed as
+        # Infinity
+        path, samples = self.scaled_csv(tmp_path, scale)
+        code, out, err = run(capsys, "fit", "--trace", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: trace RMS {em._rms(samples):.6g} is outside 1e-100 to "
+                       f"1e+100, the range a fit admits; rescale the trace\n")
+
+    @pytest.mark.parametrize("scale", [2.0 ** -332, 2.0 ** 332])
+    def test_rms_at_range_ends_fit(self, capsys, tmp_path, scale):
+        # both just inside the range: strict JSON with the RMS scaled exactly
+        path, samples = self.scaled_csv(tmp_path, scale)
+        code, out, err = run(capsys, "fit", "--trace", str(path))
+        assert code == 0, err
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rec = json.loads(out, parse_constant=refuse)
+        assert rec["r_hat"] == em._rms(samples) == scale * em._rms(samples / scale)
+        assert 1.8 <= rec["kappa_hat"] <= 2.6 and 1.0 <= rec["mu_hat"] <= 1.3
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "fit", "--trace", "/nonexistent/trace.csv")

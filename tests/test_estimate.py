@@ -6,6 +6,7 @@ pins one seed, so results are deterministic.
 """
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,28 @@ class TestFitKappaMu:
         assert len(hist) > 3
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160])
+    def test_rms_outside_range_refused(self, scale):
+        # at 1e-200 every square underflowed, at 1e-160 the residual's
+        # terms overflowed on every start, at 1e160 they were subnormal
+        samples = sample_envelope(KappaMuParams(2.0, 1.2, 1.0), 20_000, seed=9).samples * scale
+        rms = em._rms(samples)
+        assert rms == pytest.approx(scale, rel=0.01)
+        message = f"trace RMS {rms:.6g} is outside 1e-100 to 1e+100, the range a fit admits"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_kappa_mu(EnvelopeTrace(samples))
+
+    def test_rms_scales_exactly(self):
+        # the plain formula's value where its squares stay normal, and that
+        # value scaled by a power of two where they would overflow or
+        # underflow
+        samples = sample_envelope(KappaMuParams(2.0, 1.2, 1.0), 20_000, seed=9).samples
+        rms = em._rms(samples)
+        assert rms == float(np.sqrt(np.mean(samples ** 2)))
+        for shift in (-1000, -600, 600, 1000):
+            assert em._rms(samples * 2.0 ** shift) == math.ldexp(rms, shift)
+        assert em._rms(np.zeros(5)) == 0.0
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit_kappa_mu(EnvelopeTrace(np.ones(500)))
@@ -195,6 +218,89 @@ def scipy_nelder_mead(fun, start, bounds, options):
     return res, tuple(history)
 
 
+def scipy_points(fun, start, bounds, options):
+    """The points scipy's bounded Nelder-Mead passes to the objective, in
+    order, as pairs of floats, and the values it gets back."""
+    from scipy.optimize import minimize
+
+    points, values = [], []
+
+    def recorded(x):
+        points.append(tuple(x.tolist()))
+        values.append(fun(x))
+        return values[-1]
+
+    minimize(recorded, np.asarray(start, dtype=float), method="Nelder-Mead",
+             bounds=bounds, options=options)
+    return points, values
+
+
+def transcription_points(fun, start, bounds, options):
+    """The points ``estimate._nelder_mead`` yields, in order."""
+    points = []
+
+    def evaluate(batch):
+        points.extend(batch)
+        return [fun(p) for p in batch]
+
+    em._lockstep([em._nelder_mead(start, bounds, **options)], evaluate)
+    return points
+
+
+def branches(values):
+    """The steps a Nelder-Mead search took, read off the values of the
+    points it evaluated, in order: after the first simplex, which branch
+    each iteration takes depends on values alone."""
+    fsim = sorted(values[:3], key=lambda f: (math.isnan(f), f))
+    taken, i = [], 3
+    while i < len(values):
+        fr = values[i]
+        i += 1
+        if fr < fsim[0]:
+            fe = values[i]
+            i += 1
+            taken.append("expansion accepted" if fe < fr else "expansion rejected")
+            fsim[2] = min(fe, fr)
+        elif fr < fsim[1]:
+            taken.append("reflection accepted")
+            fsim[2] = fr
+        else:
+            outside = fr < fsim[2]
+            taken.append("outside contraction" if outside else "inside contraction")
+            fc = values[i]
+            i += 1
+            if fc <= fr if outside else fc < fsim[2]:
+                fsim[2] = fc
+            else:
+                taken.append("shrink")
+                fsim[1:] = values[i:i + 2]
+                i += 2
+        fsim.sort(key=lambda f: (math.isnan(f), f))
+    return taken
+
+
+def golden_objective(name):
+    """The fit objective of one point on a golden trace, on the histogram
+    ``fit_kappa_mu`` builds."""
+    kappa, mu, seed, kind = GOLDEN_TRACES[name]
+    samples = sample_envelope(KappaMuParams(kappa, mu, 1.0), GOLDEN_SAMPLES, seed).samples
+    if kind == "power":
+        samples = samples ** 2
+    samples = samples.astype("<f4").astype(float)  # as the trace file holds them
+    if kind == "power":
+        samples = np.sqrt(samples)
+    r_hat = float(np.sqrt(np.mean(samples ** 2)))
+    centers, dens = em._histogram_density(samples, None)
+
+    def objective(theta):
+        model = fading.envelope_pdf(KappaMuParams(float(theta[0]), float(theta[1]), 1.0),
+                                    centers, r_hat)
+        diff = model - dens
+        return float(np.dot(diff, diff))
+
+    return objective
+
+
 def assert_same_run(run, res, history):
     assert run.x == tuple(res.x)
     assert run.fun == res.fun
@@ -251,6 +357,11 @@ class TestSimplexTranscription:
     def holed(p):
         return math.nan if p[0] + p[1] > 1.2 else (p[0] - 0.9) ** 2 + (p[1] - 0.5) ** 2
 
+    @staticmethod
+    def saddle(p):
+        # least along two edges of the unit box, so contractions miss
+        return p[0] * p[1]
+
     CASES = {
         "rosenbrock": ("rosenbrock", (-1.2, 1.0), [(-2.0, 2.0), (-1.0, 3.0)], 400),
         "optimum outside": ("outside", (0.5, 0.5), [(0.0, 1.0), (0.0, 1.0)], 400),
@@ -261,6 +372,7 @@ class TestSimplexTranscription:
         # two vertices of the first simplex are NaN: sorted last, in order
         "nan region": ("holed", (0.6, 0.6), [(0.0, 1.0), (0.0, 1.0)], 400),
         "maxiter 5": ("rosenbrock", (-1.2, 1.0), [(-2.0, 2.0), (-1.0, 3.0)], 5),
+        "shrink": ("saddle", (0.5, 0.5), [(0.0, 1.0), (0.0, 1.0)], 400),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -282,13 +394,45 @@ class TestSimplexTranscription:
         if name == "holed":
             assert [math.isnan(v) for v in values[:3]] == [False, True, True]
 
+    #: the golden trace and start whose points are compared with scipy's
+    GOLDEN_START = ("nakagami", em.DEFAULT_STARTS[4])
+
+    def case_points(self, case):
+        name, start, bounds, maxiter = self.CASES[case]
+        fun = getattr(self, name)
+        options = dict(FIT_OPTIONS, maxiter=maxiter)
+        return (transcription_points(fun, start, bounds, options),
+                *scipy_points(fun, start, bounds, options))
+
+    def golden_points(self):
+        name, start = self.GOLDEN_START
+        objective = golden_objective(name)
+        bounds = [em.KAPPA_BOUNDS, em.MU_BOUNDS]
+        return (transcription_points(objective, start, bounds, FIT_OPTIONS),
+                *scipy_points(objective, start, bounds, FIT_OPTIONS))
+
+    @pytest.mark.parametrize("case", list(CASES) + ["golden start"])
+    def test_points_match_scipy(self, case):
+        # every point the objective sees, in scipy's order, to the last
+        # bit; the points scipy's callbacks evaluate are not among them
+        ours, theirs, _ = self.golden_points() if case == "golden start" else self.case_points(case)
+        assert all(type(c) is float for p in ours for c in p)
+        assert ours == theirs
+
+    def test_cases_take_every_branch(self):
+        taken = set(branches(self.golden_points()[2]))
+        for case in self.CASES:
+            taken.update(branches(self.case_points(case)[2]))
+        assert taken == {"expansion accepted", "expansion rejected", "reflection accepted",
+                         "outside contraction", "inside contraction", "shrink"}
+
     def test_vertex_order_is_argsorts(self):
         # every three values from a set with ties, signed zeros, infinities
         # and NaN: the order scipy's np.argsort gives the simplex
         pool = (0.0, -0.0, 1.0, math.inf, -math.inf, math.nan)
         for fsim in itertools.product(pool, repeat=3):
-            order, _ = em._by_value(list(range(3)), list(fsim))
-            assert order == np.argsort(np.array(fsim)).tolist(), fsim
+            order = em._sorted3(0, fsim[0], 1, fsim[1], 2, fsim[2])[::2]
+            assert list(order) == np.argsort(np.array(fsim)).tolist(), fsim
 
 
 class TestTraceIo:
