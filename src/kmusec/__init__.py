@@ -6,9 +6,8 @@ parameter fitting, behind a compiled-or-pure kernel backend.
 """
 from kmusec._backend import backend_name
 from kmusec.errors import ConvergenceError, QuadratureError
-from kmusec.fading import (EPSILON_KAPPA, ClusterSpec, KappaMuParams,
-                           envelope_pdf, make_special_case, sample_snr,
-                           snr_cdf, snr_pdf)
+from kmusec.fading import (ClusterSpec, KappaMuParams, envelope_pdf,
+                           make_special_case, sample_snr, snr_cdf, snr_pdf)
 from kmusec.montecarlo import McEstimate, mc_all, mc_sop_both, mc_spsc
 from kmusec.secrecy import (EvalResult, WiretapPair, secrecy_capacity,
                             series_many, sop_exact, sop_exact_many, sop_lower,
@@ -26,7 +25,6 @@ __all__ = [
     "ClusterSpec",
     "ConvergenceError",
     "DEFAULT_CONTROL",
-    "EPSILON_KAPPA",
     "EvalResult",
     "KappaMuParams",
     "McEstimate",

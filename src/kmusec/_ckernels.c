@@ -7630,7 +7630,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
  *     cdef double ln_z = log(beta_e) - log(total_be)
  *     cdef double ln_1mz = log(beta_m) - log(total_be)             # <<<<<<<<<<<<<<
  *     cdef double one_mz = beta_m / total_be
- *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else 0.0
+ *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else -INFINITY
 */
   __pyx_v_ln_1mz = (log(__pyx_v_beta_m) - log(__pyx_v_total_be));
 
@@ -7638,7 +7638,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
  *     cdef double ln_z = log(beta_e) - log(total_be)
  *     cdef double ln_1mz = log(beta_m) - log(total_be)
  *     cdef double one_mz = beta_m / total_be             # <<<<<<<<<<<<<<
- *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else 0.0
+ *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else -INFINITY
  *     cdef double ln_am = log(alpha_m) if alpha_m > 0.0 else 0.0
 */
   __pyx_v_one_mz = (__pyx_v_beta_m / __pyx_v_total_be);
@@ -7646,7 +7646,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
   /* "kmusec/_ckernels.pyx":338
  *     cdef double ln_1mz = log(beta_m) - log(total_be)
  *     cdef double one_mz = beta_m / total_be
- *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else 0.0             # <<<<<<<<<<<<<<
+ *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else -INFINITY             # <<<<<<<<<<<<<<
  *     cdef double ln_am = log(alpha_m) if alpha_m > 0.0 else 0.0
  *     cdef double ln_abs_tol = log(abs_tol)
 */
@@ -7654,13 +7654,13 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
   if (__pyx_t_2) {
     __pyx_t_1 = log(__pyx_v_alpha_e);
   } else {
-    __pyx_t_1 = 0.0;
+    __pyx_t_1 = (-INFINITY);
   }
   __pyx_v_ln_ae = __pyx_t_1;
 
   /* "kmusec/_ckernels.pyx":339
  *     cdef double one_mz = beta_m / total_be
- *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else 0.0
+ *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else -INFINITY
  *     cdef double ln_am = log(alpha_m) if alpha_m > 0.0 else 0.0             # <<<<<<<<<<<<<<
  *     cdef double ln_abs_tol = log(abs_tol)
  *     cdef double renorm = 1e250
@@ -7674,7 +7674,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
   __pyx_v_ln_am = __pyx_t_1;
 
   /* "kmusec/_ckernels.pyx":340
- *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else 0.0
+ *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else -INFINITY
  *     cdef double ln_am = log(alpha_m) if alpha_m > 0.0 else 0.0
  *     cdef double ln_abs_tol = log(abs_tol)             # <<<<<<<<<<<<<<
  *     cdef double renorm = 1e250

@@ -335,7 +335,7 @@ def survival_series(double mu_m, double mu_e, double alpha_m, double alpha_e,
     cdef double ln_z = log(beta_e) - log(total_be)
     cdef double ln_1mz = log(beta_m) - log(total_be)
     cdef double one_mz = beta_m / total_be
-    cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else 0.0
+    cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else -INFINITY
     cdef double ln_am = log(alpha_m) if alpha_m > 0.0 else 0.0
     cdef double ln_abs_tol = log(abs_tol)
     cdef double renorm = 1e250

@@ -373,7 +373,7 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
     ln_z = math.log(beta_e) - math.log(total_be)
     ln_1mz = math.log(beta_m) - math.log(total_be)
     one_mz = beta_m / total_be
-    ln_ae = math.log(alpha_e) if alpha_e > 0.0 else 0.0
+    ln_ae = math.log(alpha_e) if alpha_e > 0.0 else -math.inf
     ln_am = math.log(alpha_m) if alpha_m > 0.0 else 0.0
     ln_abs_tol = math.log(abs_tol)
     renorm = 1e250

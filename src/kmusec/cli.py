@@ -25,7 +25,7 @@ import numpy as np
 from kmusec import estimate as est_mod
 from kmusec import fading, montecarlo, secrecy
 from kmusec.errors import ConvergenceError, PrecisionError, QuadratureError
-from kmusec.fading import EPSILON_KAPPA, KappaMuParams, integer_mu
+from kmusec.fading import KappaMuParams, integer_mu
 from kmusec.secrecy import EvalResult, WiretapPair
 from kmusec.specfun import SeriesControl
 
@@ -34,8 +34,8 @@ SCHEMA = 1
 #: caption and measured parameter sets, reusable as CLI scenarios
 PRESETS = {
     "fig2-rice": dict(km=15.0, um=1.0, ke=12.0, ue=1.0),
-    "fig2-nakagami": dict(km=EPSILON_KAPPA, um=2.0, ke=EPSILON_KAPPA, ue=2.0),
-    "fig2-rayleigh": dict(km=EPSILON_KAPPA, um=1.0, ke=EPSILON_KAPPA, ue=1.0),
+    "fig2-nakagami": dict(km=0.0, um=2.0, ke=0.0, ue=2.0),
+    "fig2-rayleigh": dict(km=0.0, um=1.0, ke=0.0, ue=1.0),
     # "1 dB" target rate read as 10^(1/10) nats; see the sop docs
     "fig4": dict(km=4.0, um=1.4, ke=2.0, ue=1.2, rate_nats=10 ** 0.1),
     "d2d": dict(km=1.07, um=0.91, ke=1.11, ue=0.92),
@@ -44,8 +44,7 @@ PRESETS = {
 }
 # parameter-free scenario tags double as presets
 PRESETS["rayleigh"] = PRESETS["fig2-rayleigh"]
-PRESETS["one_sided_gaussian"] = dict(km=EPSILON_KAPPA, um=0.5,
-                                     ke=EPSILON_KAPPA, ue=0.5)
+PRESETS["one_sided_gaussian"] = dict(km=0.0, um=0.5, ke=0.0, ue=0.5)
 
 
 class SweepVariable(NamedTuple):
@@ -192,9 +191,9 @@ def _mc_result(mc):
 def _spsc_by_method(pair, method, args):
     ctl = _control(args)
     if method == "auto":
-        # the closed form itself falls back to the series below its kappa
-        # floor; auto takes the series too where the closed form leaves
-        # double precision (an integer mu of 500, say)
+        # below KAPPA_MIN_CLOSED_FORM the closed form hands over to the
+        # series, which takes kappa = 0 exactly; auto takes the series too
+        # where the closed form leaves double precision (an integer mu of 500)
         if integer_mu(pair.main.mu) and integer_mu(pair.eve.mu):
             try:
                 return secrecy.spsc_closed_form(pair, ctl)

@@ -4,7 +4,6 @@ Parameter container, SNR PDF/CDF, envelope PDF, random sampling and the
 special-case factories (Rayleigh, Rice, Nakagami-m, One-Sided Gaussian).
 SNR is linear throughout; gamma_bar is the mean SNR.
 """
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -16,8 +15,8 @@ import numpy as np
 # beyond ive's range; the distribution function runs on scipy.special
 from kmusec._backend import kernels as _k
 
-#: stand-in for kappa -> 0 limits in series paths; the density and the
-#: distribution function take kappa = 0 itself, the gamma law
+#: the former kappa -> 0 stand-in: every path takes kappa = 0 itself, the
+#: gamma law, and no library code reads it; kmubench/workloads.py imports it
 EPSILON_KAPPA = 1e-9
 
 #: the scenario tags ``make_special_case`` accepts
@@ -40,13 +39,6 @@ class KappaMuParams:
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         if not 0.0 < self.gamma_bar < math.inf:
             raise ValueError(f"gamma_bar must be finite and > 0, got {self.gamma_bar}")
-
-    def with_kappa_floor(self):
-        """Copy with kappa raised to the documented epsilon stand-in,
-        for series paths that require kappa > 0."""
-        if self.kappa >= EPSILON_KAPPA:
-            return self
-        return dataclasses.replace(self, kappa=EPSILON_KAPPA)
 
 
 def integer_mu(mu):
@@ -471,13 +463,13 @@ def envelope_pdf(params, r, r_hat=1.0):
 def make_special_case(name, *, K=None, m=None, kappa=None, mu=None, gamma_bar=1.0):
     """Parameter triple for a named special case of the model.
 
-    rice(K) -> (kappa=K, mu=1); nakagami_m(m) -> (kappa=eps, mu=m);
-    rayleigh -> (kappa=eps, mu=1); one_sided_gaussian -> (kappa=eps,
-    mu=0.5); kappa_mu passes (kappa, mu) through. eps is the documented
-    kappa -> 0 stand-in.
+    rice(K) -> (kappa=K, mu=1); nakagami_m(m) -> (kappa=0, mu=m);
+    rayleigh -> (kappa=0, mu=1); one_sided_gaussian -> (kappa=0,
+    mu=0.5); kappa_mu passes (kappa, mu) through. kappa = 0 is exact on
+    every path: the gamma law.
     """
     if name == "rayleigh":
-        return KappaMuParams(EPSILON_KAPPA, 1.0, gamma_bar)
+        return KappaMuParams(0.0, 1.0, gamma_bar)
     if name == "rice":
         if K is None or K <= 0.0:
             raise ValueError("rice requires a positive K factor")
@@ -485,9 +477,9 @@ def make_special_case(name, *, K=None, m=None, kappa=None, mu=None, gamma_bar=1.
     if name == "nakagami_m":
         if m is None or m <= 0.0:
             raise ValueError("nakagami_m requires a positive m")
-        return KappaMuParams(EPSILON_KAPPA, float(m), gamma_bar)
+        return KappaMuParams(0.0, float(m), gamma_bar)
     if name == "one_sided_gaussian":
-        return KappaMuParams(EPSILON_KAPPA, 0.5, gamma_bar)
+        return KappaMuParams(0.0, 0.5, gamma_bar)
     if name == "kappa_mu":
         if kappa is None or mu is None:
             raise ValueError("kappa_mu requires kappa and mu")

@@ -65,6 +65,8 @@ def _count(pair, n, seed, events):
     and each one's count over all draws becomes an estimate."""
     if n < 1000:
         raise ValueError("n must be at least 1000")
+    if not 0 <= seed < 1 << 128:  # the Philox key's range
+        raise ValueError(f"seed must be in 0..2**128 - 1, got {seed}")
     sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
     chunk = functools.partial(_chunk_counts, pair, seed, events)
     # numpy's Poisson and gamma samplers release the GIL; imported here,

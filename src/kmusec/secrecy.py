@@ -132,8 +132,8 @@ def _survival(pair, rate_scale, ctl):
     z -> 1. The channel with the larger rate (s beta_M for the main link)
     goes first, so that z <= 1/2; the other side is one minus the sum,
     and ``est_error`` bounds both."""
-    m_shape, m_mean, m_rate = fading.gamma_mixture(pair.main.with_kappa_floor())
-    e_shape, e_mean, e_rate = fading.gamma_mixture(pair.eve.with_kappa_floor())
+    m_shape, m_mean, m_rate = fading.gamma_mixture(pair.main)
+    e_shape, e_mean, e_rate = fading.gamma_mixture(pair.eve)
     m_rate *= rate_scale
     if not all(map(math.isfinite, (m_shape, m_mean, m_rate, e_shape, e_mean, e_rate))):
         # at mu 1e308, say, the rate (1+kappa) mu / gbar overflows, and so

@@ -39,7 +39,7 @@ def test_criterion_01_rayleigh_reduction():
     t0 = time.perf_counter()
     worst = 0.0
     for ratio in (0.1, 0.5, 1.0, 3.0, 10.0):
-        p = pair(1e-9, 1.0, ratio, 1e-9, 1.0, 1.0)
+        p = pair(0.0, 1.0, ratio, 0.0, 1.0, 1.0)
         got = secrecy.spsc_series(p).value
         want = ratio / (ratio + 1.0)
         worst = max(worst, abs(got - want))
@@ -140,8 +140,8 @@ def test_criterion_06_monotonicity():
     grid_db = np.linspace(-10.0, 30.0, 41)
     presets = {
         "fig2-rice": (15.0, 1.0, 12.0, 1.0),
-        "fig2-nakagami": (1e-9, 2.0, 1e-9, 2.0),
-        "fig2-rayleigh": (1e-9, 1.0, 1e-9, 1.0),
+        "fig2-nakagami": (0.0, 2.0, 0.0, 2.0),
+        "fig2-rayleigh": (0.0, 1.0, 0.0, 1.0),
         "fig4": (4.0, 1.4, 2.0, 1.2),
     }
     for name, (km, um, ke, ue) in presets.items():

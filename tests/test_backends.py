@@ -86,6 +86,11 @@ SURVIVAL_CASES = [
     (1.0, 1.0, 15.0, 12.0, 16.0 / 1000.0, 13.0),
     (1.0, 1.0, 1e-9, 1e-9, 1.0 / 3.0, 1.0),
     (10.0, 10.0, 500.0, 500.0, 510.0, 510.0),
+    # Poisson mean 0 on the outer side, on the inner side and on both
+    (1.0, 1.0, 15.0, 0.0, 16.0 / 2.0, 1.0),
+    (2.0, 3.0, 0.0, 6.0, 5.0, 9.0),
+    (1.0, 1.0, 0.0, 0.0, 1.0 / 3.0, 1.0),
+    (1000.0, 2.0, 0.0, 0.0, 1000.0 / 1.5, 2.0),
 ]
 
 

@@ -2,7 +2,7 @@
 against the library, and ``bench_backends`` must keep offering what the
 benchmark harness (``kmubench/twin.py``) imports from it. The library in
 turn must keep the names the harness's tracer (``kmubench/tracer.py``)
-binds."""
+binds and its workloads (``kmubench/workloads.py``) import."""
 import importlib.util
 import json
 import os
@@ -51,6 +51,34 @@ def test_harness_bindings_exist():
         [sys.executable, "-c", _BINDINGS, os.path.join(ROOT, "kmubench")],
         capture_output=True, text=True, env=library_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+_WORKLOADS = """
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import workloads
+failures = {}
+for name, factory in workloads.FACTORIES.items():
+    wl = factory(np.random.default_rng(9), sys.argv[2])
+    op = wl.ops[0]
+    failures[name] = op.check(op.call())
+print(json.dumps(failures))
+"""
+
+
+def test_harness_workloads_build_and_check(tmp_path):
+    # every benchmark workload builds at a fixed seed, and its first op
+    # passes its own check: a library change that removes or renames a
+    # name the workloads import (fading.EPSILON_KAPPA, cli.PRESETS,
+    # estimate._histogram_density, say) fails here, not in the harness
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKLOADS, os.path.join(ROOT, "kmubench"), str(tmp_path)],
+        capture_output=True, text=True, env=library_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"analytic_grid": None, "figure_curves": None,
+                                       "mc_oracle": None, "trace_fit": None}
 
 
 def test_bench_sweep_split_runs():

@@ -465,6 +465,21 @@ class TestValidate:
         assert report["pass"] is False
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+@pytest.mark.parametrize("argv", [
+    ("spsc", "--preset", "d2d", "--method", "mc", "--mc-n", "1000"),
+    ("sop", "--preset", "d2d", "--method", "mc", "--mc-n", "1000"),
+    ("sweep", "--preset", "d2d", "--variable", "gamma_bar_m_db", "--start", "0",
+     "--stop", "3", "--steps", "2", "--with-mc", "1000"),
+    ("validate", "--grid", "small", "--mc-n", "1000")])
+def test_seed_out_of_range_exit_2(capsys, argv, seed):
+    # the Philox key takes 0..2^128 - 1; the message names the seed
+    code, out, err = run(capsys, *argv, "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert f"seed must be in 0..2**128 - 1, got {seed}" in err
+
+
 class TestSharedSeries:
     """SPSC and SOP^L at rate 0 are the two sides of one survival series,
     and SPSC does not depend on the rate, so each distinct survival

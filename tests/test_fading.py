@@ -17,8 +17,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from kmusec import estimate, fading, secrecy
-from kmusec.fading import (EPSILON_KAPPA, ClusterSpec, KappaMuParams,
-                           make_special_case)
+from kmusec.fading import ClusterSpec, KappaMuParams, make_special_case
 
 import mpref
 
@@ -45,10 +44,6 @@ class TestParams:
                                              (1e-12, None)])
     def test_integer_mu(self, mu, expected):
         assert fading.integer_mu(mu) == expected
-
-    def test_kappa_floor(self):
-        assert KappaMuParams(0.0, 1.0, 1.0).with_kappa_floor().kappa == EPSILON_KAPPA
-        assert KappaMuParams(2.0, 1.0, 1.0).with_kappa_floor().kappa == 2.0
 
     def test_gamma_mixture(self):
         shape_m, alpha_m, beta_m = fading.gamma_mixture(KappaMuParams(4.0, 1.4, 2.0))
@@ -112,7 +107,7 @@ class TestSnrPdf:
 
     def test_exact_zero_kappa_matches_epsilon(self):
         exact = KappaMuParams(0.0, 1.7, 2.0)
-        eps = KappaMuParams(EPSILON_KAPPA, 1.7, 2.0)
+        eps = KappaMuParams(1e-9, 1.7, 2.0)
         for g in (0.2, 1.0, 4.0):
             assert fading.snr_pdf(exact, g) == pytest.approx(
                 fading.snr_pdf(eps, g), rel=1e-7)
@@ -538,7 +533,7 @@ class TestSnrCdf:
         assert fading.snr_cdf(KappaMuParams(3.0, 1.2, 1.0), 0.0) == 0.0
 
     def test_exponential_median(self):
-        p = KappaMuParams(EPSILON_KAPPA, 1.0, 1.0)
+        p = KappaMuParams(0.0, 1.0, 1.0)
         assert fading.snr_cdf(p, math.log(2.0)) == pytest.approx(0.5, abs=1e-7)
 
     def test_interior_point(self):
@@ -584,7 +579,7 @@ class TestSnrCdf:
 
     def test_exact_zero_kappa_fast_path(self):
         exact = KappaMuParams(0.0, 1.4, 1.0)
-        eps = KappaMuParams(EPSILON_KAPPA, 1.4, 1.0)
+        eps = KappaMuParams(1e-9, 1.4, 1.0)
         for g in (0.3, 1.0, 2.5):
             assert fading.snr_cdf(exact, g) == pytest.approx(
                 fading.snr_cdf(eps, g), abs=1e-7)
@@ -592,7 +587,7 @@ class TestSnrCdf:
 
 class TestSampler:
     def test_mean_rayleigh(self):
-        p = KappaMuParams(EPSILON_KAPPA, 1.0, 3.0)
+        p = KappaMuParams(0.0, 1.0, 3.0)
         draws = fading.sample_snr(p, 1_000_000, seed=7)
         assert draws.mean() == pytest.approx(3.0, abs=0.01)
 
@@ -672,17 +667,17 @@ class TestSpecialCases:
 
     def test_nakagami(self):
         p = make_special_case("nakagami_m", m=2.0)
-        assert p.kappa == EPSILON_KAPPA
+        assert p.kappa == 0.0
         assert p.mu == 2.0
 
     def test_one_sided_gaussian(self):
         p = make_special_case("one_sided_gaussian")
-        assert p.kappa == EPSILON_KAPPA
+        assert p.kappa == 0.0
         assert p.mu == 0.5
 
     def test_rayleigh(self):
         p = make_special_case("rayleigh", gamma_bar=3.0)
-        assert (p.kappa, p.mu, p.gamma_bar) == (EPSILON_KAPPA, 1.0, 3.0)
+        assert (p.kappa, p.mu, p.gamma_bar) == (0.0, 1.0, 3.0)
 
     def test_kappa_mu_passthrough(self):
         p = make_special_case("kappa_mu", kappa=4.0, mu=1.4)

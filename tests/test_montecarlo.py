@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kmusec import montecarlo, secrecy
-from kmusec.fading import EPSILON_KAPPA, KappaMuParams, _sample_snr_with
+from kmusec.fading import KappaMuParams, _sample_snr_with
 from kmusec.secrecy import WiretapPair
 
 import mpref
@@ -86,7 +86,7 @@ class TestCalibration:
         assert abs(est.estimate - 0.5) <= 4.0 * est.std_error
 
     def test_rayleigh_ratio(self):
-        p = pair(EPSILON_KAPPA, 1.0, 3.0, EPSILON_KAPPA, 1.0, 1.0)
+        p = pair(0.0, 1.0, 3.0, 0.0, 1.0, 1.0)
         est = montecarlo.mc_spsc(p, 1_000_000, seed=11)
         assert abs(est.estimate - 0.75) <= 4.0 * est.std_error
 
@@ -163,3 +163,10 @@ class TestConvergence:
             montecarlo.mc_spsc(pair(1, 1, 1, 1, 1, 1), 999, seed=0)
         with pytest.raises(ValueError):
             montecarlo.mc_sop_both(pair(1, 1, 1, 1, 1, 1), 10, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seed_range(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*128 - 1"):
+            montecarlo.mc_all(pair(1, 1, 1, 1, 1, 1), 1000, seed=seed)
+        est = montecarlo.mc_spsc(pair(1, 1, 1, 1, 1, 1), 1000, seed=2 ** 128 - 1)
+        assert est.seed == 2 ** 128 - 1

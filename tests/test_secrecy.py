@@ -13,7 +13,7 @@ import pytest
 from kmusec import fading, secrecy
 from kmusec.cli import SWEEP_VARIABLES, SweepSpec
 from kmusec.errors import PrecisionError, QuadratureError
-from kmusec.fading import EPSILON_KAPPA, KappaMuParams, make_special_case
+from kmusec.fading import KappaMuParams, make_special_case
 from kmusec.secrecy import (ClosedFormParams, EvalResult, QuadSpec,
                             WiretapPair, secrecy_capacity, series_many,
                             sop_exact, sop_lower, spsc_closed_form,
@@ -24,6 +24,9 @@ from kmusec.specfun import DEFAULT_CONTROL, SeriesControl
 import mpref
 
 RS_1DB = 10.0 ** 0.1  # the "1 dB" target rate read as 10^(1/10) nats
+EPS = np.finfo(float).eps
+#: cluster parameters of the gamma-law (kappa = 0) checks
+GAMMA_LAW_MUS = (0.05, 0.3, 1.0, 2.0, 7.5, 40.0, 1000.0)
 
 
 def pair(km, um, gbm, ke, ue, gbe, rate=0.0):
@@ -94,8 +97,27 @@ class TestSpscSeries:
         assert spsc_series(p).value == pytest.approx(0.5, abs=1e-6)
 
     def test_rayleigh_reduction(self):
-        p = pair(EPSILON_KAPPA, 1.0, 3.0, EPSILON_KAPPA, 1.0, 1.0)
+        p = pair(0.0, 1.0, 3.0, 0.0, 1.0, 1.0)
         assert spsc_series(p).value == pytest.approx(0.75, abs=1e-6)
+
+    @pytest.mark.parametrize("gbm,gbe", [(1.0, 1.0), (1.5, 1.0), (0.2, 3.0)])
+    @pytest.mark.parametrize("mu_e", GAMMA_LAW_MUS)
+    @pytest.mark.parametrize("mu_m", GAMMA_LAW_MUS)
+    def test_gamma_laws_at_rate_zero(self, mu_m, mu_e, gbm, gbe):
+        # kappa = 0 on both channels: every outer term past the first
+        # weighs exactly 0 and no inner term is summed, so the series is
+        # its k = 0 term; the stop rule ends after three small terms
+        p = pair(0.0, mu_m, gbm, 0.0, mu_e, gbe)
+        ref = mpref.gamma_escape(mu_m, mu_e, gbm, gbe, 0.0)
+        spsc, lower = spsc_series(p), sop_lower(p)
+        assert spsc.terms_k <= 4 and spsc.terms_l == 0
+        # the term's rounding: log-gammas of size ln Gamma(mu_M + mu_E + 1)
+        # cancel to its log, so the miss grows with that size; measured, it
+        # is at most 5.3 eps (1 + that size) at mu 0.05 on both sides and
+        # 1.2 eps (1 + that size) at mu 1,000
+        tol = 8.0 * EPS * (1.0 + math.lgamma(mu_m + mu_e + 1.0))
+        assert float(abs(spsc.value - ref)) <= tol
+        assert float(abs(lower.value - (1 - ref))) <= tol
 
     def test_d2d_against_monte_carlo(self):
         # frozen independent MC: 10^7 draws, estimate 0.6782541, se 1.477e-4
@@ -536,7 +558,7 @@ class TestReferenceReductions:
 
     def test_series_reduces_to_rayleigh(self):
         for ratio in (0.5, 1.0, 3.0):
-            p = pair(EPSILON_KAPPA, 1.0, ratio, EPSILON_KAPPA, 1.0, 1.0)
+            p = pair(0.0, 1.0, ratio, 0.0, 1.0, 1.0)
             assert spsc_series(p).value == pytest.approx(
                 spsc_rayleigh_reference(ratio, 1.0), abs=1e-6)
 
