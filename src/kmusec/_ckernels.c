@@ -2403,6 +2403,7 @@ static double __pyx_f_6kmusec_9_ckernels__betainc_reg(double, double, double, do
 static double __pyx_f_6kmusec_9_ckernels__gauss_series(double, double, double, double, double, long); /*proto*/
 static double __pyx_f_6kmusec_9_ckernels__pfaff_terminating(double, double, double, long); /*proto*/
 static double __pyx_f_6kmusec_9_ckernels__log_f1_beta(double, double, double); /*proto*/
+static int __pyx_f_6kmusec_9_ckernels__seed_block(double, long, double, double, long, double *); /*proto*/
 /* #### Code section: typeinfo ### */
 /* #### Code section: before_global_var ### */
 #define __Pyx_MODULE_NAME "kmusec._ckernels"
@@ -2447,7 +2448,7 @@ typedef struct {
   __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
   PyObject *__pyx_tuple[1];
   PyObject *__pyx_codeobj_tab[8];
-  PyObject *__pyx_string_tab[129];
+  PyObject *__pyx_string_tab[136];
   PyObject *__pyx_number_tab[4];
 /* #### Code section: module_state_contents ### */
 /* CommonTypesMetaclass.module_state_decls */
@@ -2510,114 +2511,121 @@ static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_stati
 #define __pyx_kp_u_unsupported_Bessel_order __pyx_string_tab[18]
 #define __pyx_n_u_ConvergenceError __pyx_string_tab[19]
 #define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[20]
-#define __pyx_n_u_a __pyx_string_tab[21]
-#define __pyx_n_u_abs_tol __pyx_string_tab[22]
-#define __pyx_n_u_acc __pyx_string_tab[23]
-#define __pyx_n_u_alpha __pyx_string_tab[24]
-#define __pyx_n_u_alpha_e __pyx_string_tab[25]
-#define __pyx_n_u_alpha_m __pyx_string_tab[26]
-#define __pyx_n_u_annotate __pyx_string_tab[27]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[28]
-#define __pyx_n_u_b __pyx_string_tab[29]
-#define __pyx_n_u_b0 __pyx_string_tab[30]
-#define __pyx_n_u_bessel_i __pyx_string_tab[31]
-#define __pyx_n_u_bessel_ie __pyx_string_tab[32]
-#define __pyx_n_u_beta __pyx_string_tab[33]
-#define __pyx_n_u_beta_e __pyx_string_tab[34]
-#define __pyx_n_u_beta_m __pyx_string_tab[35]
-#define __pyx_n_u_betainc_reg __pyx_string_tab[36]
-#define __pyx_n_u_bound_log __pyx_string_tab[37]
-#define __pyx_n_u_c __pyx_string_tab[38]
-#define __pyx_n_u_c0 __pyx_string_tab[39]
-#define __pyx_n_u_cb __pyx_string_tab[40]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[41]
-#define __pyx_n_u_e __pyx_string_tab[42]
-#define __pyx_n_u_est_error __pyx_string_tab[43]
-#define __pyx_n_u_f0 __pyx_string_tab[44]
-#define __pyx_n_u_func __pyx_string_tab[45]
-#define __pyx_n_u_gammainc_upper_reg __pyx_string_tab[46]
-#define __pyx_n_u_gauss_2f1 __pyx_string_tab[47]
-#define __pyx_n_u_gh __pyx_string_tab[48]
-#define __pyx_n_u_ie __pyx_string_tab[49]
-#define __pyx_n_u_inner __pyx_string_tab[50]
-#define __pyx_n_u_inv_f0 __pyx_string_tab[51]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[52]
-#define __pyx_n_u_items __pyx_string_tab[53]
-#define __pyx_n_u_k __pyx_string_tab[54]
-#define __pyx_n_u_kmusec__ckernels __pyx_string_tab[55]
-#define __pyx_n_u_kmusec_errors __pyx_string_tab[56]
-#define __pyx_n_u_l __pyx_string_tab[57]
-#define __pyx_n_u_l0 __pyx_string_tab[58]
-#define __pyx_n_u_l_max __pyx_string_tab[59]
-#define __pyx_n_u_ln_1mz __pyx_string_tab[60]
-#define __pyx_n_u_ln_abs_tol __pyx_string_tab[61]
-#define __pyx_n_u_ln_ae __pyx_string_tab[62]
-#define __pyx_n_u_ln_am __pyx_string_tab[63]
-#define __pyx_n_u_ln_e __pyx_string_tab[64]
-#define __pyx_n_u_ln_f0 __pyx_string_tab[65]
-#define __pyx_n_u_ln_inner __pyx_string_tab[66]
-#define __pyx_n_u_ln_inner_tol __pyx_string_tab[67]
-#define __pyx_n_u_ln_renorm __pyx_string_tab[68]
-#define __pyx_n_u_ln_scale __pyx_string_tab[69]
-#define __pyx_n_u_ln_skip_l __pyx_string_tab[70]
-#define __pyx_n_u_ln_tail __pyx_string_tab[71]
-#define __pyx_n_u_ln_y __pyx_string_tab[72]
-#define __pyx_n_u_ln_z __pyx_string_tab[73]
-#define __pyx_n_u_log_gamma __pyx_string_tab[74]
-#define __pyx_n_u_log_scale __pyx_string_tab[75]
-#define __pyx_n_u_log_ts __pyx_string_tab[76]
-#define __pyx_n_u_log_wk __pyx_string_tab[77]
-#define __pyx_n_u_m __pyx_string_tab[78]
-#define __pyx_n_u_main __pyx_string_tab[79]
-#define __pyx_n_u_marcum_q_series __pyx_string_tab[80]
-#define __pyx_n_u_max_iter __pyx_string_tab[81]
-#define __pyx_n_u_max_terms __pyx_string_tab[82]
-#define __pyx_n_u_module __pyx_string_tab[83]
-#define __pyx_n_u_mu_e __pyx_string_tab[84]
-#define __pyx_n_u_mu_m __pyx_string_tab[85]
-#define __pyx_n_u_name __pyx_string_tab[86]
-#define __pyx_n_u_num __pyx_string_tab[87]
-#define __pyx_n_u_one_mz __pyx_string_tab[88]
-#define __pyx_n_u_p __pyx_string_tab[89]
-#define __pyx_n_u_pop __pyx_string_tab[90]
-#define __pyx_n_u_q __pyx_string_tab[91]
-#define __pyx_n_u_q0 __pyx_string_tab[92]
-#define __pyx_n_u_qualname __pyx_string_tab[93]
-#define __pyx_n_u_rel_tol __pyx_string_tab[94]
-#define __pyx_n_u_renorm __pyx_string_tab[95]
-#define __pyx_n_u_rho __pyx_string_tab[96]
-#define __pyx_n_u_rho_d __pyx_string_tab[97]
-#define __pyx_n_u_rho_k __pyx_string_tab[98]
-#define __pyx_n_u_s __pyx_string_tab[99]
-#define __pyx_n_u_s_hi __pyx_string_tab[100]
-#define __pyx_n_u_set_name __pyx_string_tab[101]
-#define __pyx_n_u_setdefault __pyx_string_tab[102]
-#define __pyx_n_u_skip __pyx_string_tab[103]
-#define __pyx_n_u_skipped __pyx_string_tab[104]
-#define __pyx_n_u_small_run __pyx_string_tab[105]
-#define __pyx_n_u_survival_series __pyx_string_tab[106]
-#define __pyx_n_u_t __pyx_string_tab[107]
-#define __pyx_n_u_tail __pyx_string_tab[108]
-#define __pyx_n_u_test __pyx_string_tab[109]
-#define __pyx_n_u_tol __pyx_string_tab[110]
-#define __pyx_n_u_total __pyx_string_tab[111]
-#define __pyx_n_u_total_be __pyx_string_tab[112]
-#define __pyx_n_u_v __pyx_string_tab[113]
-#define __pyx_n_u_value __pyx_string_tab[114]
-#define __pyx_n_u_values __pyx_string_tab[115]
-#define __pyx_n_u_w __pyx_string_tab[116]
-#define __pyx_n_u_w_tail __pyx_string_tab[117]
-#define __pyx_n_u_x __pyx_string_tab[118]
-#define __pyx_n_u_y __pyx_string_tab[119]
-#define __pyx_n_u_z __pyx_string_tab[120]
-#define __pyx_kp_b_iso88591_23_7_A_G2Q_s_82S_AXRs_1_1L_1_1L __pyx_string_tab[121]
-#define __pyx_kp_b_iso88591_6a_r_A_q_2Q_s_T_S_5_S_7_4r_r_A __pyx_string_tab[122]
-#define __pyx_kp_b_iso88591_9_uCq_uCq_BfBa_Be2Q_2Rr_5_as_A __pyx_string_tab[123]
-#define __pyx_kp_b_iso88591_Q_r_A_j_B_1_r_1_j_C1A_as_U __pyx_string_tab[124]
-#define __pyx_kp_b_iso88591_Qc __pyx_string_tab[125]
-#define __pyx_kp_b_iso88591_Zq_1_r_1_3b_3b_1A __pyx_string_tab[126]
-#define __pyx_kp_b_iso88591_a_r_D_2S_j_q_3c_a __pyx_string_tab[127]
-#define __pyx_kp_b_iso88591_r_A_j_9_81A __pyx_string_tab[128]
+#define __pyx_n_u_annotate __pyx_string_tab[21]
+#define __pyx_n_u_func __pyx_string_tab[22]
+#define __pyx_n_u_main __pyx_string_tab[23]
+#define __pyx_n_u_module __pyx_string_tab[24]
+#define __pyx_n_u_name __pyx_string_tab[25]
+#define __pyx_n_u_qualname __pyx_string_tab[26]
+#define __pyx_n_u_set_name __pyx_string_tab[27]
+#define __pyx_n_u_test __pyx_string_tab[28]
+#define __pyx_n_u_is_coroutine __pyx_string_tab[29]
+#define __pyx_n_u_a __pyx_string_tab[30]
+#define __pyx_n_u_abs_tol __pyx_string_tab[31]
+#define __pyx_n_u_acc __pyx_string_tab[32]
+#define __pyx_n_u_alpha __pyx_string_tab[33]
+#define __pyx_n_u_alpha_e __pyx_string_tab[34]
+#define __pyx_n_u_alpha_m __pyx_string_tab[35]
+#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[36]
+#define __pyx_n_u_b __pyx_string_tab[37]
+#define __pyx_n_u_bessel_i __pyx_string_tab[38]
+#define __pyx_n_u_bessel_ie __pyx_string_tab[39]
+#define __pyx_n_u_beta __pyx_string_tab[40]
+#define __pyx_n_u_beta_e __pyx_string_tab[41]
+#define __pyx_n_u_beta_m __pyx_string_tab[42]
+#define __pyx_n_u_betainc_reg __pyx_string_tab[43]
+#define __pyx_n_u_bound_log __pyx_string_tab[44]
+#define __pyx_n_u_c __pyx_string_tab[45]
+#define __pyx_n_u_cb __pyx_string_tab[46]
+#define __pyx_n_u_cline_in_traceback __pyx_string_tab[47]
+#define __pyx_n_u_e __pyx_string_tab[48]
+#define __pyx_n_u_est_error __pyx_string_tab[49]
+#define __pyx_n_u_f0 __pyx_string_tab[50]
+#define __pyx_n_u_gammainc_upper_reg __pyx_string_tab[51]
+#define __pyx_n_u_gauss_2f1 __pyx_string_tab[52]
+#define __pyx_n_u_gh __pyx_string_tab[53]
+#define __pyx_n_u_ie __pyx_string_tab[54]
+#define __pyx_n_u_inner __pyx_string_tab[55]
+#define __pyx_n_u_inv_f0 __pyx_string_tab[56]
+#define __pyx_n_u_items __pyx_string_tab[57]
+#define __pyx_n_u_k __pyx_string_tab[58]
+#define __pyx_n_u_kmusec__ckernels __pyx_string_tab[59]
+#define __pyx_n_u_kmusec_errors __pyx_string_tab[60]
+#define __pyx_n_u_l __pyx_string_tab[61]
+#define __pyx_n_u_l0 __pyx_string_tab[62]
+#define __pyx_n_u_l_max __pyx_string_tab[63]
+#define __pyx_n_u_lg_p __pyx_string_tab[64]
+#define __pyx_n_u_lg_pq __pyx_string_tab[65]
+#define __pyx_n_u_lg_q0 __pyx_string_tab[66]
+#define __pyx_n_u_ln_1mz __pyx_string_tab[67]
+#define __pyx_n_u_ln_abs_tol __pyx_string_tab[68]
+#define __pyx_n_u_ln_ae __pyx_string_tab[69]
+#define __pyx_n_u_ln_am __pyx_string_tab[70]
+#define __pyx_n_u_ln_e __pyx_string_tab[71]
+#define __pyx_n_u_ln_f0 __pyx_string_tab[72]
+#define __pyx_n_u_ln_inner __pyx_string_tab[73]
+#define __pyx_n_u_ln_inner_tol __pyx_string_tab[74]
+#define __pyx_n_u_ln_renorm __pyx_string_tab[75]
+#define __pyx_n_u_ln_scale __pyx_string_tab[76]
+#define __pyx_n_u_ln_skip_l __pyx_string_tab[77]
+#define __pyx_n_u_ln_tail __pyx_string_tab[78]
+#define __pyx_n_u_ln_y __pyx_string_tab[79]
+#define __pyx_n_u_ln_z __pyx_string_tab[80]
+#define __pyx_n_u_log_gamma __pyx_string_tab[81]
+#define __pyx_n_u_log_scale __pyx_string_tab[82]
+#define __pyx_n_u_log_ts __pyx_string_tab[83]
+#define __pyx_n_u_log_wk __pyx_string_tab[84]
+#define __pyx_n_u_m __pyx_string_tab[85]
+#define __pyx_n_u_mag __pyx_string_tab[86]
+#define __pyx_n_u_mag0 __pyx_string_tab[87]
+#define __pyx_n_u_mag_1mz __pyx_string_tab[88]
+#define __pyx_n_u_mag_z __pyx_string_tab[89]
+#define __pyx_n_u_marcum_q_series __pyx_string_tab[90]
+#define __pyx_n_u_max_iter __pyx_string_tab[91]
+#define __pyx_n_u_max_terms __pyx_string_tab[92]
+#define __pyx_n_u_mu_e __pyx_string_tab[93]
+#define __pyx_n_u_mu_m __pyx_string_tab[94]
+#define __pyx_n_u_num __pyx_string_tab[95]
+#define __pyx_n_u_one_mz __pyx_string_tab[96]
+#define __pyx_n_u_p __pyx_string_tab[97]
+#define __pyx_n_u_pop __pyx_string_tab[98]
+#define __pyx_n_u_q __pyx_string_tab[99]
+#define __pyx_n_u_q0 __pyx_string_tab[100]
+#define __pyx_n_u_rel_tol __pyx_string_tab[101]
+#define __pyx_n_u_renorm __pyx_string_tab[102]
+#define __pyx_n_u_rho __pyx_string_tab[103]
+#define __pyx_n_u_rho_d __pyx_string_tab[104]
+#define __pyx_n_u_rho_k __pyx_string_tab[105]
+#define __pyx_n_u_s __pyx_string_tab[106]
+#define __pyx_n_u_s_hi __pyx_string_tab[107]
+#define __pyx_n_u_seeds __pyx_string_tab[108]
+#define __pyx_n_u_setdefault __pyx_string_tab[109]
+#define __pyx_n_u_skip __pyx_string_tab[110]
+#define __pyx_n_u_skipped __pyx_string_tab[111]
+#define __pyx_n_u_small_run __pyx_string_tab[112]
+#define __pyx_n_u_survival_series __pyx_string_tab[113]
+#define __pyx_n_u_t __pyx_string_tab[114]
+#define __pyx_n_u_tail __pyx_string_tab[115]
+#define __pyx_n_u_tol __pyx_string_tab[116]
+#define __pyx_n_u_tol_frame __pyx_string_tab[117]
+#define __pyx_n_u_total __pyx_string_tab[118]
+#define __pyx_n_u_total_be __pyx_string_tab[119]
+#define __pyx_n_u_v __pyx_string_tab[120]
+#define __pyx_n_u_value __pyx_string_tab[121]
+#define __pyx_n_u_values __pyx_string_tab[122]
+#define __pyx_n_u_w __pyx_string_tab[123]
+#define __pyx_n_u_w_tail __pyx_string_tab[124]
+#define __pyx_n_u_x __pyx_string_tab[125]
+#define __pyx_n_u_y __pyx_string_tab[126]
+#define __pyx_n_u_z __pyx_string_tab[127]
+#define __pyx_kp_b_iso88591_23_7_A_G2Q_s_82S_AXRs_1_1L_1_1L __pyx_string_tab[128]
+#define __pyx_kp_b_iso88591_6a_r_A_q_2Q_s_T_S_5_S_7_4r_r_A __pyx_string_tab[129]
+#define __pyx_kp_b_iso88591_9_uCq_uCq_BfBa_Be2Q_2Rr_5_as_A __pyx_string_tab[130]
+#define __pyx_kp_b_iso88591_Q_r_A_j_B_1_r_1_j_C1A_as_U __pyx_string_tab[131]
+#define __pyx_kp_b_iso88591_Qc __pyx_string_tab[132]
+#define __pyx_kp_b_iso88591_Zq_1_r_1_3b_3b_1A __pyx_string_tab[133]
+#define __pyx_kp_b_iso88591_a_r_D_2S_j_q_3c_a __pyx_string_tab[134]
+#define __pyx_kp_b_iso88591_r_A_j_9_81A __pyx_string_tab[135]
 #define __pyx_float_0_0 __pyx_number_tab[0]
 #define __pyx_float_1_0 __pyx_number_tab[1]
 #define __pyx_int_0 __pyx_number_tab[2]
@@ -2638,7 +2646,7 @@ static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
   #endif
   for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
   for (int i=0; i<8; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<129; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
+  for (int i=0; i<136; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
   for (int i=0; i<4; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
 /* #### Code section: module_state_clear_contents ### */
 /* CommonTypesMetaclass.module_state_clear */
@@ -2664,7 +2672,7 @@ static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void
   __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
   for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
   for (int i=0; i<8; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<129; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
+  for (int i=0; i<136; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
   for (int i=0; i<4; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
 /* #### Code section: module_state_traverse_contents ### */
 /* CommonTypesMetaclass.module_state_traverse */
@@ -7359,6 +7367,108 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_12marcum_q_series(CYTHON_UNUSED PyO
 /* "kmusec/_ckernels.pyx":327
  * 
  * 
+ * cdef int _seed_block(double mu_e, long k, double q0, double z, long max_terms,             # <<<<<<<<<<<<<<
+ *                      double *seeds) except -1:
+ *     cdef double f = _gauss_series(1.0, mu_e + (k + 31) + q0, mu_e + (k + 31) + 1.0,
+*/
+static int __pyx_f_6kmusec_9_ckernels__seed_block(double __pyx_v_mu_e, long __pyx_v_k, double __pyx_v_q0, double __pyx_v_z, long __pyx_v_max_terms, double *__pyx_v_seeds) {
+  double __pyx_v_f;
+  double __pyx_v_p;
+  int __pyx_v_i;
+  int __pyx_r;
+  double __pyx_t_1;
+  int __pyx_t_2;
+  int __pyx_lineno = 0;
+  const char *__pyx_filename = NULL;
+  int __pyx_clineno = 0;
+
+  /* "kmusec/_ckernels.pyx":329
+ * cdef int _seed_block(double mu_e, long k, double q0, double z, long max_terms,
+ *                      double *seeds) except -1:
+ *     cdef double f = _gauss_series(1.0, mu_e + (k + 31) + q0, mu_e + (k + 31) + 1.0,             # <<<<<<<<<<<<<<
+ *                                   z, 1e-15, max_terms)
+ *     cdef double p
+*/
+  __pyx_t_1 = __pyx_f_6kmusec_9_ckernels__gauss_series(1.0, ((__pyx_v_mu_e + (__pyx_v_k + 31)) + __pyx_v_q0), ((__pyx_v_mu_e + (__pyx_v_k + 31)) + 1.0), __pyx_v_z, 1e-15, __pyx_v_max_terms); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_1, ((double)(-1.0))))) __PYX_ERR(0, 329, __pyx_L1_error)
+  __pyx_v_f = __pyx_t_1;
+
+  /* "kmusec/_ckernels.pyx":333
+ *     cdef double p
+ *     cdef int i
+ *     seeds[31] = f             # <<<<<<<<<<<<<<
+ *     for i in range(30, -1, -1):
+ *         p = mu_e + (k + i)
+*/
+  (__pyx_v_seeds[31]) = __pyx_v_f;
+
+  /* "kmusec/_ckernels.pyx":334
+ *     cdef int i
+ *     seeds[31] = f
+ *     for i in range(30, -1, -1):             # <<<<<<<<<<<<<<
+ *         p = mu_e + (k + i)
+ *         f = 1.0 + z * (p + q0) / (p + 1.0) * f
+*/
+  for (__pyx_t_2 = 30; __pyx_t_2 > -1; __pyx_t_2-=1) {
+    __pyx_v_i = __pyx_t_2;
+
+    /* "kmusec/_ckernels.pyx":335
+ *     seeds[31] = f
+ *     for i in range(30, -1, -1):
+ *         p = mu_e + (k + i)             # <<<<<<<<<<<<<<
+ *         f = 1.0 + z * (p + q0) / (p + 1.0) * f
+ *         seeds[i] = f
+*/
+    __pyx_v_p = (__pyx_v_mu_e + (__pyx_v_k + __pyx_v_i));
+
+    /* "kmusec/_ckernels.pyx":336
+ *     for i in range(30, -1, -1):
+ *         p = mu_e + (k + i)
+ *         f = 1.0 + z * (p + q0) / (p + 1.0) * f             # <<<<<<<<<<<<<<
+ *         seeds[i] = f
+ *     return 0
+*/
+    __pyx_v_f = (1.0 + (((__pyx_v_z * (__pyx_v_p + __pyx_v_q0)) / (__pyx_v_p + 1.0)) * __pyx_v_f));
+
+    /* "kmusec/_ckernels.pyx":337
+ *         p = mu_e + (k + i)
+ *         f = 1.0 + z * (p + q0) / (p + 1.0) * f
+ *         seeds[i] = f             # <<<<<<<<<<<<<<
+ *     return 0
+ * 
+*/
+    (__pyx_v_seeds[__pyx_v_i]) = __pyx_v_f;
+  }
+
+  /* "kmusec/_ckernels.pyx":338
+ *         f = 1.0 + z * (p + q0) / (p + 1.0) * f
+ *         seeds[i] = f
+ *     return 0             # <<<<<<<<<<<<<<
+ * 
+ * 
+*/
+  __pyx_r = 0;
+  goto __pyx_L0;
+
+  /* "kmusec/_ckernels.pyx":327
+ * 
+ * 
+ * cdef int _seed_block(double mu_e, long k, double q0, double z, long max_terms,             # <<<<<<<<<<<<<<
+ *                      double *seeds) except -1:
+ *     cdef double f = _gauss_series(1.0, mu_e + (k + 31) + q0, mu_e + (k + 31) + 1.0,
+*/
+
+  /* function exit code */
+  __pyx_L1_error:;
+  __Pyx_AddTraceback("kmusec._ckernels._seed_block", __pyx_clineno, __pyx_lineno, __pyx_filename);
+  __pyx_r = -1;
+  __pyx_L0:;
+  return __pyx_r;
+}
+
+
+/* "kmusec/_ckernels.pyx":341
+ * 
+ * 
  * def survival_series(double mu_m, double mu_e, double alpha_m, double alpha_e,             # <<<<<<<<<<<<<<
  *                     double beta_m, double beta_e, double abs_tol=1e-12,
  *                     double rel_tol=1e-10, long max_terms=10000):
@@ -7372,7 +7482,7 @@ PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
 PyObject *__pyx_args, PyObject *__pyx_kwds
 #endif
 ); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6kmusec_9_ckernels_14survival_series, "Double series for Pr(gamma_M > gamma_E); see the pure-Python twin\n    for the derivation notes. Returns (value, k_terms, l_terms_max,\n    est_error).");
+PyDoc_STRVAR(__pyx_doc_6kmusec_9_ckernels_14survival_series, "Double series for Pr(gamma_M > gamma_E); see the pure-Python twin\n    for the block seeds, the stop pre-test and the rounding bound.\n    Returns (value, k_terms, l_terms_max, est_error).");
 static PyMethodDef __pyx_mdef_6kmusec_9_ckernels_15survival_series = {"survival_series", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6kmusec_9_ckernels_15survival_series, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6kmusec_9_ckernels_14survival_series};
 static PyObject *__pyx_pw_6kmusec_9_ckernels_15survival_series(PyObject *__pyx_self, 
 #if CYTHON_METH_FASTCALL
@@ -7412,109 +7522,109 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   {
     PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_mu_m,&__pyx_mstate_global->__pyx_n_u_mu_e,&__pyx_mstate_global->__pyx_n_u_alpha_m,&__pyx_mstate_global->__pyx_n_u_alpha_e,&__pyx_mstate_global->__pyx_n_u_beta_m,&__pyx_mstate_global->__pyx_n_u_beta_e,&__pyx_mstate_global->__pyx_n_u_abs_tol,&__pyx_mstate_global->__pyx_n_u_rel_tol,&__pyx_mstate_global->__pyx_n_u_max_terms,0};
     const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 327, __pyx_L3_error)
+    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 341, __pyx_L3_error)
     if (__pyx_kwds_len > 0) {
       switch (__pyx_nargs) {
         case  9:
         values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 341, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  8:
         values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 341, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  7:
         values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 341, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  6:
         values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 341, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  5:
         values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 341, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  4:
         values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 341, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  3:
         values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 341, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  2:
         values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 341, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  1:
         values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 341, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  0: break;
         default: goto __pyx_L5_argtuple_error;
       }
       const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "survival_series", 0) < (0)) __PYX_ERR(0, 327, __pyx_L3_error)
+      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "survival_series", 0) < (0)) __PYX_ERR(0, 341, __pyx_L3_error)
       for (Py_ssize_t i = __pyx_nargs; i < 6; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("survival_series", 0, 6, 9, i); __PYX_ERR(0, 327, __pyx_L3_error) }
+        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("survival_series", 0, 6, 9, i); __PYX_ERR(0, 341, __pyx_L3_error) }
       }
     } else {
       switch (__pyx_nargs) {
         case  9:
         values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 341, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  8:
         values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 341, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  7:
         values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 341, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  6:
         values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 341, __pyx_L3_error)
         values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 341, __pyx_L3_error)
         values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 341, __pyx_L3_error)
         values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 341, __pyx_L3_error)
         values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 341, __pyx_L3_error)
         values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 327, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 341, __pyx_L3_error)
         break;
         default: goto __pyx_L5_argtuple_error;
       }
     }
-    __pyx_v_mu_m = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_mu_m == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 327, __pyx_L3_error)
-    __pyx_v_mu_e = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_mu_e == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 327, __pyx_L3_error)
-    __pyx_v_alpha_m = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_alpha_m == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 327, __pyx_L3_error)
-    __pyx_v_alpha_e = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_alpha_e == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 327, __pyx_L3_error)
-    __pyx_v_beta_m = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_beta_m == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 328, __pyx_L3_error)
-    __pyx_v_beta_e = __Pyx_PyFloat_AsDouble(values[5]); if (unlikely((__pyx_v_beta_e == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 328, __pyx_L3_error)
+    __pyx_v_mu_m = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_mu_m == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 341, __pyx_L3_error)
+    __pyx_v_mu_e = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_mu_e == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 341, __pyx_L3_error)
+    __pyx_v_alpha_m = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_alpha_m == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 341, __pyx_L3_error)
+    __pyx_v_alpha_e = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_alpha_e == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 341, __pyx_L3_error)
+    __pyx_v_beta_m = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_beta_m == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 342, __pyx_L3_error)
+    __pyx_v_beta_e = __Pyx_PyFloat_AsDouble(values[5]); if (unlikely((__pyx_v_beta_e == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 342, __pyx_L3_error)
     if (values[6]) {
-      __pyx_v_abs_tol = __Pyx_PyFloat_AsDouble(values[6]); if (unlikely((__pyx_v_abs_tol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 328, __pyx_L3_error)
+      __pyx_v_abs_tol = __Pyx_PyFloat_AsDouble(values[6]); if (unlikely((__pyx_v_abs_tol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 342, __pyx_L3_error)
     } else {
       __pyx_v_abs_tol = ((double)((double)1e-12));
     }
     if (values[7]) {
-      __pyx_v_rel_tol = __Pyx_PyFloat_AsDouble(values[7]); if (unlikely((__pyx_v_rel_tol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 329, __pyx_L3_error)
+      __pyx_v_rel_tol = __Pyx_PyFloat_AsDouble(values[7]); if (unlikely((__pyx_v_rel_tol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 343, __pyx_L3_error)
     } else {
       __pyx_v_rel_tol = ((double)((double)1e-10));
     }
     if (values[8]) {
-      __pyx_v_max_terms = __Pyx_PyLong_As_long(values[8]); if (unlikely((__pyx_v_max_terms == (long)-1) && PyErr_Occurred())) __PYX_ERR(0, 329, __pyx_L3_error)
+      __pyx_v_max_terms = __Pyx_PyLong_As_long(values[8]); if (unlikely((__pyx_v_max_terms == (long)-1) && PyErr_Occurred())) __PYX_ERR(0, 343, __pyx_L3_error)
     } else {
       __pyx_v_max_terms = ((long)((long)0x2710));
     }
   }
   goto __pyx_L6_skip;
   __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("survival_series", 0, 6, 9, __pyx_nargs); __PYX_ERR(0, 327, __pyx_L3_error)
+  __Pyx_RaiseArgtupleInvalid("survival_series", 0, 6, 9, __pyx_nargs); __PYX_ERR(0, 341, __pyx_L3_error)
   __pyx_L6_skip:;
   goto __pyx_L4_argument_unpacking_done;
   __pyx_L3_error:;
@@ -7549,20 +7659,26 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
   long __pyx_v_l0;
   double __pyx_v_rho_d;
   double __pyx_v_ln_skip_l;
+  double __pyx_v_q0;
+  double __pyx_v_lg_q0;
+  double __pyx_v_mag0;
+  double __pyx_v_mag_z;
+  double __pyx_v_mag_1mz;
   double __pyx_v_total;
   double __pyx_v_est_error;
   long __pyx_v_l_max;
   int __pyx_v_small_run;
+  double __pyx_v_seeds[32];
   long __pyx_v_k;
   long __pyx_v_l;
   double __pyx_v_p;
-  double __pyx_v_q0;
-  double __pyx_v_b0;
-  double __pyx_v_c0;
   double __pyx_v_f0;
   double __pyx_v_ln_f0;
   double __pyx_v_inv_f0;
   double __pyx_v_log_wk;
+  double __pyx_v_mag;
+  double __pyx_v_lg_p;
+  double __pyx_v_lg_pq;
   double __pyx_v_log_ts;
   double __pyx_v_log_scale;
   double __pyx_v_t;
@@ -7576,6 +7692,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
   double __pyx_v_inner;
   double __pyx_v_skip;
   double __pyx_v_ln_inner_tol;
+  double __pyx_v_tol_frame;
   double __pyx_v_rho_k;
   double __pyx_v_w_tail;
   PyObject *__pyx_r = NULL;
@@ -7583,32 +7700,34 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
   double __pyx_t_1;
   int __pyx_t_2;
   int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8[3];
+  int __pyx_t_4;
+  double __pyx_t_5;
+  double __pyx_t_6;
+  double __pyx_t_7;
+  PyObject *__pyx_t_8 = NULL;
   PyObject *__pyx_t_9 = NULL;
-  size_t __pyx_t_10;
-  long __pyx_t_11;
-  double __pyx_t_12;
-  double __pyx_t_13;
+  PyObject *__pyx_t_10 = NULL;
+  PyObject *__pyx_t_11 = NULL;
+  PyObject *__pyx_t_12[3];
+  PyObject *__pyx_t_13 = NULL;
+  size_t __pyx_t_14;
+  long __pyx_t_15;
   int __pyx_lineno = 0;
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("survival_series", 0);
 
-  /* "kmusec/_ckernels.pyx":333
- *     for the derivation notes. Returns (value, k_terms, l_terms_max,
- *     est_error)."""
+  /* "kmusec/_ckernels.pyx":347
+ *     for the block seeds, the stop pre-test and the rounding bound.
+ *     Returns (value, k_terms, l_terms_max, est_error)."""
  *     cdef double total_be = beta_m + beta_e             # <<<<<<<<<<<<<<
  *     cdef double z = beta_e / total_be
  *     cdef double ln_z = log(beta_e) - log(total_be)
 */
   __pyx_v_total_be = (__pyx_v_beta_m + __pyx_v_beta_e);
 
-  /* "kmusec/_ckernels.pyx":334
- *     est_error)."""
+  /* "kmusec/_ckernels.pyx":348
+ *     Returns (value, k_terms, l_terms_max, est_error)."""
  *     cdef double total_be = beta_m + beta_e
  *     cdef double z = beta_e / total_be             # <<<<<<<<<<<<<<
  *     cdef double ln_z = log(beta_e) - log(total_be)
@@ -7616,7 +7735,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   __pyx_v_z = (__pyx_v_beta_e / __pyx_v_total_be);
 
-  /* "kmusec/_ckernels.pyx":335
+  /* "kmusec/_ckernels.pyx":349
  *     cdef double total_be = beta_m + beta_e
  *     cdef double z = beta_e / total_be
  *     cdef double ln_z = log(beta_e) - log(total_be)             # <<<<<<<<<<<<<<
@@ -7625,7 +7744,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   __pyx_v_ln_z = (log(__pyx_v_beta_e) - log(__pyx_v_total_be));
 
-  /* "kmusec/_ckernels.pyx":336
+  /* "kmusec/_ckernels.pyx":350
  *     cdef double z = beta_e / total_be
  *     cdef double ln_z = log(beta_e) - log(total_be)
  *     cdef double ln_1mz = log(beta_m) - log(total_be)             # <<<<<<<<<<<<<<
@@ -7634,7 +7753,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   __pyx_v_ln_1mz = (log(__pyx_v_beta_m) - log(__pyx_v_total_be));
 
-  /* "kmusec/_ckernels.pyx":337
+  /* "kmusec/_ckernels.pyx":351
  *     cdef double ln_z = log(beta_e) - log(total_be)
  *     cdef double ln_1mz = log(beta_m) - log(total_be)
  *     cdef double one_mz = beta_m / total_be             # <<<<<<<<<<<<<<
@@ -7643,7 +7762,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   __pyx_v_one_mz = (__pyx_v_beta_m / __pyx_v_total_be);
 
-  /* "kmusec/_ckernels.pyx":338
+  /* "kmusec/_ckernels.pyx":352
  *     cdef double ln_1mz = log(beta_m) - log(total_be)
  *     cdef double one_mz = beta_m / total_be
  *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else -INFINITY             # <<<<<<<<<<<<<<
@@ -7658,7 +7777,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
   }
   __pyx_v_ln_ae = __pyx_t_1;
 
-  /* "kmusec/_ckernels.pyx":339
+  /* "kmusec/_ckernels.pyx":353
  *     cdef double one_mz = beta_m / total_be
  *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else -INFINITY
  *     cdef double ln_am = log(alpha_m) if alpha_m > 0.0 else 0.0             # <<<<<<<<<<<<<<
@@ -7673,7 +7792,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
   }
   __pyx_v_ln_am = __pyx_t_1;
 
-  /* "kmusec/_ckernels.pyx":340
+  /* "kmusec/_ckernels.pyx":354
  *     cdef double ln_ae = log(alpha_e) if alpha_e > 0.0 else -INFINITY
  *     cdef double ln_am = log(alpha_m) if alpha_m > 0.0 else 0.0
  *     cdef double ln_abs_tol = log(abs_tol)             # <<<<<<<<<<<<<<
@@ -7682,7 +7801,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   __pyx_v_ln_abs_tol = log(__pyx_v_abs_tol);
 
-  /* "kmusec/_ckernels.pyx":341
+  /* "kmusec/_ckernels.pyx":355
  *     cdef double ln_am = log(alpha_m) if alpha_m > 0.0 else 0.0
  *     cdef double ln_abs_tol = log(abs_tol)
  *     cdef double renorm = 1e250             # <<<<<<<<<<<<<<
@@ -7691,7 +7810,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   __pyx_v_renorm = 1e250;
 
-  /* "kmusec/_ckernels.pyx":342
+  /* "kmusec/_ckernels.pyx":356
  *     cdef double ln_abs_tol = log(abs_tol)
  *     cdef double renorm = 1e250
  *     cdef double ln_renorm = log(renorm)             # <<<<<<<<<<<<<<
@@ -7700,7 +7819,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   __pyx_v_ln_renorm = log(__pyx_v_renorm);
 
-  /* "kmusec/_ckernels.pyx":344
+  /* "kmusec/_ckernels.pyx":358
  *     cdef double ln_renorm = log(renorm)
  * 
  *     cdef long l0 = 0             # <<<<<<<<<<<<<<
@@ -7709,7 +7828,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   __pyx_v_l0 = 0;
 
-  /* "kmusec/_ckernels.pyx":346
+  /* "kmusec/_ckernels.pyx":360
  *     cdef long l0 = 0
  *     cdef double rho_d, ln_skip_l
  *     ln_skip_l = -INFINITY             # <<<<<<<<<<<<<<
@@ -7718,7 +7837,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   __pyx_v_ln_skip_l = (-INFINITY);
 
-  /* "kmusec/_ckernels.pyx":347
+  /* "kmusec/_ckernels.pyx":361
  *     cdef double rho_d, ln_skip_l
  *     ln_skip_l = -INFINITY
  *     if alpha_m > 600.0:             # <<<<<<<<<<<<<<
@@ -7728,7 +7847,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
   __pyx_t_2 = (__pyx_v_alpha_m > 600.0);
   if (__pyx_t_2) {
 
-    /* "kmusec/_ckernels.pyx":348
+    /* "kmusec/_ckernels.pyx":362
  *     ln_skip_l = -INFINITY
  *     if alpha_m > 600.0:
  *         l0 = <long>(alpha_m - 40.0 * sqrt(alpha_m) - 30.0)             # <<<<<<<<<<<<<<
@@ -7737,7 +7856,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
     __pyx_v_l0 = ((long)((__pyx_v_alpha_m - (40.0 * sqrt(__pyx_v_alpha_m))) - 30.0));
 
-    /* "kmusec/_ckernels.pyx":349
+    /* "kmusec/_ckernels.pyx":363
  *     if alpha_m > 600.0:
  *         l0 = <long>(alpha_m - 40.0 * sqrt(alpha_m) - 30.0)
  *         if l0 < 0:             # <<<<<<<<<<<<<<
@@ -7747,7 +7866,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
     __pyx_t_2 = (__pyx_v_l0 < 0);
     if (__pyx_t_2) {
 
-      /* "kmusec/_ckernels.pyx":350
+      /* "kmusec/_ckernels.pyx":364
  *         l0 = <long>(alpha_m - 40.0 * sqrt(alpha_m) - 30.0)
  *         if l0 < 0:
  *             l0 = 0             # <<<<<<<<<<<<<<
@@ -7756,7 +7875,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
       __pyx_v_l0 = 0;
 
-      /* "kmusec/_ckernels.pyx":349
+      /* "kmusec/_ckernels.pyx":363
  *     if alpha_m > 600.0:
  *         l0 = <long>(alpha_m - 40.0 * sqrt(alpha_m) - 30.0)
  *         if l0 < 0:             # <<<<<<<<<<<<<<
@@ -7765,7 +7884,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
     }
 
-    /* "kmusec/_ckernels.pyx":347
+    /* "kmusec/_ckernels.pyx":361
  *     cdef double rho_d, ln_skip_l
  *     ln_skip_l = -INFINITY
  *     if alpha_m > 600.0:             # <<<<<<<<<<<<<<
@@ -7774,7 +7893,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   }
 
-  /* "kmusec/_ckernels.pyx":351
+  /* "kmusec/_ckernels.pyx":365
  *         if l0 < 0:
  *             l0 = 0
  *     if l0 > 0:             # <<<<<<<<<<<<<<
@@ -7784,7 +7903,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
   __pyx_t_2 = (__pyx_v_l0 > 0);
   if (__pyx_t_2) {
 
-    /* "kmusec/_ckernels.pyx":352
+    /* "kmusec/_ckernels.pyx":366
  *             l0 = 0
  *     if l0 > 0:
  *         rho_d = l0 / alpha_m             # <<<<<<<<<<<<<<
@@ -7793,16 +7912,16 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
     __pyx_v_rho_d = (((double)__pyx_v_l0) / __pyx_v_alpha_m);
 
-    /* "kmusec/_ckernels.pyx":354
+    /* "kmusec/_ckernels.pyx":368
  *         rho_d = l0 / alpha_m
  *         ln_skip_l = (l0 * ln_am - alpha_m - c_lgamma(l0 + 1.0)
  *                      + log(rho_d / (1.0 - rho_d)))             # <<<<<<<<<<<<<<
- * 
- *     cdef double total = 0.0
+ *     cdef double q0 = mu_m + l0
+ *     cdef double lg_q0 = c_lgamma(q0)
 */
     __pyx_v_ln_skip_l = ((((__pyx_v_l0 * __pyx_v_ln_am) - __pyx_v_alpha_m) - lgamma((__pyx_v_l0 + 1.0))) + log((__pyx_v_rho_d / (1.0 - __pyx_v_rho_d))));
 
-    /* "kmusec/_ckernels.pyx":351
+    /* "kmusec/_ckernels.pyx":365
  *         if l0 < 0:
  *             l0 = 0
  *     if l0 > 0:             # <<<<<<<<<<<<<<
@@ -7811,8 +7930,81 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   }
 
-  /* "kmusec/_ckernels.pyx":356
+  /* "kmusec/_ckernels.pyx":369
+ *         ln_skip_l = (l0 * ln_am - alpha_m - c_lgamma(l0 + 1.0)
  *                      + log(rho_d / (1.0 - rho_d)))
+ *     cdef double q0 = mu_m + l0             # <<<<<<<<<<<<<<
+ *     cdef double lg_q0 = c_lgamma(q0)
+ *     cdef double mag0 = alpha_m + fabs(lg_q0)
+*/
+  __pyx_v_q0 = (__pyx_v_mu_m + __pyx_v_l0);
+
+  /* "kmusec/_ckernels.pyx":370
+ *                      + log(rho_d / (1.0 - rho_d)))
+ *     cdef double q0 = mu_m + l0
+ *     cdef double lg_q0 = c_lgamma(q0)             # <<<<<<<<<<<<<<
+ *     cdef double mag0 = alpha_m + fabs(lg_q0)
+ *     cdef double mag_z = fabs(log(beta_e)) + fabs(log(total_be))
+*/
+  __pyx_v_lg_q0 = lgamma(__pyx_v_q0);
+
+  /* "kmusec/_ckernels.pyx":371
+ *     cdef double q0 = mu_m + l0
+ *     cdef double lg_q0 = c_lgamma(q0)
+ *     cdef double mag0 = alpha_m + fabs(lg_q0)             # <<<<<<<<<<<<<<
+ *     cdef double mag_z = fabs(log(beta_e)) + fabs(log(total_be))
+ *     cdef double mag_1mz = fabs(log(beta_m)) + fabs(log(total_be))
+*/
+  __pyx_v_mag0 = (__pyx_v_alpha_m + fabs(__pyx_v_lg_q0));
+
+  /* "kmusec/_ckernels.pyx":372
+ *     cdef double lg_q0 = c_lgamma(q0)
+ *     cdef double mag0 = alpha_m + fabs(lg_q0)
+ *     cdef double mag_z = fabs(log(beta_e)) + fabs(log(total_be))             # <<<<<<<<<<<<<<
+ *     cdef double mag_1mz = fabs(log(beta_m)) + fabs(log(total_be))
+ *     if l0 > 0:
+*/
+  __pyx_v_mag_z = (fabs(log(__pyx_v_beta_e)) + fabs(log(__pyx_v_total_be)));
+
+  /* "kmusec/_ckernels.pyx":373
+ *     cdef double mag0 = alpha_m + fabs(lg_q0)
+ *     cdef double mag_z = fabs(log(beta_e)) + fabs(log(total_be))
+ *     cdef double mag_1mz = fabs(log(beta_m)) + fabs(log(total_be))             # <<<<<<<<<<<<<<
+ *     if l0 > 0:
+ *         mag0 += l0 * ln_am + c_lgamma(l0 + 1.0)
+*/
+  __pyx_v_mag_1mz = (fabs(log(__pyx_v_beta_m)) + fabs(log(__pyx_v_total_be)));
+
+  /* "kmusec/_ckernels.pyx":374
+ *     cdef double mag_z = fabs(log(beta_e)) + fabs(log(total_be))
+ *     cdef double mag_1mz = fabs(log(beta_m)) + fabs(log(total_be))
+ *     if l0 > 0:             # <<<<<<<<<<<<<<
+ *         mag0 += l0 * ln_am + c_lgamma(l0 + 1.0)
+ * 
+*/
+  __pyx_t_2 = (__pyx_v_l0 > 0);
+  if (__pyx_t_2) {
+
+    /* "kmusec/_ckernels.pyx":375
+ *     cdef double mag_1mz = fabs(log(beta_m)) + fabs(log(total_be))
+ *     if l0 > 0:
+ *         mag0 += l0 * ln_am + c_lgamma(l0 + 1.0)             # <<<<<<<<<<<<<<
+ * 
+ *     cdef double total = 0.0
+*/
+    __pyx_v_mag0 = (__pyx_v_mag0 + ((__pyx_v_l0 * __pyx_v_ln_am) + lgamma((__pyx_v_l0 + 1.0))));
+
+    /* "kmusec/_ckernels.pyx":374
+ *     cdef double mag_z = fabs(log(beta_e)) + fabs(log(total_be))
+ *     cdef double mag_1mz = fabs(log(beta_m)) + fabs(log(total_be))
+ *     if l0 > 0:             # <<<<<<<<<<<<<<
+ *         mag0 += l0 * ln_am + c_lgamma(l0 + 1.0)
+ * 
+*/
+  }
+
+  /* "kmusec/_ckernels.pyx":377
+ *         mag0 += l0 * ln_am + c_lgamma(l0 + 1.0)
  * 
  *     cdef double total = 0.0             # <<<<<<<<<<<<<<
  *     cdef double est_error = 0.0
@@ -7820,7 +8012,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   __pyx_v_total = 0.0;
 
-  /* "kmusec/_ckernels.pyx":357
+  /* "kmusec/_ckernels.pyx":378
  * 
  *     cdef double total = 0.0
  *     cdef double est_error = 0.0             # <<<<<<<<<<<<<<
@@ -7829,143 +8021,143 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
   __pyx_v_est_error = 0.0;
 
-  /* "kmusec/_ckernels.pyx":358
+  /* "kmusec/_ckernels.pyx":379
  *     cdef double total = 0.0
  *     cdef double est_error = 0.0
  *     cdef long l_max = 0             # <<<<<<<<<<<<<<
  *     cdef int small_run = 0
- *     cdef long k = 0
+ *     cdef double seeds[32]
 */
   __pyx_v_l_max = 0;
 
-  /* "kmusec/_ckernels.pyx":359
+  /* "kmusec/_ckernels.pyx":380
  *     cdef double est_error = 0.0
  *     cdef long l_max = 0
  *     cdef int small_run = 0             # <<<<<<<<<<<<<<
+ *     cdef double seeds[32]
  *     cdef long k = 0
- *     cdef long l
 */
   __pyx_v_small_run = 0;
 
-  /* "kmusec/_ckernels.pyx":360
- *     cdef long l_max = 0
+  /* "kmusec/_ckernels.pyx":382
  *     cdef int small_run = 0
+ *     cdef double seeds[32]
  *     cdef long k = 0             # <<<<<<<<<<<<<<
  *     cdef long l
- *     cdef double p, q0, b0, c0, f0, ln_f0, inv_f0, log_wk, log_ts, log_scale
+ *     cdef double p, f0, ln_f0, inv_f0, log_wk, mag, lg_p, lg_pq, log_ts, log_scale
 */
   __pyx_v_k = 0;
 
-  /* "kmusec/_ckernels.pyx":365
+  /* "kmusec/_ckernels.pyx":387
  *     cdef double t, acc, gh, e, num, rho, ln_tail, ln_inner, inner, skip
- *     cdef double ln_inner_tol, rho_k, w_tail
+ *     cdef double ln_inner_tol, tol_frame, rho_k, w_tail
  *     while True:             # <<<<<<<<<<<<<<
  *         p = mu_e + k
- *         q0 = mu_m + l0
+ *         if z <= 0.5:
 */
   while (1) {
 
-    /* "kmusec/_ckernels.pyx":366
- *     cdef double ln_inner_tol, rho_k, w_tail
+    /* "kmusec/_ckernels.pyx":388
+ *     cdef double ln_inner_tol, tol_frame, rho_k, w_tail
  *     while True:
  *         p = mu_e + k             # <<<<<<<<<<<<<<
- *         q0 = mu_m + l0
- *         b0 = p + q0
+ *         if z <= 0.5:
+ *             if (k & 31) == 0:
 */
     __pyx_v_p = (__pyx_v_mu_e + __pyx_v_k);
 
-    /* "kmusec/_ckernels.pyx":367
+    /* "kmusec/_ckernels.pyx":389
  *     while True:
  *         p = mu_e + k
- *         q0 = mu_m + l0             # <<<<<<<<<<<<<<
- *         b0 = p + q0
- *         c0 = p + 1.0
-*/
-    __pyx_v_q0 = (__pyx_v_mu_m + __pyx_v_l0);
-
-    /* "kmusec/_ckernels.pyx":368
- *         p = mu_e + k
- *         q0 = mu_m + l0
- *         b0 = p + q0             # <<<<<<<<<<<<<<
- *         c0 = p + 1.0
- *         if z <= 0.5:
-*/
-    __pyx_v_b0 = (__pyx_v_p + __pyx_v_q0);
-
-    /* "kmusec/_ckernels.pyx":369
- *         q0 = mu_m + l0
- *         b0 = p + q0
- *         c0 = p + 1.0             # <<<<<<<<<<<<<<
- *         if z <= 0.5:
- *             f0 = _gauss_series(1.0, b0, c0, z, 1e-15, max_terms)
-*/
-    __pyx_v_c0 = (__pyx_v_p + 1.0);
-
-    /* "kmusec/_ckernels.pyx":370
- *         b0 = p + q0
- *         c0 = p + 1.0
  *         if z <= 0.5:             # <<<<<<<<<<<<<<
- *             f0 = _gauss_series(1.0, b0, c0, z, 1e-15, max_terms)
- *             ln_f0 = log(f0)
+ *             if (k & 31) == 0:
+ *                 _seed_block(mu_e, k, q0, z, max_terms, seeds)
 */
     __pyx_t_2 = (__pyx_v_z <= 0.5);
     if (__pyx_t_2) {
 
-      /* "kmusec/_ckernels.pyx":371
- *         c0 = p + 1.0
+      /* "kmusec/_ckernels.pyx":390
+ *         p = mu_e + k
  *         if z <= 0.5:
- *             f0 = _gauss_series(1.0, b0, c0, z, 1e-15, max_terms)             # <<<<<<<<<<<<<<
+ *             if (k & 31) == 0:             # <<<<<<<<<<<<<<
+ *                 _seed_block(mu_e, k, q0, z, max_terms, seeds)
+ *             f0 = seeds[k & 31]
+*/
+      __pyx_t_2 = ((__pyx_v_k & 31) == 0);
+      if (__pyx_t_2) {
+
+        /* "kmusec/_ckernels.pyx":391
+ *         if z <= 0.5:
+ *             if (k & 31) == 0:
+ *                 _seed_block(mu_e, k, q0, z, max_terms, seeds)             # <<<<<<<<<<<<<<
+ *             f0 = seeds[k & 31]
+ *             ln_f0 = log(f0)
+*/
+        __pyx_t_3 = __pyx_f_6kmusec_9_ckernels__seed_block(__pyx_v_mu_e, __pyx_v_k, __pyx_v_q0, __pyx_v_z, __pyx_v_max_terms, __pyx_v_seeds); if (unlikely(__pyx_t_3 == ((int)-1))) __PYX_ERR(0, 391, __pyx_L1_error)
+
+        /* "kmusec/_ckernels.pyx":390
+ *         p = mu_e + k
+ *         if z <= 0.5:
+ *             if (k & 31) == 0:             # <<<<<<<<<<<<<<
+ *                 _seed_block(mu_e, k, q0, z, max_terms, seeds)
+ *             f0 = seeds[k & 31]
+*/
+      }
+
+      /* "kmusec/_ckernels.pyx":392
+ *             if (k & 31) == 0:
+ *                 _seed_block(mu_e, k, q0, z, max_terms, seeds)
+ *             f0 = seeds[k & 31]             # <<<<<<<<<<<<<<
  *             ln_f0 = log(f0)
  *             inv_f0 = 1.0 / f0
 */
-      __pyx_t_1 = __pyx_f_6kmusec_9_ckernels__gauss_series(1.0, __pyx_v_b0, __pyx_v_c0, __pyx_v_z, 1e-15, __pyx_v_max_terms); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_1, ((double)(-1.0))))) __PYX_ERR(0, 371, __pyx_L1_error)
-      __pyx_v_f0 = __pyx_t_1;
+      __pyx_v_f0 = (__pyx_v_seeds[(__pyx_v_k & 31)]);
 
-      /* "kmusec/_ckernels.pyx":372
- *         if z <= 0.5:
- *             f0 = _gauss_series(1.0, b0, c0, z, 1e-15, max_terms)
+      /* "kmusec/_ckernels.pyx":393
+ *                 _seed_block(mu_e, k, q0, z, max_terms, seeds)
+ *             f0 = seeds[k & 31]
  *             ln_f0 = log(f0)             # <<<<<<<<<<<<<<
  *             inv_f0 = 1.0 / f0
  *         else:
 */
       __pyx_v_ln_f0 = log(__pyx_v_f0);
 
-      /* "kmusec/_ckernels.pyx":373
- *             f0 = _gauss_series(1.0, b0, c0, z, 1e-15, max_terms)
+      /* "kmusec/_ckernels.pyx":394
+ *             f0 = seeds[k & 31]
  *             ln_f0 = log(f0)
  *             inv_f0 = 1.0 / f0             # <<<<<<<<<<<<<<
  *         else:
- *             ln_f0 = _log_f1_beta(b0, c0, z)
+ *             ln_f0 = _log_f1_beta(p + q0, p + 1.0, z)
 */
       __pyx_v_inv_f0 = (1.0 / __pyx_v_f0);
 
-      /* "kmusec/_ckernels.pyx":370
- *         b0 = p + q0
- *         c0 = p + 1.0
+      /* "kmusec/_ckernels.pyx":389
+ *     while True:
+ *         p = mu_e + k
  *         if z <= 0.5:             # <<<<<<<<<<<<<<
- *             f0 = _gauss_series(1.0, b0, c0, z, 1e-15, max_terms)
- *             ln_f0 = log(f0)
+ *             if (k & 31) == 0:
+ *                 _seed_block(mu_e, k, q0, z, max_terms, seeds)
 */
       goto __pyx_L8;
     }
 
-    /* "kmusec/_ckernels.pyx":375
+    /* "kmusec/_ckernels.pyx":396
  *             inv_f0 = 1.0 / f0
  *         else:
- *             ln_f0 = _log_f1_beta(b0, c0, z)             # <<<<<<<<<<<<<<
+ *             ln_f0 = _log_f1_beta(p + q0, p + 1.0, z)             # <<<<<<<<<<<<<<
  *             inv_f0 = exp(-ln_f0) if -ln_f0 > _LOG_TINY else 0.0
  *         log_wk = -alpha_e - c_lgamma(k + 1.0)
 */
     /*else*/ {
-      __pyx_t_1 = __pyx_f_6kmusec_9_ckernels__log_f1_beta(__pyx_v_b0, __pyx_v_c0, __pyx_v_z); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_1, ((double)(-1.0))) && PyErr_Occurred())) __PYX_ERR(0, 375, __pyx_L1_error)
+      __pyx_t_1 = __pyx_f_6kmusec_9_ckernels__log_f1_beta((__pyx_v_p + __pyx_v_q0), (__pyx_v_p + 1.0), __pyx_v_z); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_1, ((double)(-1.0))) && PyErr_Occurred())) __PYX_ERR(0, 396, __pyx_L1_error)
       __pyx_v_ln_f0 = __pyx_t_1;
 
-      /* "kmusec/_ckernels.pyx":376
+      /* "kmusec/_ckernels.pyx":397
  *         else:
- *             ln_f0 = _log_f1_beta(b0, c0, z)
+ *             ln_f0 = _log_f1_beta(p + q0, p + 1.0, z)
  *             inv_f0 = exp(-ln_f0) if -ln_f0 > _LOG_TINY else 0.0             # <<<<<<<<<<<<<<
  *         log_wk = -alpha_e - c_lgamma(k + 1.0)
- *         if k > 0:
+ *         mag = mag0 - log_wk
 */
       __pyx_t_2 = ((-__pyx_v_ln_f0) > __pyx_v_6kmusec_9_ckernels__LOG_TINY);
       if (__pyx_t_2) {
@@ -7977,55 +8169,100 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
     }
     __pyx_L8:;
 
-    /* "kmusec/_ckernels.pyx":377
- *             ln_f0 = _log_f1_beta(b0, c0, z)
+    /* "kmusec/_ckernels.pyx":398
+ *             ln_f0 = _log_f1_beta(p + q0, p + 1.0, z)
  *             inv_f0 = exp(-ln_f0) if -ln_f0 > _LOG_TINY else 0.0
  *         log_wk = -alpha_e - c_lgamma(k + 1.0)             # <<<<<<<<<<<<<<
+ *         mag = mag0 - log_wk
  *         if k > 0:
- *             log_wk += k * ln_ae
 */
     __pyx_v_log_wk = ((-__pyx_v_alpha_e) - lgamma((__pyx_v_k + 1.0)));
 
-    /* "kmusec/_ckernels.pyx":378
+    /* "kmusec/_ckernels.pyx":399
  *             inv_f0 = exp(-ln_f0) if -ln_f0 > _LOG_TINY else 0.0
  *         log_wk = -alpha_e - c_lgamma(k + 1.0)
+ *         mag = mag0 - log_wk             # <<<<<<<<<<<<<<
+ *         if k > 0:
+ *             log_wk += k * ln_ae
+*/
+    __pyx_v_mag = (__pyx_v_mag0 - __pyx_v_log_wk);
+
+    /* "kmusec/_ckernels.pyx":400
+ *         log_wk = -alpha_e - c_lgamma(k + 1.0)
+ *         mag = mag0 - log_wk
  *         if k > 0:             # <<<<<<<<<<<<<<
  *             log_wk += k * ln_ae
- *         log_ts = (log_wk + p * ln_z + q0 * ln_1mz - alpha_m
+ *             mag += fabs(k * ln_ae)
 */
     __pyx_t_2 = (__pyx_v_k > 0);
     if (__pyx_t_2) {
 
-      /* "kmusec/_ckernels.pyx":379
- *         log_wk = -alpha_e - c_lgamma(k + 1.0)
+      /* "kmusec/_ckernels.pyx":401
+ *         mag = mag0 - log_wk
  *         if k > 0:
  *             log_wk += k * ln_ae             # <<<<<<<<<<<<<<
- *         log_ts = (log_wk + p * ln_z + q0 * ln_1mz - alpha_m
- *                   - c_lgamma(p) - log(p) - c_lgamma(q0)
+ *             mag += fabs(k * ln_ae)
+ *         lg_p = c_lgamma(p)
 */
       __pyx_v_log_wk = (__pyx_v_log_wk + (__pyx_v_k * __pyx_v_ln_ae));
 
-      /* "kmusec/_ckernels.pyx":378
- *             inv_f0 = exp(-ln_f0) if -ln_f0 > _LOG_TINY else 0.0
+      /* "kmusec/_ckernels.pyx":402
+ *         if k > 0:
+ *             log_wk += k * ln_ae
+ *             mag += fabs(k * ln_ae)             # <<<<<<<<<<<<<<
+ *         lg_p = c_lgamma(p)
+ *         lg_pq = c_lgamma(p + q0)
+*/
+      __pyx_v_mag = (__pyx_v_mag + fabs((__pyx_v_k * __pyx_v_ln_ae)));
+
+      /* "kmusec/_ckernels.pyx":400
  *         log_wk = -alpha_e - c_lgamma(k + 1.0)
+ *         mag = mag0 - log_wk
  *         if k > 0:             # <<<<<<<<<<<<<<
  *             log_wk += k * ln_ae
- *         log_ts = (log_wk + p * ln_z + q0 * ln_1mz - alpha_m
+ *             mag += fabs(k * ln_ae)
 */
     }
 
-    /* "kmusec/_ckernels.pyx":382
+    /* "kmusec/_ckernels.pyx":403
+ *             log_wk += k * ln_ae
+ *             mag += fabs(k * ln_ae)
+ *         lg_p = c_lgamma(p)             # <<<<<<<<<<<<<<
+ *         lg_pq = c_lgamma(p + q0)
  *         log_ts = (log_wk + p * ln_z + q0 * ln_1mz - alpha_m
- *                   - c_lgamma(p) - log(p) - c_lgamma(q0)
- *                   + c_lgamma(p + q0) + ln_f0)             # <<<<<<<<<<<<<<
+*/
+    __pyx_v_lg_p = lgamma(__pyx_v_p);
+
+    /* "kmusec/_ckernels.pyx":404
+ *             mag += fabs(k * ln_ae)
+ *         lg_p = c_lgamma(p)
+ *         lg_pq = c_lgamma(p + q0)             # <<<<<<<<<<<<<<
+ *         log_ts = (log_wk + p * ln_z + q0 * ln_1mz - alpha_m
+ *                   - lg_p - log(p) - lg_q0 + lg_pq + ln_f0)
+*/
+    __pyx_v_lg_pq = lgamma((__pyx_v_p + __pyx_v_q0));
+
+    /* "kmusec/_ckernels.pyx":406
+ *         lg_pq = c_lgamma(p + q0)
+ *         log_ts = (log_wk + p * ln_z + q0 * ln_1mz - alpha_m
+ *                   - lg_p - log(p) - lg_q0 + lg_pq + ln_f0)             # <<<<<<<<<<<<<<
+ *         mag += (p * mag_z + q0 * mag_1mz + fabs(lg_p) + fabs(log(p))
+ *                 + fabs(lg_pq) + fabs(ln_f0))
+*/
+    __pyx_v_log_ts = ((((((((__pyx_v_log_wk + (__pyx_v_p * __pyx_v_ln_z)) + (__pyx_v_q0 * __pyx_v_ln_1mz)) - __pyx_v_alpha_m) - __pyx_v_lg_p) - log(__pyx_v_p)) - __pyx_v_lg_q0) + __pyx_v_lg_pq) + __pyx_v_ln_f0);
+
+    /* "kmusec/_ckernels.pyx":408
+ *                   - lg_p - log(p) - lg_q0 + lg_pq + ln_f0)
+ *         mag += (p * mag_z + q0 * mag_1mz + fabs(lg_p) + fabs(log(p))
+ *                 + fabs(lg_pq) + fabs(ln_f0))             # <<<<<<<<<<<<<<
  *         if l0 > 0:
  *             log_ts += l0 * ln_am - c_lgamma(l0 + 1.0)
 */
-    __pyx_v_log_ts = ((((((((__pyx_v_log_wk + (__pyx_v_p * __pyx_v_ln_z)) + (__pyx_v_q0 * __pyx_v_ln_1mz)) - __pyx_v_alpha_m) - lgamma(__pyx_v_p)) - log(__pyx_v_p)) - lgamma(__pyx_v_q0)) + lgamma((__pyx_v_p + __pyx_v_q0))) + __pyx_v_ln_f0);
+    __pyx_v_mag = (__pyx_v_mag + ((((((__pyx_v_p * __pyx_v_mag_z) + (__pyx_v_q0 * __pyx_v_mag_1mz)) + fabs(__pyx_v_lg_p)) + fabs(log(__pyx_v_p))) + fabs(__pyx_v_lg_pq)) + fabs(__pyx_v_ln_f0)));
 
-    /* "kmusec/_ckernels.pyx":383
- *                   - c_lgamma(p) - log(p) - c_lgamma(q0)
- *                   + c_lgamma(p + q0) + ln_f0)
+    /* "kmusec/_ckernels.pyx":409
+ *         mag += (p * mag_z + q0 * mag_1mz + fabs(lg_p) + fabs(log(p))
+ *                 + fabs(lg_pq) + fabs(ln_f0))
  *         if l0 > 0:             # <<<<<<<<<<<<<<
  *             log_ts += l0 * ln_am - c_lgamma(l0 + 1.0)
  *         if log_ts == log_ts and -INFINITY < log_ts < INFINITY:  # finite
@@ -8033,8 +8270,8 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
     __pyx_t_2 = (__pyx_v_l0 > 0);
     if (__pyx_t_2) {
 
-      /* "kmusec/_ckernels.pyx":384
- *                   + c_lgamma(p + q0) + ln_f0)
+      /* "kmusec/_ckernels.pyx":410
+ *                 + fabs(lg_pq) + fabs(ln_f0))
  *         if l0 > 0:
  *             log_ts += l0 * ln_am - c_lgamma(l0 + 1.0)             # <<<<<<<<<<<<<<
  *         if log_ts == log_ts and -INFINITY < log_ts < INFINITY:  # finite
@@ -8042,37 +8279,37 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
       __pyx_v_log_ts = (__pyx_v_log_ts + ((__pyx_v_l0 * __pyx_v_ln_am) - lgamma((__pyx_v_l0 + 1.0))));
 
-      /* "kmusec/_ckernels.pyx":383
- *                   - c_lgamma(p) - log(p) - c_lgamma(q0)
- *                   + c_lgamma(p + q0) + ln_f0)
+      /* "kmusec/_ckernels.pyx":409
+ *         mag += (p * mag_z + q0 * mag_1mz + fabs(lg_p) + fabs(log(p))
+ *                 + fabs(lg_pq) + fabs(ln_f0))
  *         if l0 > 0:             # <<<<<<<<<<<<<<
  *             log_ts += l0 * ln_am - c_lgamma(l0 + 1.0)
  *         if log_ts == log_ts and -INFINITY < log_ts < INFINITY:  # finite
 */
     }
 
-    /* "kmusec/_ckernels.pyx":385
+    /* "kmusec/_ckernels.pyx":411
  *         if l0 > 0:
  *             log_ts += l0 * ln_am - c_lgamma(l0 + 1.0)
  *         if log_ts == log_ts and -INFINITY < log_ts < INFINITY:  # finite             # <<<<<<<<<<<<<<
  *             log_scale = log_ts
  *             t = 1.0
 */
-    __pyx_t_3 = (__pyx_v_log_ts == __pyx_v_log_ts);
-    if (__pyx_t_3) {
+    __pyx_t_4 = (__pyx_v_log_ts == __pyx_v_log_ts);
+    if (__pyx_t_4) {
     } else {
-      __pyx_t_2 = __pyx_t_3;
-      goto __pyx_L12_bool_binop_done;
+      __pyx_t_2 = __pyx_t_4;
+      goto __pyx_L14_bool_binop_done;
     }
-    __pyx_t_3 = ((-INFINITY) < __pyx_v_log_ts);
-    if (__pyx_t_3) {
-      __pyx_t_3 = (__pyx_v_log_ts < INFINITY);
+    __pyx_t_4 = ((-INFINITY) < __pyx_v_log_ts);
+    if (__pyx_t_4) {
+      __pyx_t_4 = (__pyx_v_log_ts < INFINITY);
     }
-    __pyx_t_2 = __pyx_t_3;
-    __pyx_L12_bool_binop_done:;
+    __pyx_t_2 = __pyx_t_4;
+    __pyx_L14_bool_binop_done:;
     if (__pyx_t_2) {
 
-      /* "kmusec/_ckernels.pyx":386
+      /* "kmusec/_ckernels.pyx":412
  *             log_ts += l0 * ln_am - c_lgamma(l0 + 1.0)
  *         if log_ts == log_ts and -INFINITY < log_ts < INFINITY:  # finite
  *             log_scale = log_ts             # <<<<<<<<<<<<<<
@@ -8081,7 +8318,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
       __pyx_v_log_scale = __pyx_v_log_ts;
 
-      /* "kmusec/_ckernels.pyx":387
+      /* "kmusec/_ckernels.pyx":413
  *         if log_ts == log_ts and -INFINITY < log_ts < INFINITY:  # finite
  *             log_scale = log_ts
  *             t = 1.0             # <<<<<<<<<<<<<<
@@ -8090,17 +8327,17 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
       __pyx_v_t = 1.0;
 
-      /* "kmusec/_ckernels.pyx":385
+      /* "kmusec/_ckernels.pyx":411
  *         if l0 > 0:
  *             log_ts += l0 * ln_am - c_lgamma(l0 + 1.0)
  *         if log_ts == log_ts and -INFINITY < log_ts < INFINITY:  # finite             # <<<<<<<<<<<<<<
  *             log_scale = log_ts
  *             t = 1.0
 */
-      goto __pyx_L11;
+      goto __pyx_L13;
     }
 
-    /* "kmusec/_ckernels.pyx":389
+    /* "kmusec/_ckernels.pyx":415
  *             t = 1.0
  *         else:
  *             log_scale = -INFINITY             # <<<<<<<<<<<<<<
@@ -8110,7 +8347,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
     /*else*/ {
       __pyx_v_log_scale = (-INFINITY);
 
-      /* "kmusec/_ckernels.pyx":390
+      /* "kmusec/_ckernels.pyx":416
  *         else:
  *             log_scale = -INFINITY
  *             t = 0.0             # <<<<<<<<<<<<<<
@@ -8119,9 +8356,9 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
       __pyx_v_t = 0.0;
     }
-    __pyx_L11:;
+    __pyx_L13:;
 
-    /* "kmusec/_ckernels.pyx":391
+    /* "kmusec/_ckernels.pyx":417
  *             log_scale = -INFINITY
  *             t = 0.0
  *         acc = t             # <<<<<<<<<<<<<<
@@ -8130,7 +8367,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
     __pyx_v_acc = __pyx_v_t;
 
-    /* "kmusec/_ckernels.pyx":392
+    /* "kmusec/_ckernels.pyx":418
  *             t = 0.0
  *         acc = t
  *         gh = 1.0             # <<<<<<<<<<<<<<
@@ -8139,7 +8376,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
     __pyx_v_gh = 1.0;
 
-    /* "kmusec/_ckernels.pyx":393
+    /* "kmusec/_ckernels.pyx":419
  *         acc = t
  *         gh = 1.0
  *         e = inv_f0             # <<<<<<<<<<<<<<
@@ -8148,7 +8385,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
     __pyx_v_e = __pyx_v_inv_f0;
 
-    /* "kmusec/_ckernels.pyx":394
+    /* "kmusec/_ckernels.pyx":420
  *         gh = 1.0
  *         e = inv_f0
  *         l = l0             # <<<<<<<<<<<<<<
@@ -8157,44 +8394,69 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
     __pyx_v_l = __pyx_v_l0;
 
-    /* "kmusec/_ckernels.pyx":395
+    /* "kmusec/_ckernels.pyx":421
  *         e = inv_f0
  *         l = l0
  *         ln_inner_tol = ln_abs_tol - log(8.0 * (1.0 + <double>k * k))             # <<<<<<<<<<<<<<
  *         if alpha_m > 0.0 and t > 0.0:
- *             while True:
+ *             tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
 */
     __pyx_v_ln_inner_tol = (__pyx_v_ln_abs_tol - log((8.0 * (1.0 + (((double)__pyx_v_k) * __pyx_v_k)))));
 
-    /* "kmusec/_ckernels.pyx":396
+    /* "kmusec/_ckernels.pyx":422
  *         l = l0
  *         ln_inner_tol = ln_abs_tol - log(8.0 * (1.0 + <double>k * k))
  *         if alpha_m > 0.0 and t > 0.0:             # <<<<<<<<<<<<<<
+ *             tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
+ *             while True:
+*/
+    __pyx_t_4 = (__pyx_v_alpha_m > 0.0);
+    if (__pyx_t_4) {
+    } else {
+      __pyx_t_2 = __pyx_t_4;
+      goto __pyx_L17_bool_binop_done;
+    }
+    __pyx_t_4 = (__pyx_v_t > 0.0);
+    __pyx_t_2 = __pyx_t_4;
+    __pyx_L17_bool_binop_done:;
+    if (__pyx_t_2) {
+
+      /* "kmusec/_ckernels.pyx":423
+ *         ln_inner_tol = ln_abs_tol - log(8.0 * (1.0 + <double>k * k))
+ *         if alpha_m > 0.0 and t > 0.0:
+ *             tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)             # <<<<<<<<<<<<<<
  *             while True:
  *                 num = (mu_m + l) * gh + p * e
 */
-    __pyx_t_3 = (__pyx_v_alpha_m > 0.0);
-    if (__pyx_t_3) {
-    } else {
-      __pyx_t_2 = __pyx_t_3;
-      goto __pyx_L15_bool_binop_done;
-    }
-    __pyx_t_3 = (__pyx_v_t > 0.0);
-    __pyx_t_2 = __pyx_t_3;
-    __pyx_L15_bool_binop_done:;
-    if (__pyx_t_2) {
+      __pyx_t_1 = 700.0;
+      __pyx_t_5 = -700.0;
+      __pyx_t_6 = (__pyx_v_ln_inner_tol - __pyx_v_log_scale);
+      __pyx_t_2 = (__pyx_t_5 > __pyx_t_6);
+      if (__pyx_t_2) {
+        __pyx_t_7 = __pyx_t_5;
+      } else {
+        __pyx_t_7 = __pyx_t_6;
+      }
+      __pyx_t_5 = __pyx_t_7;
+      __pyx_t_2 = (__pyx_t_1 < __pyx_t_5);
+      if (__pyx_t_2) {
+        __pyx_t_7 = __pyx_t_1;
+      } else {
+        __pyx_t_7 = __pyx_t_5;
+      }
+      __pyx_v_tol_frame = (exp(__pyx_t_7) * (1.0 + 1e-9));
 
-      /* "kmusec/_ckernels.pyx":397
- *         ln_inner_tol = ln_abs_tol - log(8.0 * (1.0 + <double>k * k))
+      /* "kmusec/_ckernels.pyx":424
  *         if alpha_m > 0.0 and t > 0.0:
+ *             tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
  *             while True:             # <<<<<<<<<<<<<<
  *                 num = (mu_m + l) * gh + p * e
  *                 t *= alpha_m * num / ((l + 1.0) * (mu_m + l) * gh)
 */
       while (1) {
 
-        /* "kmusec/_ckernels.pyx":398
- *         if alpha_m > 0.0 and t > 0.0:
+        /* "kmusec/_ckernels.pyx":425
+ *             tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
  *             while True:
  *                 num = (mu_m + l) * gh + p * e             # <<<<<<<<<<<<<<
  *                 t *= alpha_m * num / ((l + 1.0) * (mu_m + l) * gh)
@@ -8202,7 +8464,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
         __pyx_v_num = (((__pyx_v_mu_m + __pyx_v_l) * __pyx_v_gh) + (__pyx_v_p * __pyx_v_e));
 
-        /* "kmusec/_ckernels.pyx":399
+        /* "kmusec/_ckernels.pyx":426
  *             while True:
  *                 num = (mu_m + l) * gh + p * e
  *                 t *= alpha_m * num / ((l + 1.0) * (mu_m + l) * gh)             # <<<<<<<<<<<<<<
@@ -8211,7 +8473,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
         __pyx_v_t = (__pyx_v_t * ((__pyx_v_alpha_m * __pyx_v_num) / (((__pyx_v_l + 1.0) * (__pyx_v_mu_m + __pyx_v_l)) * __pyx_v_gh)));
 
-        /* "kmusec/_ckernels.pyx":400
+        /* "kmusec/_ckernels.pyx":427
  *                 num = (mu_m + l) * gh + p * e
  *                 t *= alpha_m * num / ((l + 1.0) * (mu_m + l) * gh)
  *                 gh = num / (p + mu_m + l)             # <<<<<<<<<<<<<<
@@ -8220,7 +8482,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
         __pyx_v_gh = (__pyx_v_num / ((__pyx_v_p + __pyx_v_mu_m) + __pyx_v_l));
 
-        /* "kmusec/_ckernels.pyx":401
+        /* "kmusec/_ckernels.pyx":428
  *                 t *= alpha_m * num / ((l + 1.0) * (mu_m + l) * gh)
  *                 gh = num / (p + mu_m + l)
  *                 e *= one_mz             # <<<<<<<<<<<<<<
@@ -8229,7 +8491,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
         __pyx_v_e = (__pyx_v_e * __pyx_v_one_mz);
 
-        /* "kmusec/_ckernels.pyx":402
+        /* "kmusec/_ckernels.pyx":429
  *                 gh = num / (p + mu_m + l)
  *                 e *= one_mz
  *                 if gh < 1e-200:             # <<<<<<<<<<<<<<
@@ -8239,7 +8501,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
         __pyx_t_2 = (__pyx_v_gh < 1e-200);
         if (__pyx_t_2) {
 
-          /* "kmusec/_ckernels.pyx":403
+          /* "kmusec/_ckernels.pyx":430
  *                 e *= one_mz
  *                 if gh < 1e-200:
  *                     e /= gh             # <<<<<<<<<<<<<<
@@ -8248,7 +8510,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
           __pyx_v_e = (__pyx_v_e / __pyx_v_gh);
 
-          /* "kmusec/_ckernels.pyx":404
+          /* "kmusec/_ckernels.pyx":431
  *                 if gh < 1e-200:
  *                     e /= gh
  *                     gh = 1.0             # <<<<<<<<<<<<<<
@@ -8257,7 +8519,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
           __pyx_v_gh = 1.0;
 
-          /* "kmusec/_ckernels.pyx":402
+          /* "kmusec/_ckernels.pyx":429
  *                 gh = num / (p + mu_m + l)
  *                 e *= one_mz
  *                 if gh < 1e-200:             # <<<<<<<<<<<<<<
@@ -8266,7 +8528,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
         }
 
-        /* "kmusec/_ckernels.pyx":405
+        /* "kmusec/_ckernels.pyx":432
  *                     e /= gh
  *                     gh = 1.0
  *                 l += 1             # <<<<<<<<<<<<<<
@@ -8275,7 +8537,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
         __pyx_v_l = (__pyx_v_l + 1);
 
-        /* "kmusec/_ckernels.pyx":406
+        /* "kmusec/_ckernels.pyx":433
  *                     gh = 1.0
  *                 l += 1
  *                 acc += t             # <<<<<<<<<<<<<<
@@ -8284,7 +8546,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
         __pyx_v_acc = (__pyx_v_acc + __pyx_v_t);
 
-        /* "kmusec/_ckernels.pyx":407
+        /* "kmusec/_ckernels.pyx":434
  *                 l += 1
  *                 acc += t
  *                 if t == 0.0:             # <<<<<<<<<<<<<<
@@ -8294,16 +8556,16 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
         __pyx_t_2 = (__pyx_v_t == 0.0);
         if (__pyx_t_2) {
 
-          /* "kmusec/_ckernels.pyx":408
+          /* "kmusec/_ckernels.pyx":435
  *                 acc += t
  *                 if t == 0.0:
  *                     break             # <<<<<<<<<<<<<<
  *                 if t > renorm:
  *                     t /= renorm
 */
-          goto __pyx_L18_break;
+          goto __pyx_L20_break;
 
-          /* "kmusec/_ckernels.pyx":407
+          /* "kmusec/_ckernels.pyx":434
  *                 l += 1
  *                 acc += t
  *                 if t == 0.0:             # <<<<<<<<<<<<<<
@@ -8312,7 +8574,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
         }
 
-        /* "kmusec/_ckernels.pyx":409
+        /* "kmusec/_ckernels.pyx":436
  *                 if t == 0.0:
  *                     break
  *                 if t > renorm:             # <<<<<<<<<<<<<<
@@ -8322,7 +8584,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
         __pyx_t_2 = (__pyx_v_t > __pyx_v_renorm);
         if (__pyx_t_2) {
 
-          /* "kmusec/_ckernels.pyx":410
+          /* "kmusec/_ckernels.pyx":437
  *                     break
  *                 if t > renorm:
  *                     t /= renorm             # <<<<<<<<<<<<<<
@@ -8331,25 +8593,50 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
           __pyx_v_t = (__pyx_v_t / __pyx_v_renorm);
 
-          /* "kmusec/_ckernels.pyx":411
+          /* "kmusec/_ckernels.pyx":438
  *                 if t > renorm:
  *                     t /= renorm
  *                     acc /= renorm             # <<<<<<<<<<<<<<
  *                     log_scale += ln_renorm
- *                 rho = alpha_m * (1.0 + p / (mu_m + l)) / (l + 1.0)
+ *                     tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
 */
           __pyx_v_acc = (__pyx_v_acc / __pyx_v_renorm);
 
-          /* "kmusec/_ckernels.pyx":412
+          /* "kmusec/_ckernels.pyx":439
  *                     t /= renorm
  *                     acc /= renorm
  *                     log_scale += ln_renorm             # <<<<<<<<<<<<<<
+ *                     tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
  *                 rho = alpha_m * (1.0 + p / (mu_m + l)) / (l + 1.0)
- *                 if rho < 1.0:
 */
           __pyx_v_log_scale = (__pyx_v_log_scale + __pyx_v_ln_renorm);
 
-          /* "kmusec/_ckernels.pyx":409
+          /* "kmusec/_ckernels.pyx":440
+ *                     acc /= renorm
+ *                     log_scale += ln_renorm
+ *                     tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)             # <<<<<<<<<<<<<<
+ *                 rho = alpha_m * (1.0 + p / (mu_m + l)) / (l + 1.0)
+ *                 if rho < 1.0 and t * rho <= tol_frame * (1.0 - rho):
+*/
+          __pyx_t_7 = 700.0;
+          __pyx_t_1 = -700.0;
+          __pyx_t_5 = (__pyx_v_ln_inner_tol - __pyx_v_log_scale);
+          __pyx_t_2 = (__pyx_t_1 > __pyx_t_5);
+          if (__pyx_t_2) {
+            __pyx_t_6 = __pyx_t_1;
+          } else {
+            __pyx_t_6 = __pyx_t_5;
+          }
+          __pyx_t_1 = __pyx_t_6;
+          __pyx_t_2 = (__pyx_t_7 < __pyx_t_1);
+          if (__pyx_t_2) {
+            __pyx_t_6 = __pyx_t_7;
+          } else {
+            __pyx_t_6 = __pyx_t_1;
+          }
+          __pyx_v_tol_frame = (exp(__pyx_t_6) * (1.0 + 1e-9));
+
+          /* "kmusec/_ckernels.pyx":436
  *                 if t == 0.0:
  *                     break
  *                 if t > renorm:             # <<<<<<<<<<<<<<
@@ -8358,36 +8645,44 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
         }
 
-        /* "kmusec/_ckernels.pyx":413
- *                     acc /= renorm
+        /* "kmusec/_ckernels.pyx":441
  *                     log_scale += ln_renorm
+ *                     tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
  *                 rho = alpha_m * (1.0 + p / (mu_m + l)) / (l + 1.0)             # <<<<<<<<<<<<<<
- *                 if rho < 1.0:
+ *                 if rho < 1.0 and t * rho <= tol_frame * (1.0 - rho):
  *                     ln_tail = log_scale + log(t) + log(rho / (1.0 - rho))
 */
         __pyx_v_rho = ((__pyx_v_alpha_m * (1.0 + (__pyx_v_p / (__pyx_v_mu_m + __pyx_v_l)))) / (__pyx_v_l + 1.0));
 
-        /* "kmusec/_ckernels.pyx":414
- *                     log_scale += ln_renorm
+        /* "kmusec/_ckernels.pyx":442
+ *                     tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
  *                 rho = alpha_m * (1.0 + p / (mu_m + l)) / (l + 1.0)
- *                 if rho < 1.0:             # <<<<<<<<<<<<<<
+ *                 if rho < 1.0 and t * rho <= tol_frame * (1.0 - rho):             # <<<<<<<<<<<<<<
  *                     ln_tail = log_scale + log(t) + log(rho / (1.0 - rho))
  *                     if ln_tail <= ln_inner_tol:
 */
-        __pyx_t_2 = (__pyx_v_rho < 1.0);
+        __pyx_t_4 = (__pyx_v_rho < 1.0);
+        if (__pyx_t_4) {
+        } else {
+          __pyx_t_2 = __pyx_t_4;
+          goto __pyx_L25_bool_binop_done;
+        }
+        __pyx_t_4 = ((__pyx_v_t * __pyx_v_rho) <= (__pyx_v_tol_frame * (1.0 - __pyx_v_rho)));
+        __pyx_t_2 = __pyx_t_4;
+        __pyx_L25_bool_binop_done:;
         if (__pyx_t_2) {
 
-          /* "kmusec/_ckernels.pyx":415
+          /* "kmusec/_ckernels.pyx":443
  *                 rho = alpha_m * (1.0 + p / (mu_m + l)) / (l + 1.0)
- *                 if rho < 1.0:
+ *                 if rho < 1.0 and t * rho <= tol_frame * (1.0 - rho):
  *                     ln_tail = log_scale + log(t) + log(rho / (1.0 - rho))             # <<<<<<<<<<<<<<
  *                     if ln_tail <= ln_inner_tol:
  *                         est_error += exp(ln_tail)
 */
           __pyx_v_ln_tail = ((__pyx_v_log_scale + log(__pyx_v_t)) + log((__pyx_v_rho / (1.0 - __pyx_v_rho))));
 
-          /* "kmusec/_ckernels.pyx":416
- *                 if rho < 1.0:
+          /* "kmusec/_ckernels.pyx":444
+ *                 if rho < 1.0 and t * rho <= tol_frame * (1.0 - rho):
  *                     ln_tail = log_scale + log(t) + log(rho / (1.0 - rho))
  *                     if ln_tail <= ln_inner_tol:             # <<<<<<<<<<<<<<
  *                         est_error += exp(ln_tail)
@@ -8396,7 +8691,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
           __pyx_t_2 = (__pyx_v_ln_tail <= __pyx_v_ln_inner_tol);
           if (__pyx_t_2) {
 
-            /* "kmusec/_ckernels.pyx":417
+            /* "kmusec/_ckernels.pyx":445
  *                     ln_tail = log_scale + log(t) + log(rho / (1.0 - rho))
  *                     if ln_tail <= ln_inner_tol:
  *                         est_error += exp(ln_tail)             # <<<<<<<<<<<<<<
@@ -8405,17 +8700,17 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
             __pyx_v_est_error = (__pyx_v_est_error + exp(__pyx_v_ln_tail));
 
-            /* "kmusec/_ckernels.pyx":418
+            /* "kmusec/_ckernels.pyx":446
  *                     if ln_tail <= ln_inner_tol:
  *                         est_error += exp(ln_tail)
  *                         break             # <<<<<<<<<<<<<<
  *                 if l - l0 > max_terms:
  *                     raise ConvergenceError(
 */
-            goto __pyx_L18_break;
+            goto __pyx_L20_break;
 
-            /* "kmusec/_ckernels.pyx":416
- *                 if rho < 1.0:
+            /* "kmusec/_ckernels.pyx":444
+ *                 if rho < 1.0 and t * rho <= tol_frame * (1.0 - rho):
  *                     ln_tail = log_scale + log(t) + log(rho / (1.0 - rho))
  *                     if ln_tail <= ln_inner_tol:             # <<<<<<<<<<<<<<
  *                         est_error += exp(ln_tail)
@@ -8423,16 +8718,16 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
           }
 
-          /* "kmusec/_ckernels.pyx":414
- *                     log_scale += ln_renorm
+          /* "kmusec/_ckernels.pyx":442
+ *                     tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
  *                 rho = alpha_m * (1.0 + p / (mu_m + l)) / (l + 1.0)
- *                 if rho < 1.0:             # <<<<<<<<<<<<<<
+ *                 if rho < 1.0 and t * rho <= tol_frame * (1.0 - rho):             # <<<<<<<<<<<<<<
  *                     ln_tail = log_scale + log(t) + log(rho / (1.0 - rho))
  *                     if ln_tail <= ln_inner_tol:
 */
         }
 
-        /* "kmusec/_ckernels.pyx":419
+        /* "kmusec/_ckernels.pyx":447
  *                         est_error += exp(ln_tail)
  *                         break
  *                 if l - l0 > max_terms:             # <<<<<<<<<<<<<<
@@ -8442,59 +8737,59 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
         __pyx_t_2 = ((__pyx_v_l - __pyx_v_l0) > __pyx_v_max_terms);
         if (unlikely(__pyx_t_2)) {
 
-          /* "kmusec/_ckernels.pyx":420
+          /* "kmusec/_ckernels.pyx":448
  *                         break
  *                 if l - l0 > max_terms:
  *                     raise ConvergenceError(             # <<<<<<<<<<<<<<
  *                         f"inner series hit the {max_terms}-term cap before abs_tol")
  *         ln_inner = log_scale + log(acc) if acc > 0.0 else -INFINITY
 */
-          __pyx_t_5 = NULL;
-          __Pyx_GetModuleGlobalName(__pyx_t_6, __pyx_mstate_global->__pyx_n_u_ConvergenceError); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 420, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_6);
+          __pyx_t_9 = NULL;
+          __Pyx_GetModuleGlobalName(__pyx_t_10, __pyx_mstate_global->__pyx_n_u_ConvergenceError); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 448, __pyx_L1_error)
+          __Pyx_GOTREF(__pyx_t_10);
 
-          /* "kmusec/_ckernels.pyx":421
+          /* "kmusec/_ckernels.pyx":449
  *                 if l - l0 > max_terms:
  *                     raise ConvergenceError(
  *                         f"inner series hit the {max_terms}-term cap before abs_tol")             # <<<<<<<<<<<<<<
  *         ln_inner = log_scale + log(acc) if acc > 0.0 else -INFINITY
  *         inner = exp(ln_inner) if ln_inner > _LOG_TINY else 0.0
 */
-          __pyx_t_7 = __Pyx_PyUnicode_From_long(__pyx_v_max_terms, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 421, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_7);
-          __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_inner_series_hit_the;
-          __pyx_t_8[1] = __pyx_t_7;
-          __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_term_cap_before_abs_tol;
-          __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_8, 3, 21 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 24, 127);
-          if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 421, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-          __pyx_t_10 = 1;
+          __pyx_t_11 = __Pyx_PyUnicode_From_long(__pyx_v_max_terms, 0, ' ', 'd'); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 449, __pyx_L1_error)
+          __Pyx_GOTREF(__pyx_t_11);
+          __pyx_t_12[0] = __pyx_mstate_global->__pyx_kp_u_inner_series_hit_the;
+          __pyx_t_12[1] = __pyx_t_11;
+          __pyx_t_12[2] = __pyx_mstate_global->__pyx_kp_u_term_cap_before_abs_tol;
+          __pyx_t_13 = __Pyx_PyUnicode_Join(__pyx_t_12, 3, 21 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_11) + 24, 127);
+          if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 449, __pyx_L1_error)
+          __Pyx_GOTREF(__pyx_t_13);
+          __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
+          __pyx_t_14 = 1;
           #if CYTHON_UNPACK_METHODS
-          if (unlikely(PyMethod_Check(__pyx_t_6))) {
-            __pyx_t_5 = PyMethod_GET_SELF(__pyx_t_6);
-            assert(__pyx_t_5);
-            PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_6);
-            __Pyx_INCREF(__pyx_t_5);
+          if (unlikely(PyMethod_Check(__pyx_t_10))) {
+            __pyx_t_9 = PyMethod_GET_SELF(__pyx_t_10);
+            assert(__pyx_t_9);
+            PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_10);
+            __Pyx_INCREF(__pyx_t_9);
             __Pyx_INCREF(__pyx__function);
-            __Pyx_DECREF_SET(__pyx_t_6, __pyx__function);
-            __pyx_t_10 = 0;
+            __Pyx_DECREF_SET(__pyx_t_10, __pyx__function);
+            __pyx_t_14 = 0;
           }
           #endif
           {
-            PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_9};
-            __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_6, __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-            __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-            __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-            __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-            if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 420, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_4);
+            PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_t_13};
+            __pyx_t_8 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_10, __pyx_callargs+__pyx_t_14, (2-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
+            __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
+            __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
+            __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
+            if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 448, __pyx_L1_error)
+            __Pyx_GOTREF(__pyx_t_8);
           }
-          __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-          __PYX_ERR(0, 420, __pyx_L1_error)
+          __Pyx_Raise(__pyx_t_8, 0, 0, 0);
+          __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
+          __PYX_ERR(0, 448, __pyx_L1_error)
 
-          /* "kmusec/_ckernels.pyx":419
+          /* "kmusec/_ckernels.pyx":447
  *                         est_error += exp(ln_tail)
  *                         break
  *                 if l - l0 > max_terms:             # <<<<<<<<<<<<<<
@@ -8503,18 +8798,18 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
         }
       }
-      __pyx_L18_break:;
+      __pyx_L20_break:;
 
-      /* "kmusec/_ckernels.pyx":396
+      /* "kmusec/_ckernels.pyx":422
  *         l = l0
  *         ln_inner_tol = ln_abs_tol - log(8.0 * (1.0 + <double>k * k))
  *         if alpha_m > 0.0 and t > 0.0:             # <<<<<<<<<<<<<<
+ *             tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
  *             while True:
- *                 num = (mu_m + l) * gh + p * e
 */
     }
 
-    /* "kmusec/_ckernels.pyx":422
+    /* "kmusec/_ckernels.pyx":450
  *                     raise ConvergenceError(
  *                         f"inner series hit the {max_terms}-term cap before abs_tol")
  *         ln_inner = log_scale + log(acc) if acc > 0.0 else -INFINITY             # <<<<<<<<<<<<<<
@@ -8529,7 +8824,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
     }
     __pyx_v_ln_inner = __pyx_t_1;
 
-    /* "kmusec/_ckernels.pyx":423
+    /* "kmusec/_ckernels.pyx":451
  *                         f"inner series hit the {max_terms}-term cap before abs_tol")
  *         ln_inner = log_scale + log(acc) if acc > 0.0 else -INFINITY
  *         inner = exp(ln_inner) if ln_inner > _LOG_TINY else 0.0             # <<<<<<<<<<<<<<
@@ -8544,7 +8839,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
     }
     __pyx_v_inner = __pyx_t_1;
 
-    /* "kmusec/_ckernels.pyx":424
+    /* "kmusec/_ckernels.pyx":452
  *         ln_inner = log_scale + log(acc) if acc > 0.0 else -INFINITY
  *         inner = exp(ln_inner) if ln_inner > _LOG_TINY else 0.0
  *         if ln_skip_l > -INFINITY:             # <<<<<<<<<<<<<<
@@ -8554,21 +8849,21 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
     __pyx_t_2 = (__pyx_v_ln_skip_l > (-INFINITY));
     if (__pyx_t_2) {
 
-      /* "kmusec/_ckernels.pyx":425
+      /* "kmusec/_ckernels.pyx":453
  *         inner = exp(ln_inner) if ln_inner > _LOG_TINY else 0.0
  *         if ln_skip_l > -INFINITY:
  *             skip = log_wk + ln_skip_l             # <<<<<<<<<<<<<<
  *             est_error += exp(skip) if skip > _LOG_TINY else 0.0
- *         if l > l_max:
+ *         if inner > 0.0:
 */
       __pyx_v_skip = (__pyx_v_log_wk + __pyx_v_ln_skip_l);
 
-      /* "kmusec/_ckernels.pyx":426
+      /* "kmusec/_ckernels.pyx":454
  *         if ln_skip_l > -INFINITY:
  *             skip = log_wk + ln_skip_l
  *             est_error += exp(skip) if skip > _LOG_TINY else 0.0             # <<<<<<<<<<<<<<
- *         if l > l_max:
- *             l_max = l
+ *         if inner > 0.0:
+ *             est_error += 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * inner
 */
       __pyx_t_2 = (__pyx_v_skip > __pyx_v_6kmusec_9_ckernels__LOG_TINY);
       if (__pyx_t_2) {
@@ -8578,7 +8873,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
       }
       __pyx_v_est_error = (__pyx_v_est_error + __pyx_t_1);
 
-      /* "kmusec/_ckernels.pyx":424
+      /* "kmusec/_ckernels.pyx":452
  *         ln_inner = log_scale + log(acc) if acc > 0.0 else -INFINITY
  *         inner = exp(ln_inner) if ln_inner > _LOG_TINY else 0.0
  *         if ln_skip_l > -INFINITY:             # <<<<<<<<<<<<<<
@@ -8587,9 +8882,37 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
     }
 
-    /* "kmusec/_ckernels.pyx":427
+    /* "kmusec/_ckernels.pyx":455
  *             skip = log_wk + ln_skip_l
  *             est_error += exp(skip) if skip > _LOG_TINY else 0.0
+ *         if inner > 0.0:             # <<<<<<<<<<<<<<
+ *             est_error += 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * inner
+ *         if l > l_max:
+*/
+    __pyx_t_2 = (__pyx_v_inner > 0.0);
+    if (__pyx_t_2) {
+
+      /* "kmusec/_ckernels.pyx":456
+ *             est_error += exp(skip) if skip > _LOG_TINY else 0.0
+ *         if inner > 0.0:
+ *             est_error += 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * inner             # <<<<<<<<<<<<<<
+ *         if l > l_max:
+ *             l_max = l
+*/
+      __pyx_v_est_error = (__pyx_v_est_error + (((8.0 * 2.220446049250313e-16) * (__pyx_v_mag + ((__pyx_v_l - __pyx_v_l0) + 1))) * __pyx_v_inner));
+
+      /* "kmusec/_ckernels.pyx":455
+ *             skip = log_wk + ln_skip_l
+ *             est_error += exp(skip) if skip > _LOG_TINY else 0.0
+ *         if inner > 0.0:             # <<<<<<<<<<<<<<
+ *             est_error += 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * inner
+ *         if l > l_max:
+*/
+    }
+
+    /* "kmusec/_ckernels.pyx":457
+ *         if inner > 0.0:
+ *             est_error += 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * inner
  *         if l > l_max:             # <<<<<<<<<<<<<<
  *             l_max = l
  *         total += inner
@@ -8597,8 +8920,8 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
     __pyx_t_2 = (__pyx_v_l > __pyx_v_l_max);
     if (__pyx_t_2) {
 
-      /* "kmusec/_ckernels.pyx":428
- *             est_error += exp(skip) if skip > _LOG_TINY else 0.0
+      /* "kmusec/_ckernels.pyx":458
+ *             est_error += 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * inner
  *         if l > l_max:
  *             l_max = l             # <<<<<<<<<<<<<<
  *         total += inner
@@ -8606,16 +8929,16 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
       __pyx_v_l_max = __pyx_v_l;
 
-      /* "kmusec/_ckernels.pyx":427
- *             skip = log_wk + ln_skip_l
- *             est_error += exp(skip) if skip > _LOG_TINY else 0.0
+      /* "kmusec/_ckernels.pyx":457
+ *         if inner > 0.0:
+ *             est_error += 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * inner
  *         if l > l_max:             # <<<<<<<<<<<<<<
  *             l_max = l
  *         total += inner
 */
     }
 
-    /* "kmusec/_ckernels.pyx":429
+    /* "kmusec/_ckernels.pyx":459
  *         if l > l_max:
  *             l_max = l
  *         total += inner             # <<<<<<<<<<<<<<
@@ -8624,7 +8947,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
     __pyx_v_total = (__pyx_v_total + __pyx_v_inner);
 
-    /* "kmusec/_ckernels.pyx":431
+    /* "kmusec/_ckernels.pyx":461
  *         total += inner
  * 
  *         small_run = small_run + 1 if inner < abs_tol / 10.0 else 0             # <<<<<<<<<<<<<<
@@ -8633,13 +8956,13 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
     __pyx_t_2 = (__pyx_v_inner < (__pyx_v_abs_tol / 10.0));
     if (__pyx_t_2) {
-      __pyx_t_11 = (__pyx_v_small_run + 1);
+      __pyx_t_15 = (__pyx_v_small_run + 1);
     } else {
-      __pyx_t_11 = 0;
+      __pyx_t_15 = 0;
     }
-    __pyx_v_small_run = __pyx_t_11;
+    __pyx_v_small_run = __pyx_t_15;
 
-    /* "kmusec/_ckernels.pyx":432
+    /* "kmusec/_ckernels.pyx":462
  * 
  *         small_run = small_run + 1 if inner < abs_tol / 10.0 else 0
  *         k += 1             # <<<<<<<<<<<<<<
@@ -8648,25 +8971,25 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
     __pyx_v_k = (__pyx_v_k + 1);
 
-    /* "kmusec/_ckernels.pyx":433
+    /* "kmusec/_ckernels.pyx":463
  *         small_run = small_run + 1 if inner < abs_tol / 10.0 else 0
  *         k += 1
  *         if k > alpha_e and small_run >= 3:             # <<<<<<<<<<<<<<
  *             rho_k = alpha_e / (k + 1.0)
  *             w_tail = exp(log_wk) * rho_k / (1.0 - rho_k)
 */
-    __pyx_t_3 = (__pyx_v_k > __pyx_v_alpha_e);
-    if (__pyx_t_3) {
+    __pyx_t_4 = (__pyx_v_k > __pyx_v_alpha_e);
+    if (__pyx_t_4) {
     } else {
-      __pyx_t_2 = __pyx_t_3;
-      goto __pyx_L28_bool_binop_done;
+      __pyx_t_2 = __pyx_t_4;
+      goto __pyx_L34_bool_binop_done;
     }
-    __pyx_t_3 = (__pyx_v_small_run >= 3);
-    __pyx_t_2 = __pyx_t_3;
-    __pyx_L28_bool_binop_done:;
+    __pyx_t_4 = (__pyx_v_small_run >= 3);
+    __pyx_t_2 = __pyx_t_4;
+    __pyx_L34_bool_binop_done:;
     if (__pyx_t_2) {
 
-      /* "kmusec/_ckernels.pyx":434
+      /* "kmusec/_ckernels.pyx":464
  *         k += 1
  *         if k > alpha_e and small_run >= 3:
  *             rho_k = alpha_e / (k + 1.0)             # <<<<<<<<<<<<<<
@@ -8675,7 +8998,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
       __pyx_v_rho_k = (__pyx_v_alpha_e / (__pyx_v_k + 1.0));
 
-      /* "kmusec/_ckernels.pyx":435
+      /* "kmusec/_ckernels.pyx":465
  *         if k > alpha_e and small_run >= 3:
  *             rho_k = alpha_e / (k + 1.0)
  *             w_tail = exp(log_wk) * rho_k / (1.0 - rho_k)             # <<<<<<<<<<<<<<
@@ -8684,7 +9007,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
       __pyx_v_w_tail = ((exp(__pyx_v_log_wk) * __pyx_v_rho_k) / (1.0 - __pyx_v_rho_k));
 
-      /* "kmusec/_ckernels.pyx":436
+      /* "kmusec/_ckernels.pyx":466
  *             rho_k = alpha_e / (k + 1.0)
  *             w_tail = exp(log_wk) * rho_k / (1.0 - rho_k)
  *             if w_tail < 0.5 * abs_tol:             # <<<<<<<<<<<<<<
@@ -8694,7 +9017,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
       __pyx_t_2 = (__pyx_v_w_tail < (0.5 * __pyx_v_abs_tol));
       if (__pyx_t_2) {
 
-        /* "kmusec/_ckernels.pyx":437
+        /* "kmusec/_ckernels.pyx":467
  *             w_tail = exp(log_wk) * rho_k / (1.0 - rho_k)
  *             if w_tail < 0.5 * abs_tol:
  *                 est_error += w_tail             # <<<<<<<<<<<<<<
@@ -8703,7 +9026,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
         __pyx_v_est_error = (__pyx_v_est_error + __pyx_v_w_tail);
 
-        /* "kmusec/_ckernels.pyx":438
+        /* "kmusec/_ckernels.pyx":468
  *             if w_tail < 0.5 * abs_tol:
  *                 est_error += w_tail
  *                 break             # <<<<<<<<<<<<<<
@@ -8712,7 +9035,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
         goto __pyx_L7_break;
 
-        /* "kmusec/_ckernels.pyx":436
+        /* "kmusec/_ckernels.pyx":466
  *             rho_k = alpha_e / (k + 1.0)
  *             w_tail = exp(log_wk) * rho_k / (1.0 - rho_k)
  *             if w_tail < 0.5 * abs_tol:             # <<<<<<<<<<<<<<
@@ -8721,7 +9044,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
       }
 
-      /* "kmusec/_ckernels.pyx":433
+      /* "kmusec/_ckernels.pyx":463
  *         small_run = small_run + 1 if inner < abs_tol / 10.0 else 0
  *         k += 1
  *         if k > alpha_e and small_run >= 3:             # <<<<<<<<<<<<<<
@@ -8730,7 +9053,7 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 */
     }
 
-    /* "kmusec/_ckernels.pyx":439
+    /* "kmusec/_ckernels.pyx":469
  *                 est_error += w_tail
  *                 break
  *         if k > max_terms:             # <<<<<<<<<<<<<<
@@ -8740,58 +9063,58 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
     __pyx_t_2 = (__pyx_v_k > __pyx_v_max_terms);
     if (unlikely(__pyx_t_2)) {
 
-      /* "kmusec/_ckernels.pyx":440
+      /* "kmusec/_ckernels.pyx":470
  *                 break
  *         if k > max_terms:
  *             raise ConvergenceError(             # <<<<<<<<<<<<<<
  *                 f"outer series hit the {max_terms}-term cap before abs_tol")
  *     return min(total, 1.0), k, l_max, est_error
 */
-      __pyx_t_6 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_ConvergenceError); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 440, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
+      __pyx_t_10 = NULL;
+      __Pyx_GetModuleGlobalName(__pyx_t_13, __pyx_mstate_global->__pyx_n_u_ConvergenceError); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 470, __pyx_L1_error)
+      __Pyx_GOTREF(__pyx_t_13);
 
-      /* "kmusec/_ckernels.pyx":441
+      /* "kmusec/_ckernels.pyx":471
  *         if k > max_terms:
  *             raise ConvergenceError(
  *                 f"outer series hit the {max_terms}-term cap before abs_tol")             # <<<<<<<<<<<<<<
  *     return min(total, 1.0), k, l_max, est_error
 */
-      __pyx_t_5 = __Pyx_PyUnicode_From_long(__pyx_v_max_terms, 0, ' ', 'd'); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 441, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_outer_series_hit_the;
-      __pyx_t_8[1] = __pyx_t_5;
-      __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_term_cap_before_abs_tol;
-      __pyx_t_7 = __Pyx_PyUnicode_Join(__pyx_t_8, 3, 21 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_5) + 24, 127);
-      if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 441, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_t_10 = 1;
+      __pyx_t_9 = __Pyx_PyUnicode_From_long(__pyx_v_max_terms, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 471, __pyx_L1_error)
+      __Pyx_GOTREF(__pyx_t_9);
+      __pyx_t_12[0] = __pyx_mstate_global->__pyx_kp_u_outer_series_hit_the;
+      __pyx_t_12[1] = __pyx_t_9;
+      __pyx_t_12[2] = __pyx_mstate_global->__pyx_kp_u_term_cap_before_abs_tol;
+      __pyx_t_11 = __Pyx_PyUnicode_Join(__pyx_t_12, 3, 21 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 24, 127);
+      if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 471, __pyx_L1_error)
+      __Pyx_GOTREF(__pyx_t_11);
+      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
+      __pyx_t_14 = 1;
       #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_9))) {
-        __pyx_t_6 = PyMethod_GET_SELF(__pyx_t_9);
-        assert(__pyx_t_6);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_9);
-        __Pyx_INCREF(__pyx_t_6);
+      if (unlikely(PyMethod_Check(__pyx_t_13))) {
+        __pyx_t_10 = PyMethod_GET_SELF(__pyx_t_13);
+        assert(__pyx_t_10);
+        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_13);
+        __Pyx_INCREF(__pyx_t_10);
         __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_9, __pyx__function);
-        __pyx_t_10 = 0;
+        __Pyx_DECREF_SET(__pyx_t_13, __pyx__function);
+        __pyx_t_14 = 0;
       }
       #endif
       {
-        PyObject *__pyx_callargs[2] = {__pyx_t_6, __pyx_t_7};
-        __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_9, __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-        __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 440, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
+        PyObject *__pyx_callargs[2] = {__pyx_t_10, __pyx_t_11};
+        __pyx_t_8 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_13, __pyx_callargs+__pyx_t_14, (2-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
+        __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
+        __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
+        __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
+        if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 470, __pyx_L1_error)
+        __Pyx_GOTREF(__pyx_t_8);
       }
-      __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __PYX_ERR(0, 440, __pyx_L1_error)
+      __Pyx_Raise(__pyx_t_8, 0, 0, 0);
+      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
+      __PYX_ERR(0, 470, __pyx_L1_error)
 
-      /* "kmusec/_ckernels.pyx":439
+      /* "kmusec/_ckernels.pyx":469
  *                 est_error += w_tail
  *                 break
  *         if k > max_terms:             # <<<<<<<<<<<<<<
@@ -8802,47 +9125,47 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
   }
   __pyx_L7_break:;
 
-  /* "kmusec/_ckernels.pyx":442
+  /* "kmusec/_ckernels.pyx":472
  *             raise ConvergenceError(
  *                 f"outer series hit the {max_terms}-term cap before abs_tol")
  *     return min(total, 1.0), k, l_max, est_error             # <<<<<<<<<<<<<<
 */
   __Pyx_XDECREF(__pyx_r);
   __pyx_t_1 = 1.0;
-  __pyx_t_12 = __pyx_v_total;
-  __pyx_t_2 = (__pyx_t_1 < __pyx_t_12);
+  __pyx_t_5 = __pyx_v_total;
+  __pyx_t_2 = (__pyx_t_1 < __pyx_t_5);
   if (__pyx_t_2) {
-    __pyx_t_13 = __pyx_t_1;
+    __pyx_t_6 = __pyx_t_1;
   } else {
-    __pyx_t_13 = __pyx_t_12;
+    __pyx_t_6 = __pyx_t_5;
   }
-  __pyx_t_4 = PyFloat_FromDouble(__pyx_t_13); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 442, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_9 = __Pyx_PyLong_From_long(__pyx_v_k); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 442, __pyx_L1_error)
+  __pyx_t_8 = PyFloat_FromDouble(__pyx_t_6); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 472, __pyx_L1_error)
+  __Pyx_GOTREF(__pyx_t_8);
+  __pyx_t_13 = __Pyx_PyLong_From_long(__pyx_v_k); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 472, __pyx_L1_error)
+  __Pyx_GOTREF(__pyx_t_13);
+  __pyx_t_11 = __Pyx_PyLong_From_long(__pyx_v_l_max); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 472, __pyx_L1_error)
+  __Pyx_GOTREF(__pyx_t_11);
+  __pyx_t_10 = PyFloat_FromDouble(__pyx_v_est_error); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 472, __pyx_L1_error)
+  __Pyx_GOTREF(__pyx_t_10);
+  __pyx_t_9 = PyTuple_New(4); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 472, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_7 = __Pyx_PyLong_From_long(__pyx_v_l_max); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 442, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_6 = PyFloat_FromDouble(__pyx_v_est_error); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 442, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_5 = PyTuple_New(4); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 442, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 442, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_9);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 442, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_7);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 2, __pyx_t_7) != (0)) __PYX_ERR(0, 442, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_6);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 3, __pyx_t_6) != (0)) __PYX_ERR(0, 442, __pyx_L1_error);
-  __pyx_t_4 = 0;
+  __Pyx_GIVEREF(__pyx_t_8);
+  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_8) != (0)) __PYX_ERR(0, 472, __pyx_L1_error);
+  __Pyx_GIVEREF(__pyx_t_13);
+  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, __pyx_t_13) != (0)) __PYX_ERR(0, 472, __pyx_L1_error);
+  __Pyx_GIVEREF(__pyx_t_11);
+  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 2, __pyx_t_11) != (0)) __PYX_ERR(0, 472, __pyx_L1_error);
+  __Pyx_GIVEREF(__pyx_t_10);
+  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 3, __pyx_t_10) != (0)) __PYX_ERR(0, 472, __pyx_L1_error);
+  __pyx_t_8 = 0;
+  __pyx_t_13 = 0;
+  __pyx_t_11 = 0;
+  __pyx_t_10 = 0;
+  __pyx_r = __pyx_t_9;
   __pyx_t_9 = 0;
-  __pyx_t_7 = 0;
-  __pyx_t_6 = 0;
-  __pyx_r = __pyx_t_5;
-  __pyx_t_5 = 0;
   goto __pyx_L0;
 
-  /* "kmusec/_ckernels.pyx":327
+  /* "kmusec/_ckernels.pyx":341
  * 
  * 
  * def survival_series(double mu_m, double mu_e, double alpha_m, double alpha_e,             # <<<<<<<<<<<<<<
@@ -8852,12 +9175,13 @@ static PyObject *__pyx_pf_6kmusec_9_ckernels_14survival_series(CYTHON_UNUSED PyO
 
   /* function exit code */
   __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
+  __Pyx_XDECREF(__pyx_t_8);
   __Pyx_XDECREF(__pyx_t_9);
+  __Pyx_XDECREF(__pyx_t_10);
+  __Pyx_XDECREF(__pyx_t_11);
+  __Pyx_XDECREF(__pyx_t_13);
   __Pyx_AddTraceback("kmusec._ckernels.survival_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
+
   __pyx_r = NULL;
   __pyx_L0:;
   __Pyx_XGIVEREF(__pyx_r);
@@ -9452,48 +9776,48 @@ __Pyx_RefNannySetupContext("PyInit__ckernels", 0);
   if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_marcum_q_series, __pyx_t_4) < (0)) __PYX_ERR(0, 254, __pyx_L1_error)
   __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
 
-  /* "kmusec/_ckernels.pyx":328
+  /* "kmusec/_ckernels.pyx":342
  * 
  * def survival_series(double mu_m, double mu_e, double alpha_m, double alpha_e,
  *                     double beta_m, double beta_e, double abs_tol=1e-12,             # <<<<<<<<<<<<<<
  *                     double rel_tol=1e-10, long max_terms=10000):
  *     """Double series for Pr(gamma_M > gamma_E); see the pure-Python twin
 */
-  __pyx_t_4 = PyFloat_FromDouble(((double)1e-12)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 328, __pyx_L1_error)
+  __pyx_t_4 = PyFloat_FromDouble(((double)1e-12)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 342, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_4);
 
-  /* "kmusec/_ckernels.pyx":329
+  /* "kmusec/_ckernels.pyx":343
  * def survival_series(double mu_m, double mu_e, double alpha_m, double alpha_e,
  *                     double beta_m, double beta_e, double abs_tol=1e-12,
  *                     double rel_tol=1e-10, long max_terms=10000):             # <<<<<<<<<<<<<<
  *     """Double series for Pr(gamma_M > gamma_E); see the pure-Python twin
- *     for the derivation notes. Returns (value, k_terms, l_terms_max,
+ *     for the block seeds, the stop pre-test and the rounding bound.
 */
-  __pyx_t_5 = PyFloat_FromDouble(((double)1e-10)); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 329, __pyx_L1_error)
+  __pyx_t_5 = PyFloat_FromDouble(((double)1e-10)); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 343, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_2 = __Pyx_PyLong_From_long(((long)0x2710)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 329, __pyx_L1_error)
+  __pyx_t_2 = __Pyx_PyLong_From_long(((long)0x2710)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 343, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_2);
 
-  /* "kmusec/_ckernels.pyx":327
+  /* "kmusec/_ckernels.pyx":341
  * 
  * 
  * def survival_series(double mu_m, double mu_e, double alpha_m, double alpha_e,             # <<<<<<<<<<<<<<
  *                     double beta_m, double beta_e, double abs_tol=1e-12,
  *                     double rel_tol=1e-10, long max_terms=10000):
 */
-  __pyx_t_6 = PyTuple_Pack(3, __pyx_t_4, __pyx_t_5, __pyx_t_2); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 327, __pyx_L1_error)
+  __pyx_t_6 = PyTuple_Pack(3, __pyx_t_4, __pyx_t_5, __pyx_t_2); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 341, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_6);
   __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
   __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
   __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_6kmusec_9_ckernels_15survival_series, 0, __pyx_mstate_global->__pyx_n_u_survival_series, NULL, __pyx_mstate_global->__pyx_n_u_kmusec__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[7])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 327, __pyx_L1_error)
+  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_6kmusec_9_ckernels_15survival_series, 0, __pyx_mstate_global->__pyx_n_u_survival_series, NULL, __pyx_mstate_global->__pyx_n_u_kmusec__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[7])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 341, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_2);
   #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
   PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
   #endif
   __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_t_6);
   __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_survival_series, __pyx_t_2) < (0)) __PYX_ERR(0, 327, __pyx_L1_error)
+  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_survival_series, __pyx_t_2) < (0)) __PYX_ERR(0, 341, __pyx_L1_error)
   __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
 
   /* "kmusec/_ckernels.pyx":1
@@ -9606,31 +9930,31 @@ static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
 static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
   CYTHON_UNUSED_VAR(__pyx_mstate);
   {
-    const struct { const unsigned int length: 11; } index[] = {{1},{47},{30},{24},{1},{31},{29},{39},{40},{51},{52},{40},{21},{30},{27},{21},{24},{24},{25},{16},{20},{1},{7},{3},{5},{7},{7},{12},{18},{1},{2},{8},{9},{4},{6},{6},{11},{9},{1},{2},{2},{18},{1},{9},{2},{8},{18},{9},{2},{2},{5},{6},{13},{5},{1},{16},{13},{1},{2},{5},{6},{10},{5},{5},{4},{5},{8},{12},{9},{8},{9},{7},{4},{4},{9},{9},{6},{6},{1},{8},{15},{8},{9},{10},{4},{4},{8},{3},{6},{1},{3},{1},{2},{12},{7},{6},{3},{5},{5},{1},{4},{12},{10},{4},{7},{9},{15},{1},{4},{8},{3},{5},{8},{1},{5},{6},{1},{6},{1},{1},{1},{1124},{175},{769},{70},{13},{48},{51},{34}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1949 bytes) */
-const char* const cstring = "BZh91AY&SY\355\355\023P\000\001\213\177\377\377\377\377\377\177\377\377\377\277\367\377\360\277\377\377\376@@@@@@@@@\000@@@\000@\000`\007\\\350\353\271C\\\003I\000\203\200\020\032\247\351\004\222hd\310\003A\263$M\220\323d\304\312&\236\204\036\231@\003M\000\000\033Q\243L\236\223\021\265\006I\2441\032\004\323\njm\241&\223mH\365\000\000\000\006\200\007\250\000\000\000\0004\320\004\2456\niQ\223@hzA\352\006@\000\000\000\000\003@\000\000\000\001\240\000a\010\2055<*\032\r6)\211\232jz\200h\032\014\200\r\006\201\2204d\r\000\006F\232h\364\201\006\000L\000\000\002`\0010\000\000\t\200\023C\000\000\000\000\000\020`\004\300\000\000&\000\023\000\000\000\230\00140\000\000\000\000\003+\346\311\256\270\035_\344\216\260\037\320\335\335\223\273eA\302BS*\023Ct\335D\001\000I\024no`l\000\261\260\267\370G\372\020H\200\022% \222A$\t$\222e2\202*\231\177\361veDE.\004\023%b`\270\350\\M\022\270\343}\004R\005$\222H#\030\222\006I\"R9P\240\241\260F\250\210\006\341\016\332\232\010\r\365\210\"\367\241GY0\222P\264Nl\343P\220\234\352U\017~\354\265\177\320\220\262Vt\341`\214^\206\360i\031\021\233x(\014\010\310\000\363@\023\210\207\222\372\000\2024\262\020\002\006\002\021\211!\317C\014\303'I\304\363\234'\000\205\223k\n\340\007BVv82\305_\034\371\034n\205\330\254\264\230\030\224\322\261;\001\367]\2778S\205\371\300\3503\257gL\220v\267n\233\244\\\270\304e\324\333\375\217\260G\003\006Ag\"\244\217\305\007J+!L\206\177\221Y\243r\341\374\270$\225L\235)jg\360\357\206\3177|t\277\245\305\245\032V\325\032\310\036\306\306,\025\n\343\020\020\211iiZ\324\200hko\237,[g\225:\260\353[7\n\216V \034\356w?Wcl\362' \303\321pl\276vX\271\353O\005>w\257&\030\227\257^\304\026\230\215adJ+=\"\224\222,\327\343\335Q\007\020p\224\270.\035\007G\007\021\336\2759I\" RUh6b!\210\024\243\213N\034:CDa;\353\005\\z\010\304\241!v\023.\0032\273[\013A\025hX\267I+nzBPd*\026\245L\013fBP\224\220\217\324\0168\370\255/9\264\311\0234\334\006l\365J\034\330\030\311\270\201t\316:\034\t\226\320\317\305\242\202\240\310\226\211\020;\210\350\350[\016\340\302""\252\212\024(:\273\252\266\237[\366\307\177\025|\374\325\357\221RD\375\323d\363\030\005\365\265\303\217\224M\324\177\364\260\354\221\0359\242AM\264l\355)\246\201\005`\202R\226\246\213\202#)rW\310\255\r\035Z\326\320\351Ues\3120j\024Pz\214D\344c+\207\035\021\351 l\245\350\020\2464\205\271!se\224T]Y) \373\236\264\272\271\244:\366\354\001\203jin\325F*\2643t\222\256\233q\262\254\376^%\302`\312\356\266Ci5\023P\026\232\340r\253\000l\014\244Y\030\312\210\224\213T\312J\356\266Q8\254Vk\002\263\246\302\342(\301\342 \306]\317\030p\314\342\310 \266\344o\016&\221\031Q\330\031\270F\356\257\347\317\325Y\025\030Fr\033\301\032\304\202\225t\244\300I$K6\223\000\003\003@\244?\235\010\2039\0233\350\025\027\342\333h\220\024\254\252\376;3\314gM\203|Na\\\347l\224\354\"\367\\\004\306\366\253X\227\344X\r\361\336\201\206\016M\316n\342\337\206\271\014E\0006\013P\210\232\201\204\003$D`\233c\006\263\221\022@\314\316\216\310\3248\261\003\030\236\020\035\026o\236\201fw)\340j\257\006\205\031\030\316\262\010C\223\373\236~\202eKZ\326\016Y\3659\222F\2051hc4\260\363\361s\212\277b\236r\321\3117Lb\003D\272\304\310\312V\007f(khH\220\220\204\260\202/\241\230VX\216 \014\215k\215$M\305\305\206)\202\265\305T\003\254\035&@\326\023\366aTGI\220\244L\026]\315!\014\341\235fR\215\023\245/\002\243Q`[NIj\362?\256\322\344\274\215\233\210\332z#5hV0\024g\027*\314\005(\006<\341\266\361!\2117\330F\202\032\362S\217\005 \250C\211`\373T0?\0370\221q6\013\300\032@\274\357\300Y@\006\333\254\320\316\023%b\262\322\034\n\221\226/\206\225\276\016\207\032\2003\t\226\007\003\201\030\021\201\277\022\005\345\335\r\330\n\010\267\000\300\342\200Ms\355\354nW\006\000\306\215\002\201 7\204D\215\242\321\252\334Fp\017\014#+(\022k\272m\025\032\204\345\362\234\262\026X(\321~\365\005b\335\370UT\342y\365a0\035\021a\237E\220\020\375#\034\327]\362%\032\235\\\007\035^\3477\252\017M\tDB9\262(\200\013O7\212\007L\201\346\240\r\002\037\276G<3\313\033r#\304\343\373\204\"\021@t\031\372\371\203\222\300l\240=\216_k\310\363@\034/\261\252\r\026\232\026\360""\370\355\016\242i\025\347\005\2629\332\3443\310A\257\341\275\221\261\325o\362S\371\360Dlq\234\030\tJ\204R;[-p\271\213\312\356x}eF\020\020\215\272\\>'5\037\220\313\t0\202\262I\256\245\230\332\372V\333C\223\003\235.\030\215\275\245\317A\364V\346\344\030\n\024!\267\327\370\376X\203\017\274h=\303\322s\010\314\314\230\265\2225A4\3109#\357\226\326\005\264\242e\001\362\031iS\\\254fT\372\0202\322\246\321\200\215\366\270\215\271\341@n\213\321\206U\214D\213\211\326\225\2568\335\234\030H\204k\305\"\244\326\376\251\254\002=\215\205\327sq\211\356D36M\371e\322X\362\0059\232\260\2658\211\024{\332Rg#.\254$\300c\326\023!r[sgn0\022\247J&\2664\325\320 \315U\3432\302\325Z8\305\231Q\305\0344b\202\227\024[\247\2067\244ILr5zu\344\211$\265_vf\316[\2519aj\267\030\214\310K\226\220^\263\014N\033h\344j9\202\254IZ\032\326\226\242Z\306\210mE\004!H\225\204H\202\3144\211\200\224\254\232v\202\005E\000\212\365b\027\022\310d\025H\200\240\200#\225i\n`cd\\\246\202\230\246w\377\024\206I\035\034|}Ab\305:4\\\260\203=\347\276\2526\024(O\033\372\010\361\177B\205\022\375\014\3723c.\203\365?\317\274+\313=\372\022\350\342\320H\336\215\370(|b@\360\274\363\301\371\376\360z\276,Z\020\3178\203S\225\351+\312\207\007\013\"\226\016E\274D|?\350\362\216Xk\233\327Q\333\361}\212p\021\223![\033+Z\215qwW\233Z\241H\213^\364\035\233\240\354\230I\\!0'\275\236R\301Z\220xBB\024\341\021I\204k\014b\"\241U'B\311%Sy\227h\260\247J\346\363x\\\255\253\314\207\202\273\230\277Bm\220\270\312Zw\210\027\330\264!a\214:BaDj\234hf\377\305\334\221N\024$;{D\324\000";
-    PyObject *data = __Pyx_DecompressString(cstring, 1949, 2);
+    const struct { const unsigned int length: 11; } index[] = {{1},{47},{30},{24},{1},{31},{29},{39},{40},{51},{52},{40},{21},{30},{27},{21},{24},{24},{25},{16},{20},{12},{8},{8},{10},{8},{12},{12},{8},{13},{1},{7},{3},{5},{7},{7},{18},{1},{8},{9},{4},{6},{6},{11},{9},{1},{2},{18},{1},{9},{2},{18},{9},{2},{2},{5},{6},{5},{1},{16},{13},{1},{2},{5},{4},{5},{5},{6},{10},{5},{5},{4},{5},{8},{12},{9},{8},{9},{7},{4},{4},{9},{9},{6},{6},{1},{3},{4},{7},{5},{15},{8},{9},{4},{4},{3},{6},{1},{3},{1},{2},{7},{6},{3},{5},{5},{1},{4},{5},{10},{4},{7},{9},{15},{1},{4},{3},{9},{5},{8},{1},{5},{6},{1},{6},{1},{1},{1},{1124},{175},{769},{70},{13},{48},{51},{34}};
+    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1990 bytes) */
+const char* const cstring = "BZh91AY&SY\302\236\304\347\000\001\216\377\377\377\377\377\377\177\377\377\377\277\367\377\360\277\377\377\376@@@@@@@@@\000@@@\000@\000`\007}\362\357OoB\234\000\000\031\341\340\017\017\206\246B%\032\0314\000\007\230\205<S4\330\3112\211\247\244\320xP\001\220\0004\003\324h\321\247\244\332G\224\031\020\2312i\251\2104MM\204\223\032ji\243@\000\000\000\000\000\000\001\240\001\223@\032\000\211Shj\006\207\224\365\032\036\240\r\000\000\003@\320\006\232\000\000\000\000\031\000\006\236\242D\247\224\320\032h\320\306\240f\247\251\352z\206&\203!\240\000\006\232\014\215\014FA\211\221\241\352z\232= A\200\023\000\000\000\230\000L\000\000\002`\004\320\300\000\000\000\000\001$\211\232\211A\243M\014\230\206\201\223\021\223\020\311\240\00020\201\3512\030\203CF\2314\000\000\245B\332\223\232\351d\263Y\374\262\326K\364\255Z\223Z\234\231<\002\220\354@\342\264\324\010\210D(D\223\247\230\246\004\324\311\377\021\375\030f@3$\31433\014\310\034q\307u\264\024bY\177\212\333\210\211D\254\010[\006V\022$\212\303\273Q\243F\206\325\224\302`\000\0044QfJ\220\014\300\324\246S\"\035\323\013\330\306\002\360\203S\225\002\001\301Q\004=\356\0162E\010\210\214J6\313E\301\240\321\255\233\252h\322\016\337\371L\304\031\302:)\320\311e\305\241\206,!\201h8\024!\020\005f\300$&+&\273\000\2124\254b\004LDg2D+C\035\241d\222\022\221\203`\020T\212\251\007o\n\340\324\265G\023T9\365\333\023[\320=C\243\220\260n\220N\022\204\354\232.\273\220Ys\206Ad\317]\273\227H\201l\341\300X\010_\276\263^\003\332\375\217\2504\007\031`\371u\022\037\222\003\222+\020L\266\177\230\254\243s\241\374\370\"EK\001\022\205{\023\0249\026w\004\225\307\006\346\020\241\343LJ\032d\232\213\241\210\242\253\242a4\251)*\252\242\000\201\021[\346\355\032cYa1\033\353Z\234k\240^\275\244\354\374\263\017\022\2103\230\340\276\203K}4\354\276\026\334\013\227\013\020\025\313\227.\205K\254`\342IY\322\021$A\354\262l\250 \340\203\201%`\026\007 \344\3408'z\345IH\210\200\242UP6v!\204\005\010\341S\036\034\241\242-\273\354\002\256J\002a$$\0130\331m3+\265!P\022\252\r\032\316<i""\267ptP\212\202\225Q\262\245\334\035\016\234'\372\231\"D\256Z]\2600\330\2033\242(B\204\266\3062\224U\212B\2114*\341\"\206dC\030:\267\"\nA\210\250\n ;\202rr\024\207p\030*\250P\020 uwV6$\361\352\341\226\347\0009\350NM\260P*\326\346\224\331\353r\245\277\240\037\325\217\364\312\362\010)\233E\231%\303\322\234\022u\316\303\316\277\000\211mh\356c\030:\324\270=\312\347\300\242\204\324%#\324TI\252\323\016+'\324@\332\300yD\010S=\241\230$lmU\n\032\353\241)P\351\304[^\247\264\353\331\302\002\215\211\231\273\030\212\3064.\327T\313\361\245\271\376n\2534<-2\334\343q6\223h\027\032D\346\316\r\302\353BJ\307*$\305\3145\022\315\327T\"((h\005\016\\\206\004Y\236\2610gP\335X\317\255\360+\024\027\340\215\327\240\332gRC9~\261\273#z\337\247\027\005\304d2y\014\325;\206AFB\242b\034\353J\355& \005\r\002\321^\270\314\031\020\365\372\205\rw6\373\034\nd9Z\337\313f\315\203e/\034v\235\201\235\205u\327\271\347\200n\027\024+\030\247f\210\270\276\253I^\356\020\003\224q\002\t[L\r\254\373v\020\243{\200\021*\214B\037`\244B\271\021C\367\250\332u\020\350\201z\361\357\267 \345\342\0063;\000\204\327\222W\013\362\351a\310\326\261\267\260by\351\311m\216x\227\025\237\334\347\313MNkZ\243\243\035pWY&\033\032\022\306\\\201\214\347\332\034&vR\306oC4d\331\005\026\020\250s\240\014|fj\265 \260;\204*\024\275\020\220\210\"\215\213H\205\352X\217I\016p\nD\3360!\257\017\025\014\210\240\246\320\313\001\334Nr\340\325'\356\323m\203\240\261\230xeX\264\2042\013\307\246\241|\222\332\300\241\241\312\300\333\316\224n\r\344\213u\244\006:\010\335\304F\363\3066\261\241\212\240\242\362\372,x\024@4\362\216\375\001\306\204iLp#1\016\211)\314\322\302\013\002\035EGM\201Ez\274\322Fbo\032\000\031\300\320y1\027X\001\2776\t\302[AB\347\020\360Z51x5g\226vh\261\321\263\230\322\034\207hN\014N'\0221#\023\243I\0039\2077\213@\260\215\031QD\n\000\374\325\341\322\314\310i`\014p\312&1x\010\211%T\267\001\200\327\206\221\272B\260\244i\302a\333s?5\r\004\215u\035Z\205\327\0132\341\310\300Y6\362h\245$%-z\036\007\030\270\313\013\242#\372\316{Y\263;\221\022""\316\010d\210\346\330x\353\367\305\216\31132+\332&`,U~\240c\240\310`\203\010\206b3\310,\223\207A\036O+\270\206C&\r\010/Ox\347\300!\004\301\221\223g\316\351\001\277\365A\244@g\034S\341a\270\254\016\014uQMe]\262v\305\023\237\207zj\362\313\276\231-N\002\213\314\027\206\204\022 `j\224\334\340\371\016\177\n\367X\231\240J\006\237V\366\373\3127\251\244\350\035\010\234\007,N\352\246qU\305\213\013*O\016\242\255C\326'\317+V\206\204A\002\253\257\351\314\210hz\356'\254\332\257(\032R\224\232;\225\327\241\007\024Eu\251\307qaN\021\236`\037\001\232u\365\311C:\277\310\200\315:\373%\t\014N \334\277\250`\260\014m\013\260\320\303S\035p\224\246\265\331\301dB!\256\311\023'\323\372\227\026\003v6\025e\033k=c2\231\3111K.\232\207\214%\031\352\nJ\014\330\335\31594\rx\024\016`)\306&2D\267\246\320\333X\"K\244g~\224\326L\030\317N2\231AI\215\255\026\3454$\270\006\264\204\251\214\302[\341\271!\312M\221\305\\\263#\016K\266p\314\344\345:s\224\024\233\315\r)\010\221t\306;q1\005x\320\324\226p\260\303\216(\356\251$N-\301\025\326C\020I\234a\206b\334UH\241\"8\316\345\320a,\2043\034d\024\305\020\\6\010BF!\006\213\025E`)T\373V1XV,_\212\243\236C\235N\236\250\265j\265\032(\264cE\367\376i+I\017P\030\264\215\362\203I\352%\003\3324f\244\247\240\257\376\201\361fZ\020=/J{\306\327\333\004/{\330a\361\215\367\304\0245\201u5'\275\025\002\344\215^7\240\225\231\026V]J\271U/]K\342\377w\2644B\013\365\230\223\232\025\305<$}\352\033<o\"\022\021e\036Z!\324\330,L\270HDp\220h\014\316A\206P\330\315\220t8s\tE3\nmEW4\006OJ\252\253\251\273\2328\20337ifHX\016\216rR\322\247\221\252\226`\2249FY\3574X$X\310i*\242oB\230\201UG0\312j\266\332\256\005z\027rE8P\220\302\236\304\347";
+    PyObject *data = __Pyx_DecompressString(cstring, 1990, 2);
     if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
     const char* const bytes = __Pyx_PyBytes_AsString(data);
     #if !CYTHON_ASSUME_SAFE_MACROS
     if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
     #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (2010 bytes) */
-const char* const cstring = "x\332\235VKs\333\326\025\026%\312\245+\332\242H\352\225\306\031\222j\235\330Id\201\224l\307\261\323\241\036\255\235q\332\222\222\033\245\033\014\010^J\210H\220\304C\242\234v\306K,\357\022K,\261\304\222K\376\004.\261\324O\360O\350w.@\211\211\223.:#^\\\000\347\236\307w\276\363A\233\345\277H\005\223\031\0323\013M\255Y\320\273VA\355\352\347\3148a\205\013\315:\325\364\202u\312\n\0263:\005U\351\3552\323d\355\337:\361\235b\250v\347\313\332\344\375\251f\211\323\177n\210c\262\306\n\006\353\333\232\201w\203\3027/\n[_\024Np\276\301,E\323U\331`'7\006\275/\n\375\3027\205\255\023\245\323\021o\355^\217\031?\2671\311 \362\361\277\314\246c\301\244\333\351\265\231\305DX\312\335\322t\2335\013-CQ-\255\253\177P\326\324\021\021\345\377:\363\033\220i\272\316\214_\342\325\356\236\310\321\251\351\022&\025t\215&\216</l\301\231\360a\026\024\013\006(\261k[\037z3\r\365\321Y\3076\231\372HV\317\230\241\263\266\271\331\273\034|9i*\200hu\rVP\032\246lu\333\266n\002\303\256a\241\276\270\337Q\310\2758g]e\007\206\3215d\371\037\227\003\374\3665\325\222\377\306\006V\235\265\224\330\211\242\252J\273w\252\210Ef\321\245#\313\212\216\352\025\213ag^\352\252\326\335T\273\006\322\326tf6\032[\023\242\\\023\206zD?Y\354\344\316\024U\032][o\312\300JU\267\324\206\332\206\013Y\323e\013-a\r\005\2252\323\222\031%\332\332\222\345\226\215S\362\207,9Ql\323\224\313-\351\344T\213\272\241\351\3472Nh\246|\235\232f\261\216y\026\201\270y\rb|/B\230\355\366V[\356(\203\266.K\235\267Xc h\307h\351`\241Mk\013\213\0104\271\306f\006\323\273\006Y\231\200\216,\3153\255'\323\033\224L\227K\374\336^s\2036\221%6\226I\353\305\031\020\246\372h\245Q\224\373rD\006$&k\324o\\\351b\302\242\333\264\333\350C\307\226\031~8\251+\035\334\353v\247\013$;o\301\201^\277\017\350\372\266\322\216\336\031\350\t\222\21525N\273\370\223\233\264\234\001\303SMF4+v\203]\023t\260\333\026\225A\277\036k\"\217v[6\210a\306\271v\256\264\343\364,\252PFf\350\030\005\260\300\221h\221\033\354\034v6\023\213yq!\300\030\\\276}\227\010\313\2250\377\320/\276O\315\314\177\354>\361J^""5L\346\371_\335\262[\013\223\253\334t\213\356S\257\354\035\372\t\177)L\256\2739\267\352\036{u\317\364\213\276D\017V\275Y\257\030&\327\3349Wr_\373\251`6x0\224~\345\301=\367\320Kx\302\t\226\217\335=\267\357%\256\2229.]%3<\301\361\360w\357\006\216\201M\352\216\363=\177\351\356\272\014\241\217\374%\377AP\016jaj\301\2518\r\236\010\323K\221\265\351\224\234j\230\312\3609^\346x\277\314\017\335Y\367>2\372\314/\371/\203jp8\234\035\026\303\345\250\220\307^\316\333\367g\375\342\025\262KP\016(v\205+qJY^|\377\373\231\371[a*\355\034\360,\227(\2177\274\304\253\264\251O2\2137\013N\3319\214r\271\347*\256\r\317I\177\317\277\010\2240\235\347{\274\217\010\351e~\344f]\351\nO^\243\370<\025CO\017\335\204\273\344>\364\252\336?\375\262/\017\021\001%\361\317\334\222\373\022\017\353\236\341\307!\352N?L\257\360\006\352*\206\251,\377\024\376\312n\035\361v=\325\317\372O\202RP\r\263y\300U\005\300\263\336\206W\023/\236\006\322\315\213\272k x\335\353Oa\270\302U\370z\354e\275\247\276\204\314\215@\204|\3027\370\367\356>\262]\007\206\257\000{\232\300J\243EW\264\003R\264\017Sw\035\205\340\250\021\\\325xY\345?\201B{^_`a\241k\307\303\372\320\030\t\317O\321\244#7/\222\201\223;af\225\333h\262\212\024*^\003\215)\371\3250\263\314\217aby\333\000!\353\357\004s\301\016\232\270\001?}zy\004\n\356\272\ro^\224\203\007\2650\223\343\025 \224\010\363\324G\261D\317Wy\237^\226\t\3570\277\034\355\353x\030\031\376\301\225\302|\021\271dV\370)\322\310\013\340s\376A\220\r\266\003sX\032\356\016\025:\264\315\r\262\377\304\375\021In\3705_\205E%P\002kX\0316G\245Q5\314\257\362\201kb\022\326\376\024\017\313\332\372$\236\211\266\302\342\243\361G\230\264p\355\221\337\017\200_\216?C\2358\002\374\267\201\376\372\260\2101\021d\226\370w\002\375\277\323\203\005\347\031\345L=\310\361'\302U:\232\303\037<6a\3175U\362<\342\322U*\317\277\0250\021\303\216\203z\360v\264\024\367+2\036p\313}F\271\322\241\227\030G\003}\220&\354\\\303\315c`\261\217\361-\206\351E\347\002\010'\201<\000\271\007m\310L\3633;\316\226Pz\346S4\036s\265\340l\303\274\005\227""\027\2362\236y\214\221\270\273\370\376\326\314|\352\235\341\344\210'\2138\225\274\355d\341\240\026\r\362\206s\304\363\210<\347\356\010\225H-\216\027\321\032\320\371\320\237\003\313\213\350\2101\024S\177\355\343?\202\362s \217\352\257#\313\370\335>O\362]\221\355>\346\241\204Ai\200\216\273\276BgL^\344\317\241<tJ\241T_\240\330\034R5\021\352\007\037\351~\205(\371\345\367iJ\327v\366\220)\216\3314\321a2\345$\235]\247\005\367\312\344\206\t\351IFX\030\220\215\035\214\352\037\241\010f$\246\224S\026\200\010\321X\346o\320\300\003Ax\005\032ZBZ\215 5L\014W0%\271QuT\2334\234\004\353+\344\256P\333w\200K\005j\370\265\337\006+\253\323(\214\027\001\275\200`5\270\025\250\004\321m\007\013\215g\034\\\212\004\2250\231\027\243%aDc\205\271\021TjP\306\351\343\356FY\243\301\"!\217\350Q\366\216c\366KS\262\233\205d\324\270\006\213\234P\264\212\337\024\252\004\204\340,5Na\320\304\314&\021\367\302W\350c\223Fd\205X\220\006\206\r\3211&\204\315\360\326 \370\004L\024\006N\346\034\311y%\220{M\364\212N`\263\304s\274J\340\023\253\243`\363?\243\270)\304\373\232\236\017\3057kZ\313kS$^B\357*\221\320\222^\037@\034+hc<\025D\001\352zf\242\355)\262\027\345Oy\020\342.\024\2230\253\222H6\004J$:\251\005A\203\274\370&\320\367\025\022<\001\3550\026\226f\260\021\034\r\263C\021q d'\0239{\025\177t\277\016Z\220%m\324'y#\222H\264\261\360\355\276/\024\224\204<\027\034\010\037w\004\337'\337\243\3331\355~\n\356CP\037\214$b\3266\277p[bD\346\240\023\207Ab<\363\371\370\363\027\303\332\325\r\307\356:?\272\211\361\372\356\250\21037\234\212\037\357\215$\350_ra\274\360\211`\375\206\367\306/\276\303\227\235x\\\303Gf\211n\226\371\277\304\324M;Xt\376\r\210\033\336m\372\327\"\242\"i_u<\263\211a\315,]]\017\364\\\254\341QLW\230?GI4\025\252\267\354)\024\342\227\371b\220\361\355O\322\207\007N\377\013b\022K\366";
-    PyObject *data = __Pyx_DecompressString(cstring, 2010, 1);
+    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (2027 bytes) */
+const char* const cstring = "x\332\235VKw\333\306\025\026%\312\245+\332\242H\352\225\3069$\225:\261\223\310\002)\331\216c\247\207z\264v\217\323\226\224\334(\335\340\200\340PBD\202$\036\022\345\264\347x\211\345,\261\304\022K,\271\344O\340\022K\375\004\377\204|w\000J\314\253\213\350\020\203\301\314\235\373\370\356w\357h\263\374W\251`2Ccf\241\2515\013z\327*\250]\375\234\031'\254p\241Y\247\232^\260NY\301bF\247\240*\275]f\232\254\375['\276Q\014\325\356|Q\233\354\237j\2268\375\227\2068&k\254`\260\276\255\031\330\033\024\276~Q\330\372\274p\202\363\rf)\232\256\312\006;\271\021\350}^\350\027\276.l\235(\235\216\330\265{=f\374T\306$\201H\307\377\023\233\266\005\221n\247\327f\026\023f\311wK\323m\326,\264\014E\265\264\256\376\213\260\246\216\010+\277\353\314o@\246\351:3~\216W\273{\"G\247\246C\230D\3205\2328\362\274\260\005eB\207YP,\010 \304\256m\375R\233i\250\217\316:\266\311\324G\262z\306\014\235\265\315\315\336\345\340\213IR\001D\253k\260\202\3220e\253\333\266u\023\030v\r\013\361\305\371\216L\356\305>\353*;0\214\256!\313\377\272\034\340\331\327TK\376\007\033Xu\326\222eEG|\212\305d\374\265l$\004\177\224\031\361\3566\355\266\330\321\225\216x\367m\245=\231\233\314\272^\267\230i\341\245\231\262\3325\020\226\2463%\366OQU\245\335;U\304 \263\350\325Q\314K]\325\272\233\327\342fc\302\272k\366Q\302\351\221\305L\356L\361\256\321\265\365\246\014\340U\265\241\266q\\\206\307\026\262\313\032\n@#o\030\305\334\372\025>\236(\266i\312\345\226tr\252E\t\325\364s\271\265\245Y\254c\236E\320o^C\037\177\013mf\273\275\325\206\357\203\366\211\334\243\247\217\241\277\325\326e\251\363\026c\0341\315\030\r\035\0144i\221\210\2604y\307b\006\323\273\006I\231\300\210$\3153\255'\323\016\"\245\327%\236\267\327\374\242I$\211\211e\322xq\206\365\023\374\266\360\220\033\364\302@\225-\367\345\210[\360X\326\210>x\323\313\354\3302\303\323\321\355N\027\330u\336\202@\275~\177\313\000\356\360,r\3138\355\342'7i8\003b\247\232\311X\023\271\261\232\254\245\330m\213\234\245\247\207U8\327\226\r\342\242q\256\235+\355\330\262Eq@#~2\212\257\303,\220\255-\006""\271\301\316!h31\230\027\027\"\346\301\345\333w\211\260\\\t\363\017\375\342\373\324\314\374\207\356\023\257\344U\303d\236\377\315-\273\2650\271\312M\267\350>\365\312\336\241\237\360\227\302\344\272\233s\253\356\261W\367L\277\350K\264\260\352\315z\3050\271\346\316\271\222\373\332O\005\263\301\203\241\364+\013\367\334C/\341\t%\030>t\367\334\276\227\270J\346\270t\225\314\360\004\307\342\037\336\r\034\003\223\324\035\347[\376\322\335u\031L\037\371K\376\203\240\034\324\302\324\202Sq\032<\021\246\227\"i\323)9\3250\225\341s\274\314\261\277\314\017\335Y\367><\372\324/\371/\203jp8\234\035\026\303\345(\220\307^\316\333\367g\375\342\025\274K\220\017\010v\205+\261KY^|\377\307\231\371[a*\355\034\360,\227\310\2177\274\304\2534\251O<\213'\013N\3319\214|\271\347*\256\r\315I\177\317\277\010\2240\235\347{\274\017\013\351e~\344f]\351\n+\257\021|\236\202\241\325C7\341.\271\017\275\252\367o\277\354\313CX@H\374S\267\344\276\304b\3353\374\330D\335\351\207\351\025\336@\\\3050\225\345\237@_\331\255\303\336\256\247\372Y\377IP\n\252a6\017\270\252\000x\326\333\360jb\343i \335l\324]\003\306\353^\177\n\303\025\256B\327c/\353=\365%xn\004\302\344\023\276\301\277u\367\341\355:0|\005\330\323\004V\032)\272\242\031\220\242y\230\272\353(\004G\215\340\252\306\303*\377\001\024\332\363\372\002\013\013Y;\036\326\207\306Hh~\212$\035\271y\341\014\224\334\t3\253\334F\222U\270P\361\032HL\311\257\206\231e~\014\021\313\333\006\010Y\177'\230\013v\220\304\r\350\351\323\346\021(\270\3536\274y\021\016\026ja&\307+@(\021\346)\217b\210\326Wy\2376\313\204w\230_\216\346u,F\202\177r\2450_\204/\231\025~\n7\362\002\370\234\177\020d\203\355\300\034\226\206\273C\205\016ms\203\344?r\277\207\223\033~\315W!Q\t\224\300\032V\206\315QiT\r\363\253|\340\232\250\204\265?\307\305\262\266>\261g\"\255\220\370`\374\001*-\\{\344\367\003\340\227\343\317\020'\216\000\377m\240\277>,\242L\004\231%\376\215@\377\237\264\260\340<#\237)\0079\376D\250JGu\370\235\307&\354\271\246J\236G\\\272J\345\371\337\005L\304\260\343\240\036\274\035-\305\371""\212\204\007\334r\237\221\257t\350%\312\321@\036\244\t;\327\360\361\030X\354\243|\213az\321\271\000\302I \017@\356\2417d\246\371\231\035gK\010=\363\t\022\217\272Zp\266!\336\202\312\013O\031\317<FI\334]|\177kf>\365\316pr\304\223E\234J\336v\262PP\213\ny\3039\342yX\236swD\227H-\216\027\221\032\320\371\320\237\003\313\213\310\2101\024U\177\255\343\177\202\362s \217\352\257\303\313xo\237'\371\256\360v\037\365PB\2414@\307]_\2413&/\362\347\350<tJ!W_ \330\034\\5a\352;\037\356~\t+\371\345\367ir\327v\366\340)\216\331T\321a2\345$\235]\247\005\365\312\344\203\211\326\223\214\2600\3206vP\252\037\243#\230Q3%\237\262\000D4\215e\376\006\t<\020\204W\320CKp\253\021\244\206\211\341\n\252$7\252\216j\223\204S\303\372\022\276+\224\366\035\340RA7\374\312o\203\225\325i\024\306\213\200^@\260\032\334\nT\202\350\266\203\201\31236.E\r\2250\231\027\245%\241D\343\016s\323P)A\031\247\217\257\233\316\032\025\0265\362\210\036e\3578f\2774\325v\263h\0315\256A\"':Z\305o\212\256\004\204\240,5N\241\320D\315&a\367\302W\350\262I\303\262B,H\003\303\206\310\030\023\215\315\360\326\320\360\t\230\310\014\224\3149\222\363J \367\232\350\025\235\300d\211\347x\225\300'VG\306\346\177BqS4\357kz>\024w\326t/\257M\221x\t\271\253D\215\226\372\365\001\232c\005i\214\253\202(@Y\317Lz{\212\344E\370S\032Ds\027\035\2230\253R\223l\010\224\250\351\244\026\004\r\362\342N\240\373\025-x\002\332a\334X\232\301Fp4\314\016\205\305\201h;\231H\331\253\370\322\375*h\241-i\243>\2657\"\211D\023\013w\367}\321A\251\221\347\202\003\241\343\216\340\373\344>\272\035\323\356\207\340>\032\352\203\221D\314\332\346\027nK\224\310\034\372\304a\220\030\317|6\376\354\305\260vu\303\261\273\316\367nb\274\276;*\342\314\r\247\342\345\275\221\204\376\227\\\030/|$X\277\341\275\361\213\357p\263\023\217k\270d\226\350c\231\377GT\335\264\202E\347\277\200\270\341\335\246\177-\"*R\357\253\216g6Q\254\231\245\253\353\202\236\213{xd\323\025\342\317\021\022U\205\352-{\n\231\370\271\277(d\334\375I\272x\240\364GM~]z";
+    PyObject *data = __Pyx_DecompressString(cstring, 2027, 1);
     if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
     const char* const bytes = __Pyx_PyBytes_AsString(data);
     #if !CYTHON_ASSUME_SAFE_MACROS
     if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
     #endif
-    #else /* compression: none (3494 bytes) */
-const char* const bytes = ".2F1 series did not converge within the term capBessel series did not convergeMarcum-Q series hit the ?bessel_ie requires x >= 0, got betainc_reg requires p, q > 0gammainc_upper_reg requires s > 0, got gammainc_upper_reg requires x >= 0, got incomplete beta continued fraction did not convergeincomplete gamma continued fraction did not convergeincomplete gamma series did not convergeinner series hit the log_gamma requires x > 0, got order < 0 diverges at x = 0outer series hit the src/kmusec/_ckernels.pyx-term cap before abs_tolunsupported Bessel order ConvergenceError__Pyx_PyDict_NextRefaabs_tolaccalphaalpha_ealpha_m__annotate__asyncio.coroutinesbb0bessel_ibessel_iebetabeta_ebeta_mbetainc_regbound_logcc0cbcline_in_tracebackeest_errorf0__func__gammainc_upper_reggauss_2f1ghieinnerinv_f0_is_coroutineitemskkmusec._ckernelskmusec.errorsll0l_maxln_1mzln_abs_tolln_aeln_amln_eln_f0ln_innerln_inner_tolln_renormln_scaleln_skip_lln_tailln_yln_zlog_gammalog_scalelog_tslog_wkm__main__marcum_q_seriesmax_itermax_terms__module__mu_emu_m__name__numone_mzppopqq0__qualname__rel_tolrenormrhorho_drho_kss_hi__set_name__setdefaultskipskippedsmall_runsurvival_seriesttail__test__toltotaltotal_bevvaluevaluesww_tailxyz\200\001\33023\330\024*\250!\360\010\000\005\034\2307\240\"\240A\330\004\024\220G\2302\230Q\330\004\027\220s\230!\2308\2402\240S\250\001\250\021\330\004\031\230\023\230A\230X\240R\240s\250!\2501\330\004\031\230\027\240\002\240!\330\004\030\230\003\2301\230L\250\010\260\002\260)\2701\330\004\030\230\003\2301\230L\250\010\260\002\260)\2701\330\004\035\230S\240\001\240\021\330\004\031\230\021\330\004\034\230C\230q\240\001\340\004\023\2201\340\004\020\220\001\220\021\330\004\007\200x\210r\220\021\330\010\r\210W\220H\230B\230e\2402\240T\250\021\250)\2602\260Q\330\010\013\2103\210b\220\001\330\014\021\220\021\330\004\007\200s\210\"\210A\330\010\020\220\003\2202\220Q\330\010\025\220S\230\002\230&\240\002\240(\250\"\250H\260A\260S\270\002\270!\330\025\027\220s\230!\2306\240\023\240D\250""\002\250!\340\004\030\230\001\330\004\034\230A\330\004\026\220a\330\004\031\230\021\330\004\022\220!\360\n\000\005\006\330\010\014\210E\220\022\2201\330\010\r\210U\220\"\220A\330\010\r\210R\210r\220\021\330\010\r\210R\210r\220\021\330\010\013\2102\210S\220\001\330\014\021\220\035\230a\230u\240D\250\004\250C\250w\260a\330\014\024\220C\220q\230\001\330\014\025\220T\230\022\2301\340\014\024\220L\240\001\240\024\240T\250\021\330\014\025\220S\230\001\230\021\230*\240A\240V\2502\250_\270A\330\010\021\220\021\220(\230\"\230H\240A\240R\240r\250\021\330\010\013\2102\210R\210q\330\014\026\220b\230\002\230!\330\010\022\220'\230\022\2302\230R\230u\240B\240c\250\022\2507\260\"\260A\330\022\024\220H\230A\230S\240\002\240#\240Q\240c\250\022\2508\2601\260A\330\022\024\220H\230A\230R\230r\240\024\240R\240q\330\010\013\2103\210b\220\001\330\014\026\220c\230\022\2306\240\022\2408\2501\250C\250r\260\021\330\010\013\2107\220#\220W\230D\240\001\240\031\250\"\250I\260Q\330\014\030\230\001\330\014\020\220\001\340\014\030\230\001\230\021\330\014\020\220\001\330\010\016\210a\330\010\r\210Q\330\010\014\210A\330\010\014\210A\330\010\027\220{\240\"\240C\240q\250\004\250C\250t\2602\260X\270R\270r\300\021\330\010\013\2108\2202\220T\230\024\230R\230r\240\021\330\014\r\330\020\027\220u\230B\230c\240\022\2403\240b\250\002\250\"\250A\330\020\025\220X\230R\230t\2404\240r\250\022\2505\260\003\2605\270\002\270#\270R\270q\330\020\025\220T\230\023\230B\230b\240\005\240R\240q\330\020\025\220Q\330\020\023\2203\220b\230\001\330\024\031\230\021\330\024\031\230\021\330\020\025\220Q\330\020\027\220q\330\020\023\2202\220S\230\001\330\024\025\330\020\023\2202\220R\220q\330\024\031\230\021\330\024\033\2301\330\024!\240\021\330\020\026\220h\230c\240\024\240R\240r\250\023\250E\260\022\2604\260s\270\"\270B\270a\330\020\023\2204\220r\230\021\330\024\036\230j\250\002\250#\250Q\250c\260\022\2603\260a\260t\2703\270d\300\"\300A\330\024\027\220x\230s\240!\330\030%\240S\250\001\250\021\330\030\031\330\020\023\2202\220R\220s""\230\"\230A\330\024\032\320\032*\250!\330\030/\250q\260\001\330\010\023\220:\230R\230s\240!\2408\2504\250r\260\031\270!\2701\330\010\020\220\003\2201\220M\240\031\250\"\250O\2701\330\010\013\210:\220R\220q\230\001\330\014\023\2207\230\"\230A\330\014\031\230\023\230A\230Y\240e\2502\250_\270A\330\010\013\2102\210R\210q\330\014\024\220A\330\010\021\220\021\340\010\024\220J\230b\240\005\240V\2502\250X\260R\260z\300\021\330\010\r\210Q\330\010\013\2102\210R\210x\220t\230:\240S\250\001\330\014\024\220H\230C\230r\240\022\2401\330\014\025\220S\230\001\230\030\240\022\2406\250\023\250D\260\002\260!\330\014\017\210w\220b\230\004\230B\230a\330\020\035\230Q\330\020\021\330\010\013\2102\210R\210q\330\014\022\320\022\"\240!\330\020'\240q\250\001\330\004\013\2104\210w\220f\230C\230w\240a\320\0006\260a\330\016\017\360\006\000\005\010\200r\210\023\210A\330\010\017\210q\330\004\t\210\022\2102\210Q\330\004\007\200s\210#\210T\220\024\220S\230\003\2305\240\001\240\021\330\010\017\320\017!\240\021\240#\240S\250\003\2507\260!\2604\260r\270\021\330\004\007\200r\210\023\210A\330\010\017\210}\230A\230S\240\003\2403\240c\250\031\260!\330\004\007\200r\210\023\210D\220\004\220B\220b\230\004\230D\240\002\240\"\240B\240b\250\004\250B\250a\330\010\017\210s\220!\220<\230q\240\003\2403\240a\330\004\013\210=\230\001\230\023\230C\230s\240#\240Y\250a\320\0009\270\021\330\024\025\360\014\000\005\010\200u\210C\210q\330\010\017\210u\220C\220q\330\004\010\210\004\210B\210f\220B\220a\330\004\010\210\004\210B\210e\2202\220Q\330\004\013\2102\210R\210r\220\022\2205\230\002\230$\230a\230s\240\"\240A\330\004\007\200r\210\022\2104\210r\220\021\330\010\025\220U\230\"\230E\240\022\2403\240a\240s\250\"\250B\250b\260\010\270\001\270\026\270r\300\023\300A\300Q\330\010\013\210:\220R\220s\230!\2309\240B\240a\330\014\023\2205\230\003\2303\230e\240;\250l\270\"\270A\330\004\007\200r\210\023\210A\330\010\017\320\017\"\240!\2403\240c\250\027\260\006\260c\270\021\330\004\t\210\021\330\004\016\210a\330\004\007\200r\210\022\2101""\330\010\r\210W\220B\220b\230\005\230R\230t\2401\240C\240r\250\021\330\010\013\2103\210b\220\001\330\014\021\220\021\360\006\000\005\020\210q\220\001\330\004\007\200s\210\"\210A\330\010\023\2203\220b\230\003\2301\230C\230r\240\022\2402\240X\250Q\250c\260\022\2601\330\010\020\220\003\2202\220Q\330\010\022\220#\220Q\220i\230r\240\023\240A\240V\2503\250d\260\"\260A\330\004\010\210\001\330\004\010\320\010\033\2301\230B\230b\240\004\240C\240w\250a\360\010\000\005\014\2103\210a\210q\330\004\014\210B\210b\220\004\220B\220e\2302\230R\230r\240\030\250\021\250\"\250B\250c\260\022\2601\330\004\010\210\003\2101\210I\220U\230\"\230L\250\001\330\004\014\210B\210b\220\001\330\004\021\220\023\220A\220Q\330\004\r\210Q\330\004\010\210\001\330\004\005\330\010\r\210Q\330\010\013\2102\210R\210s\220\"\220A\330\014\022\320\022\"\240!\330\020*\250!\2501\330\010\r\210R\210r\220\021\330\010\r\210Q\330\010\013\2102\210R\210q\330\014\021\220\022\2203\220b\230\002\230!\340\014\024\220E\230\022\2303\230a\230r\240\022\2401\330\014\017\210u\220B\220a\330\020\024\220C\220q\230\001\330\010\021\220\022\2202\220Q\330\010\013\2102\210R\210q\330\014\021\220\021\330\014\025\220Q\330\014\030\230\003\2301\230A\330\010\016\210b\220\003\2202\220R\220q\330\010\013\2104\210r\220\024\220T\230\022\2302\230Q\330\014\026\220i\230r\240\023\240A\240S\250\002\250#\250Q\250d\260#\260T\270\022\2701\330\014\017\210x\220r\230\021\330\020\030\230\003\2301\230I\240R\240s\250!\250;\260f\270B\270i\300q\330\020\027\220s\230!\2301\330\020\027\220t\2307\240&\250\002\250\"\250C\250r\260\023\260E\270\022\2701\330\r\017\210s\220!\330\014\024\220C\220q\230\t\240\022\2403\240a\240{\260&\270\002\270)\3001\330\014\023\2204\220w\230f\240B\240b\250\003\2502\250S\260\001\320\000+\320+=\270Q\340\004\007\200r\210\023\210A\330\010\016\210j\230\001\320\031B\300!\3001\330\004\007\200r\210\022\2101\330\010\016\210j\230\001\320\031C\3001\300A\330\004\013\320\013\036\230a\230s\240#\240U\250!\200\001\340\004\013\210:\220Q\220c\230\021\200\001""\340\004\025\220Z\230q\240\003\2401\330\004\007\200r\210\022\2101\330\010\017\210|\2303\230b\240\t\250\021\330\004\013\2103\210b\220\003\2201\220A\320\000.\250a\330\020\021\340\004\007\200r\210\023\210D\220\003\2202\220S\230\001\330\010\016\210j\230\001\230\021\330\004\013\210<\220q\230\003\2303\230c\240\025\240a\200\001\340\004\007\200r\210\023\210A\330\010\016\210j\230\001\320\0319\270\021\270!\330\004\013\2108\2201\220A";
+    #else /* compression: none (3537 bytes) */
+const char* const bytes = ".2F1 series did not converge within the term capBessel series did not convergeMarcum-Q series hit the ?bessel_ie requires x >= 0, got betainc_reg requires p, q > 0gammainc_upper_reg requires s > 0, got gammainc_upper_reg requires x >= 0, got incomplete beta continued fraction did not convergeincomplete gamma continued fraction did not convergeincomplete gamma series did not convergeinner series hit the log_gamma requires x > 0, got order < 0 diverges at x = 0outer series hit the src/kmusec/_ckernels.pyx-term cap before abs_tolunsupported Bessel order ConvergenceError__Pyx_PyDict_NextRef__annotate____func____main____module____name____qualname____set_name____test___is_coroutineaabs_tolaccalphaalpha_ealpha_masyncio.coroutinesbbessel_ibessel_iebetabeta_ebeta_mbetainc_regbound_logccbcline_in_tracebackeest_errorf0gammainc_upper_reggauss_2f1ghieinnerinv_f0itemskkmusec._ckernelskmusec.errorsll0l_maxlg_plg_pqlg_q0ln_1mzln_abs_tolln_aeln_amln_eln_f0ln_innerln_inner_tolln_renormln_scaleln_skip_lln_tailln_yln_zlog_gammalog_scalelog_tslog_wkmmagmag0mag_1mzmag_zmarcum_q_seriesmax_itermax_termsmu_emu_mnumone_mzppopqq0rel_tolrenormrhorho_drho_kss_hiseedssetdefaultskipskippedsmall_runsurvival_seriesttailtoltol_frametotaltotal_bevvaluevaluesww_tailxyz\200\001\33023\330\024*\250!\360\010\000\005\034\2307\240\"\240A\330\004\024\220G\2302\230Q\330\004\027\220s\230!\2308\2402\240S\250\001\250\021\330\004\031\230\023\230A\230X\240R\240s\250!\2501\330\004\031\230\027\240\002\240!\330\004\030\230\003\2301\230L\250\010\260\002\260)\2701\330\004\030\230\003\2301\230L\250\010\260\002\260)\2701\330\004\035\230S\240\001\240\021\330\004\031\230\021\330\004\034\230C\230q\240\001\340\004\023\2201\340\004\020\220\001\220\021\330\004\007\200x\210r\220\021\330\010\r\210W\220H\230B\230e\2402\240T\250\021\250)\2602\260Q\330\010\013\2103\210b\220\001\330\014\021\220\021\330\004\007\200s\210\"\210A\330\010\020\220\003\2202\220Q\330\010\025\220S\230\002\230&\240\002\240(\250\"\250H\260A\260S\270\002\270!""\330\025\027\220s\230!\2306\240\023\240D\250\002\250!\340\004\030\230\001\330\004\034\230A\330\004\026\220a\330\004\031\230\021\330\004\022\220!\360\n\000\005\006\330\010\014\210E\220\022\2201\330\010\r\210U\220\"\220A\330\010\r\210R\210r\220\021\330\010\r\210R\210r\220\021\330\010\013\2102\210S\220\001\330\014\021\220\035\230a\230u\240D\250\004\250C\250w\260a\330\014\024\220C\220q\230\001\330\014\025\220T\230\022\2301\340\014\024\220L\240\001\240\024\240T\250\021\330\014\025\220S\230\001\230\021\230*\240A\240V\2502\250_\270A\330\010\021\220\021\220(\230\"\230H\240A\240R\240r\250\021\330\010\013\2102\210R\210q\330\014\026\220b\230\002\230!\330\010\022\220'\230\022\2302\230R\230u\240B\240c\250\022\2507\260\"\260A\330\022\024\220H\230A\230S\240\002\240#\240Q\240c\250\022\2508\2601\260A\330\022\024\220H\230A\230R\230r\240\024\240R\240q\330\010\013\2103\210b\220\001\330\014\026\220c\230\022\2306\240\022\2408\2501\250C\250r\260\021\330\010\013\2107\220#\220W\230D\240\001\240\031\250\"\250I\260Q\330\014\030\230\001\330\014\020\220\001\340\014\030\230\001\230\021\330\014\020\220\001\330\010\016\210a\330\010\r\210Q\330\010\014\210A\330\010\014\210A\330\010\027\220{\240\"\240C\240q\250\004\250C\250t\2602\260X\270R\270r\300\021\330\010\013\2108\2202\220T\230\024\230R\230r\240\021\330\014\r\330\020\027\220u\230B\230c\240\022\2403\240b\250\002\250\"\250A\330\020\025\220X\230R\230t\2404\240r\250\022\2505\260\003\2605\270\002\270#\270R\270q\330\020\025\220T\230\023\230B\230b\240\005\240R\240q\330\020\025\220Q\330\020\023\2203\220b\230\001\330\024\031\230\021\330\024\031\230\021\330\020\025\220Q\330\020\027\220q\330\020\023\2202\220S\230\001\330\024\025\330\020\023\2202\220R\220q\330\024\031\230\021\330\024\033\2301\330\024!\240\021\330\020\026\220h\230c\240\024\240R\240r\250\023\250E\260\022\2604\260s\270\"\270B\270a\330\020\023\2204\220r\230\021\330\024\036\230j\250\002\250#\250Q\250c\260\022\2603\260a\260t\2703\270d\300\"\300A\330\024\027\220x\230s\240!\330\030%\240S\250\001""\250\021\330\030\031\330\020\023\2202\220R\220s\230\"\230A\330\024\032\320\032*\250!\330\030/\250q\260\001\330\010\023\220:\230R\230s\240!\2408\2504\250r\260\031\270!\2701\330\010\020\220\003\2201\220M\240\031\250\"\250O\2701\330\010\013\210:\220R\220q\230\001\330\014\023\2207\230\"\230A\330\014\031\230\023\230A\230Y\240e\2502\250_\270A\330\010\013\2102\210R\210q\330\014\024\220A\330\010\021\220\021\340\010\024\220J\230b\240\005\240V\2502\250X\260R\260z\300\021\330\010\r\210Q\330\010\013\2102\210R\210x\220t\230:\240S\250\001\330\014\024\220H\230C\230r\240\022\2401\330\014\025\220S\230\001\230\030\240\022\2406\250\023\250D\260\002\260!\330\014\017\210w\220b\230\004\230B\230a\330\020\035\230Q\330\020\021\330\010\013\2102\210R\210q\330\014\022\320\022\"\240!\330\020'\240q\250\001\330\004\013\2104\210w\220f\230C\230w\240a\320\0006\260a\330\016\017\360\006\000\005\010\200r\210\023\210A\330\010\017\210q\330\004\t\210\022\2102\210Q\330\004\007\200s\210#\210T\220\024\220S\230\003\2305\240\001\240\021\330\010\017\320\017!\240\021\240#\240S\250\003\2507\260!\2604\260r\270\021\330\004\007\200r\210\023\210A\330\010\017\210}\230A\230S\240\003\2403\240c\250\031\260!\330\004\007\200r\210\023\210D\220\004\220B\220b\230\004\230D\240\002\240\"\240B\240b\250\004\250B\250a\330\010\017\210s\220!\220<\230q\240\003\2403\240a\330\004\013\210=\230\001\230\023\230C\230s\240#\240Y\250a\320\0009\270\021\330\024\025\360\014\000\005\010\200u\210C\210q\330\010\017\210u\220C\220q\330\004\010\210\004\210B\210f\220B\220a\330\004\010\210\004\210B\210e\2202\220Q\330\004\013\2102\210R\210r\220\022\2205\230\002\230$\230a\230s\240\"\240A\330\004\007\200r\210\022\2104\210r\220\021\330\010\025\220U\230\"\230E\240\022\2403\240a\240s\250\"\250B\250b\260\010\270\001\270\026\270r\300\023\300A\300Q\330\010\013\210:\220R\220s\230!\2309\240B\240a\330\014\023\2205\230\003\2303\230e\240;\250l\270\"\270A\330\004\007\200r\210\023\210A\330\010\017\320\017\"\240!\2403\240c\250\027\260\006\260c\270\021\330\004\t\210""\021\330\004\016\210a\330\004\007\200r\210\022\2101\330\010\r\210W\220B\220b\230\005\230R\230t\2401\240C\240r\250\021\330\010\013\2103\210b\220\001\330\014\021\220\021\360\006\000\005\020\210q\220\001\330\004\007\200s\210\"\210A\330\010\023\2203\220b\230\003\2301\230C\230r\240\022\2402\240X\250Q\250c\260\022\2601\330\010\020\220\003\2202\220Q\330\010\022\220#\220Q\220i\230r\240\023\240A\240V\2503\250d\260\"\260A\330\004\010\210\001\330\004\010\320\010\033\2301\230B\230b\240\004\240C\240w\250a\360\010\000\005\014\2103\210a\210q\330\004\014\210B\210b\220\004\220B\220e\2302\230R\230r\240\030\250\021\250\"\250B\250c\260\022\2601\330\004\010\210\003\2101\210I\220U\230\"\230L\250\001\330\004\014\210B\210b\220\001\330\004\021\220\023\220A\220Q\330\004\r\210Q\330\004\010\210\001\330\004\005\330\010\r\210Q\330\010\013\2102\210R\210s\220\"\220A\330\014\022\320\022\"\240!\330\020*\250!\2501\330\010\r\210R\210r\220\021\330\010\r\210Q\330\010\013\2102\210R\210q\330\014\021\220\022\2203\220b\230\002\230!\340\014\024\220E\230\022\2303\230a\230r\240\022\2401\330\014\017\210u\220B\220a\330\020\024\220C\220q\230\001\330\010\021\220\022\2202\220Q\330\010\013\2102\210R\210q\330\014\021\220\021\330\014\025\220Q\330\014\030\230\003\2301\230A\330\010\016\210b\220\003\2202\220R\220q\330\010\013\2104\210r\220\024\220T\230\022\2302\230Q\330\014\026\220i\230r\240\023\240A\240S\250\002\250#\250Q\250d\260#\260T\270\022\2701\330\014\017\210x\220r\230\021\330\020\030\230\003\2301\230I\240R\240s\250!\250;\260f\270B\270i\300q\330\020\027\220s\230!\2301\330\020\027\220t\2307\240&\250\002\250\"\250C\250r\260\023\260E\270\022\2701\330\r\017\210s\220!\330\014\024\220C\220q\230\t\240\022\2403\240a\240{\260&\270\002\270)\3001\330\014\023\2204\220w\230f\240B\240b\250\003\2502\250S\260\001\320\000+\320+=\270Q\340\004\007\200r\210\023\210A\330\010\016\210j\230\001\320\031B\300!\3001\330\004\007\200r\210\022\2101\330\010\016\210j\230\001\320\031C\3001\300A\330\004\013\320\013\036\230a\230s\240#\240U\250!""\200\001\340\004\013\210:\220Q\220c\230\021\200\001\340\004\025\220Z\230q\240\003\2401\330\004\007\200r\210\022\2101\330\010\017\210|\2303\230b\240\t\250\021\330\004\013\2103\210b\220\003\2201\220A\320\000.\250a\330\020\021\340\004\007\200r\210\023\210D\220\003\2202\220S\230\001\330\010\016\210j\230\001\230\021\330\004\013\210<\220q\230\003\2303\230c\240\025\240a\200\001\340\004\007\200r\210\023\210A\330\010\016\210j\230\001\320\0319\270\021\270!\330\004\013\2108\2201\220A";
     PyObject *data = NULL;
     CYTHON_UNUSED_VAR(__Pyx_DecompressString);
     #endif
     PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
     Py_ssize_t pos = 0;
-    for (int i = 0; i < 121; i++) {
+    for (int i = 0; i < 128; i++) {
       Py_ssize_t bytes_length = index[i].length;
       PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
       if (likely(string) && i >= 19) PyUnicode_InternInPlace(&string);
@@ -9641,7 +9965,7 @@ const char* const bytes = ".2F1 series did not converge within the term capBesse
       stringtab[i] = string;
       pos += bytes_length;
     }
-    for (int i = 121; i < 129; i++) {
+    for (int i = 128; i < 136; i++) {
       Py_ssize_t bytes_length = index[i].length;
       PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
       stringtab[i] = string;
@@ -9652,14 +9976,14 @@ const char* const bytes = ".2F1 series did not converge within the term capBesse
       }
     }
     Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 129; i++) {
+    for (Py_ssize_t i = 0; i < 136; i++) {
       if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
         __PYX_ERR(0, 1, __pyx_L1_error)
       }
     }
     #if CYTHON_IMMORTAL_CONSTANTS
     {
-      PyObject **table = stringtab + 121;
+      PyObject **table = stringtab + 128;
       for (Py_ssize_t i=0; i<8; ++i) {
         #if PY_VERSION_HEX >= 0x030F0000
         PyUnstable_SetImmortal(table[i]);
@@ -9783,8 +10107,8 @@ static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
     __pyx_mstate_global->__pyx_codeobj_tab[6] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_kmusec__ckernels_pyx, __pyx_mstate->__pyx_n_u_marcum_q_series, __pyx_mstate->__pyx_kp_b_iso88591_9_uCq_uCq_BfBa_Be2Q_2Rr_5_as_A, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[6])) goto bad;
   }
   {
-    const __Pyx_PyCode_New_function_description descr = {9, 0, 0, 51, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 327};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_mu_m, __pyx_mstate->__pyx_n_u_mu_e, __pyx_mstate->__pyx_n_u_alpha_m, __pyx_mstate->__pyx_n_u_alpha_e, __pyx_mstate->__pyx_n_u_beta_m, __pyx_mstate->__pyx_n_u_beta_e, __pyx_mstate->__pyx_n_u_abs_tol, __pyx_mstate->__pyx_n_u_rel_tol, __pyx_mstate->__pyx_n_u_max_terms, __pyx_mstate->__pyx_n_u_total_be, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_ln_z, __pyx_mstate->__pyx_n_u_ln_1mz, __pyx_mstate->__pyx_n_u_one_mz, __pyx_mstate->__pyx_n_u_ln_ae, __pyx_mstate->__pyx_n_u_ln_am, __pyx_mstate->__pyx_n_u_ln_abs_tol, __pyx_mstate->__pyx_n_u_renorm, __pyx_mstate->__pyx_n_u_ln_renorm, __pyx_mstate->__pyx_n_u_l0, __pyx_mstate->__pyx_n_u_rho_d, __pyx_mstate->__pyx_n_u_ln_skip_l, __pyx_mstate->__pyx_n_u_total, __pyx_mstate->__pyx_n_u_est_error, __pyx_mstate->__pyx_n_u_l_max, __pyx_mstate->__pyx_n_u_small_run, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_l, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_q0, __pyx_mstate->__pyx_n_u_b0, __pyx_mstate->__pyx_n_u_c0, __pyx_mstate->__pyx_n_u_f0, __pyx_mstate->__pyx_n_u_ln_f0, __pyx_mstate->__pyx_n_u_inv_f0, __pyx_mstate->__pyx_n_u_log_wk, __pyx_mstate->__pyx_n_u_log_ts, __pyx_mstate->__pyx_n_u_log_scale, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_acc, __pyx_mstate->__pyx_n_u_gh, __pyx_mstate->__pyx_n_u_e, __pyx_mstate->__pyx_n_u_num, __pyx_mstate->__pyx_n_u_rho, __pyx_mstate->__pyx_n_u_ln_tail, __pyx_mstate->__pyx_n_u_ln_inner, __pyx_mstate->__pyx_n_u_inner, __pyx_mstate->__pyx_n_u_skip, __pyx_mstate->__pyx_n_u_ln_inner_tol, __pyx_mstate->__pyx_n_u_rho_k, __pyx_mstate->__pyx_n_u_w_tail};
+    const __Pyx_PyCode_New_function_description descr = {9, 0, 0, 58, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 341};
+    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_mu_m, __pyx_mstate->__pyx_n_u_mu_e, __pyx_mstate->__pyx_n_u_alpha_m, __pyx_mstate->__pyx_n_u_alpha_e, __pyx_mstate->__pyx_n_u_beta_m, __pyx_mstate->__pyx_n_u_beta_e, __pyx_mstate->__pyx_n_u_abs_tol, __pyx_mstate->__pyx_n_u_rel_tol, __pyx_mstate->__pyx_n_u_max_terms, __pyx_mstate->__pyx_n_u_total_be, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_ln_z, __pyx_mstate->__pyx_n_u_ln_1mz, __pyx_mstate->__pyx_n_u_one_mz, __pyx_mstate->__pyx_n_u_ln_ae, __pyx_mstate->__pyx_n_u_ln_am, __pyx_mstate->__pyx_n_u_ln_abs_tol, __pyx_mstate->__pyx_n_u_renorm, __pyx_mstate->__pyx_n_u_ln_renorm, __pyx_mstate->__pyx_n_u_l0, __pyx_mstate->__pyx_n_u_rho_d, __pyx_mstate->__pyx_n_u_ln_skip_l, __pyx_mstate->__pyx_n_u_q0, __pyx_mstate->__pyx_n_u_lg_q0, __pyx_mstate->__pyx_n_u_mag0, __pyx_mstate->__pyx_n_u_mag_z, __pyx_mstate->__pyx_n_u_mag_1mz, __pyx_mstate->__pyx_n_u_total, __pyx_mstate->__pyx_n_u_est_error, __pyx_mstate->__pyx_n_u_l_max, __pyx_mstate->__pyx_n_u_small_run, __pyx_mstate->__pyx_n_u_seeds, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_l, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_f0, __pyx_mstate->__pyx_n_u_ln_f0, __pyx_mstate->__pyx_n_u_inv_f0, __pyx_mstate->__pyx_n_u_log_wk, __pyx_mstate->__pyx_n_u_mag, __pyx_mstate->__pyx_n_u_lg_p, __pyx_mstate->__pyx_n_u_lg_pq, __pyx_mstate->__pyx_n_u_log_ts, __pyx_mstate->__pyx_n_u_log_scale, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_acc, __pyx_mstate->__pyx_n_u_gh, __pyx_mstate->__pyx_n_u_e, __pyx_mstate->__pyx_n_u_num, __pyx_mstate->__pyx_n_u_rho, __pyx_mstate->__pyx_n_u_ln_tail, __pyx_mstate->__pyx_n_u_ln_inner, __pyx_mstate->__pyx_n_u_inner, __pyx_mstate->__pyx_n_u_skip, __pyx_mstate->__pyx_n_u_ln_inner_tol, __pyx_mstate->__pyx_n_u_tol_frame, __pyx_mstate->__pyx_n_u_rho_k, __pyx_mstate->__pyx_n_u_w_tail};
     __pyx_mstate_global->__pyx_codeobj_tab[7] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_kmusec__ckernels_pyx, __pyx_mstate->__pyx_n_u_survival_series, __pyx_mstate->__pyx_kp_b_iso88591_23_7_A_G2Q_s_82S_AXRs_1_1L_1_1L, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[7])) goto bad;
   }
   Py_DECREF(tuple_dedup_map);

@@ -324,12 +324,26 @@ def marcum_q_series(double m, double alpha, double beta, double abs_tol=1e-12,
             return min(value, 1.0), l - l0 + 1, skipped
 
 
+cdef int _seed_block(double mu_e, long k, double q0, double z, long max_terms,
+                     double *seeds) except -1:
+    cdef double f = _gauss_series(1.0, mu_e + (k + 31) + q0, mu_e + (k + 31) + 1.0,
+                                  z, 1e-15, max_terms)
+    cdef double p
+    cdef int i
+    seeds[31] = f
+    for i in range(30, -1, -1):
+        p = mu_e + (k + i)
+        f = 1.0 + z * (p + q0) / (p + 1.0) * f
+        seeds[i] = f
+    return 0
+
+
 def survival_series(double mu_m, double mu_e, double alpha_m, double alpha_e,
                     double beta_m, double beta_e, double abs_tol=1e-12,
                     double rel_tol=1e-10, long max_terms=10000):
     """Double series for Pr(gamma_M > gamma_E); see the pure-Python twin
-    for the derivation notes. Returns (value, k_terms, l_terms_max,
-    est_error)."""
+    for the block seeds, the stop pre-test and the rounding bound.
+    Returns (value, k_terms, l_terms_max, est_error)."""
     cdef double total_be = beta_m + beta_e
     cdef double z = beta_e / total_be
     cdef double ln_z = log(beta_e) - log(total_be)
@@ -352,34 +366,46 @@ def survival_series(double mu_m, double mu_e, double alpha_m, double alpha_e,
         rho_d = l0 / alpha_m
         ln_skip_l = (l0 * ln_am - alpha_m - c_lgamma(l0 + 1.0)
                      + log(rho_d / (1.0 - rho_d)))
+    cdef double q0 = mu_m + l0
+    cdef double lg_q0 = c_lgamma(q0)
+    cdef double mag0 = alpha_m + fabs(lg_q0)
+    cdef double mag_z = fabs(log(beta_e)) + fabs(log(total_be))
+    cdef double mag_1mz = fabs(log(beta_m)) + fabs(log(total_be))
+    if l0 > 0:
+        mag0 += l0 * ln_am + c_lgamma(l0 + 1.0)
 
     cdef double total = 0.0
     cdef double est_error = 0.0
     cdef long l_max = 0
     cdef int small_run = 0
+    cdef double seeds[32]
     cdef long k = 0
     cdef long l
-    cdef double p, q0, b0, c0, f0, ln_f0, inv_f0, log_wk, log_ts, log_scale
+    cdef double p, f0, ln_f0, inv_f0, log_wk, mag, lg_p, lg_pq, log_ts, log_scale
     cdef double t, acc, gh, e, num, rho, ln_tail, ln_inner, inner, skip
-    cdef double ln_inner_tol, rho_k, w_tail
+    cdef double ln_inner_tol, tol_frame, rho_k, w_tail
     while True:
         p = mu_e + k
-        q0 = mu_m + l0
-        b0 = p + q0
-        c0 = p + 1.0
         if z <= 0.5:
-            f0 = _gauss_series(1.0, b0, c0, z, 1e-15, max_terms)
+            if (k & 31) == 0:
+                _seed_block(mu_e, k, q0, z, max_terms, seeds)
+            f0 = seeds[k & 31]
             ln_f0 = log(f0)
             inv_f0 = 1.0 / f0
         else:
-            ln_f0 = _log_f1_beta(b0, c0, z)
+            ln_f0 = _log_f1_beta(p + q0, p + 1.0, z)
             inv_f0 = exp(-ln_f0) if -ln_f0 > _LOG_TINY else 0.0
         log_wk = -alpha_e - c_lgamma(k + 1.0)
+        mag = mag0 - log_wk
         if k > 0:
             log_wk += k * ln_ae
+            mag += fabs(k * ln_ae)
+        lg_p = c_lgamma(p)
+        lg_pq = c_lgamma(p + q0)
         log_ts = (log_wk + p * ln_z + q0 * ln_1mz - alpha_m
-                  - c_lgamma(p) - log(p) - c_lgamma(q0)
-                  + c_lgamma(p + q0) + ln_f0)
+                  - lg_p - log(p) - lg_q0 + lg_pq + ln_f0)
+        mag += (p * mag_z + q0 * mag_1mz + fabs(lg_p) + fabs(log(p))
+                + fabs(lg_pq) + fabs(ln_f0))
         if l0 > 0:
             log_ts += l0 * ln_am - c_lgamma(l0 + 1.0)
         if log_ts == log_ts and -INFINITY < log_ts < INFINITY:  # finite
@@ -394,6 +420,7 @@ def survival_series(double mu_m, double mu_e, double alpha_m, double alpha_e,
         l = l0
         ln_inner_tol = ln_abs_tol - log(8.0 * (1.0 + <double>k * k))
         if alpha_m > 0.0 and t > 0.0:
+            tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
             while True:
                 num = (mu_m + l) * gh + p * e
                 t *= alpha_m * num / ((l + 1.0) * (mu_m + l) * gh)
@@ -410,8 +437,9 @@ def survival_series(double mu_m, double mu_e, double alpha_m, double alpha_e,
                     t /= renorm
                     acc /= renorm
                     log_scale += ln_renorm
+                    tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
                 rho = alpha_m * (1.0 + p / (mu_m + l)) / (l + 1.0)
-                if rho < 1.0:
+                if rho < 1.0 and t * rho <= tol_frame * (1.0 - rho):
                     ln_tail = log_scale + log(t) + log(rho / (1.0 - rho))
                     if ln_tail <= ln_inner_tol:
                         est_error += exp(ln_tail)
@@ -424,6 +452,8 @@ def survival_series(double mu_m, double mu_e, double alpha_m, double alpha_e,
         if ln_skip_l > -INFINITY:
             skip = log_wk + ln_skip_l
             est_error += exp(skip) if skip > _LOG_TINY else 0.0
+        if inner > 0.0:
+            est_error += 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * inner
         if l > l_max:
             l_max = l
         total += inner

@@ -345,6 +345,19 @@ def marcum_q_series(m, alpha, beta, abs_tol=1e-12, max_terms=10000):
             return min(value, 1.0), l - l0 + 1, skipped
 
 
+def _seed_block(mu_e, k, q0, z, max_terms, seeds):
+    # seeds[i] = 2F1(1, p+q0; p+1; z) at p = mu_e+k+i, i < 32: the Gauss
+    # series at the top of the block, the rest down from it by
+    # F(p) = 1 + z (p+q0)/(p+1) F(p+1), where every step adds positive
+    # terms (upward the relation cancels by about 1/z per step)
+    f = _gauss_series(1.0, mu_e + (k + 31) + q0, mu_e + (k + 31) + 1.0, z, 1e-15, max_terms)
+    seeds[31] = f
+    for i in range(30, -1, -1):
+        p = mu_e + (k + i)
+        f = 1.0 + z * (p + q0) / (p + 1.0) * f
+        seeds[i] = f
+
+
 def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
                     abs_tol=1e-12, rel_tol=1e-10, max_terms=10000):
     """Double series for Pr(gamma_M > gamma_E) between two channels with
@@ -352,21 +365,34 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
 
     Term (k, l) is assembled from log-gamma differences and one
     hypergeometric factor F_l = 2F1(1, mu_e+k+mu_m+l; mu_e+k+1; z) with
-    z = beta_e/(beta_m+beta_e). F is seeded once per k (incomplete-beta
-    form when z > 0.5) and advanced over l with the stable two-term
-    contiguous recurrence
+    z = beta_e/(beta_m+beta_e). F is seeded once per k and advanced over
+    l with the stable two-term contiguous recurrence
 
         F_{l+1} = ((mu_m+l) F_l + (mu_e+k)) / ((1-z)(mu_e+k+mu_m+l)),
 
     carried in the normalization gh_l = (1-z)^(l-l0) F_l / F_l0, which
-    is non-increasing and rescaled before it can underflow. Each inner
-    sum runs in a log-scaled frame (terms relative to the starting term,
-    renormalized on growth), so the l range near the Poisson mode of
-    alpha_m stays reachable even when the l = 0 term underflows.
+    is non-increasing and rescaled before it can underflow. For z <= 1/2
+    the seeds come in blocks of 32 outer terms: the Gauss series sums the
+    seed at the top of a block, and the exact relation (DLMF 15.5)
+
+        F(k) = 1 + z (p+q0)/(p+1) F(k+1),  p = mu_e+k, q0 = mu_m+l0,
+
+    fills the rest downward, each step adding positive terms (upward it
+    would cancel by about 1/z per step). For z > 1/2 each seed comes from
+    the incomplete-beta form. Each inner sum runs in a log-scaled frame
+    (terms relative to the starting term, renormalized on growth), so the
+    l range near the Poisson mode of alpha_m stays reachable even when
+    the l = 0 term underflows; its stop test is taken in logs, and only
+    once a linear pre-test against the tolerance in that frame, widened
+    by a relative 1e-9, shows it can pass.
 
     Returns ``(value, k_terms, l_terms_max, est_error)``; ``est_error``
     adds the geometric bound of every truncated inner sum and of the
-    outer tail (each outer term is at most its Poisson weight in k).
+    outer tail (each outer term is at most its Poisson weight in k), and
+    for rounding 8 eps times each outer term times the sum of the
+    magnitudes of its log's addends and the count of its inner terms
+    (the log's absolute error is relative in the term, and each inner
+    step adds a few eps; 8 eps also covers the seeds' 1e-15 truncation).
     """
     total_be = beta_m + beta_e
     z = beta_e / total_be
@@ -390,33 +416,48 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
         rho_d = l0 / alpha_m
         ln_skip_l = (l0 * ln_am - alpha_m - math.lgamma(l0 + 1.0)
                      + math.log(rho_d / (1.0 - rho_d)))
+    q0 = mu_m + l0
+    lg_q0 = math.lgamma(q0)
+    # magnitudes of the addends of log_ts (below) that do not depend on k,
+    # and of the logs behind ln_z and ln_1mz, whose rounding p and q0 scale
+    mag0 = alpha_m + abs(lg_q0)
+    mag_z = abs(math.log(beta_e)) + abs(math.log(total_be))
+    mag_1mz = abs(math.log(beta_m)) + abs(math.log(total_be))
+    if l0 > 0:
+        mag0 += l0 * ln_am + math.lgamma(l0 + 1.0)
 
     total = 0.0
     est_error = 0.0
     l_max = 0
     small_run = 0  # consecutive outer terms below abs_tol / 10
+    seeds = [0.0] * 32
     k = 0
     while True:
         p = mu_e + k
-        q0 = mu_m + l0
-        # seed ln F at l = l0
-        b0 = p + q0
-        c0 = p + 1.0
+        # seed F at l = l0
         if z <= 0.5:
-            f0 = _gauss_series(1.0, b0, c0, z, 1e-15, max_terms)
+            if (k & 31) == 0:
+                _seed_block(mu_e, k, q0, z, max_terms, seeds)
+            f0 = seeds[k & 31]
             ln_f0 = math.log(f0)
             inv_f0 = 1.0 / f0
         else:
-            ln_f0 = _log_f1_beta(b0, c0, z)
+            ln_f0 = _log_f1_beta(p + q0, p + 1.0, z)
             inv_f0 = math.exp(-ln_f0) if -ln_f0 > _LOG_TINY else 0.0
         # log of the (k, l0) term: Poisson weights in k and l0, gamma
-        # factors, powers of z and 1-z, and the hypergeometric seed
+        # factors, powers of z and 1-z, and the hypergeometric seed; mag
+        # sums the magnitudes of its addends
         log_wk = -alpha_e - math.lgamma(k + 1.0)
+        mag = mag0 - log_wk
         if k > 0:
             log_wk += k * ln_ae
+            mag += abs(k * ln_ae)
+        lg_p = math.lgamma(p)
+        lg_pq = math.lgamma(p + q0)
         log_ts = (log_wk + p * ln_z + q0 * ln_1mz - alpha_m
-                  - math.lgamma(p) - math.log(p) - math.lgamma(q0)
-                  + math.lgamma(p + q0) + ln_f0)
+                  - lg_p - math.log(p) - lg_q0 + lg_pq + ln_f0)
+        mag += (p * mag_z + q0 * mag_1mz + abs(lg_p) + abs(math.log(p))
+                + abs(lg_pq) + abs(ln_f0))
         if l0 > 0:
             log_ts += l0 * ln_am - math.lgamma(l0 + 1.0)
         # inner sum in a frame scaled by exp(log_scale)
@@ -428,6 +469,8 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
         l = l0
         ln_inner_tol = ln_abs_tol - math.log(8.0 * (1.0 + float(k) * k))
         if alpha_m > 0.0 and t > 0.0:
+            # the stop tolerance in the frame, clamped to the double range
+            tol_frame = math.exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
             while True:
                 num = (mu_m + l) * gh + p * e
                 t *= alpha_m * num / ((l + 1.0) * (mu_m + l) * gh)
@@ -445,9 +488,12 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
                     t /= renorm
                     acc /= renorm
                     log_scale += ln_renorm
+                    tol_frame = math.exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
                 # majorant of all later term ratios (uses F_{l+1}/F_l <= 1/(1-z))
                 rho = alpha_m * (1.0 + p / (mu_m + l)) / (l + 1.0)
-                if rho < 1.0:
+                # the linear pre-test passes wherever the log test can, so
+                # the logs run once per sum, not once per term
+                if rho < 1.0 and t * rho <= tol_frame * (1.0 - rho):
                     ln_tail = log_scale + math.log(t) + math.log(rho / (1.0 - rho))
                     if ln_tail <= ln_inner_tol:
                         est_error += math.exp(ln_tail)
@@ -461,6 +507,9 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
             # mass skipped below l0, bounded by the lower Poisson tail
             skip = log_wk + ln_skip_l
             est_error += math.exp(skip) if skip > _LOG_TINY else 0.0
+        if inner > 0.0:
+            # rounding: the log's absolute error is relative in the term
+            est_error += 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * inner
         if l > l_max:
             l_max = l
         total += inner

@@ -289,6 +289,9 @@ def cmd_sweep(args):
         header += ["mc_spsc", "mc_spsc_se", "mc_sop_exact", "mc_sop_exact_se",
                    "mc_sop_lower", "mc_sop_lower_se"]
     grid = spec.grid()
+    if args.with_mc:
+        # point i draws from seed + i
+        montecarlo.check_seeds(args.seed, len(grid))
     pairs = [spec.pair_at(value) for value in grid]
     series = secrecy.series_many(pairs, ctl)
     spsc_vals = [spsc.value for spsc, _ in series]
@@ -366,6 +369,8 @@ def cmd_validate(args):
 
     pairs = [WiretapPair(KappaMuParams(km, float(um), b), KappaMuParams(ke, float(ue), 1.0))
              for km, um, ke, ue, b in integer_cfgs + nonint_cfgs]
+    # pair idx draws from seed + idx
+    montecarlo.check_seeds(args.seed, len(pairs))
     rated = [WiretapPair(pair.main, pair.eve, rate) for pair in pairs for rate in rates]
     # every exact SOP and series, rate 0 first, each in one batch
     sop_x = [r.value for r in secrecy.sop_exact_many(pairs + rated)]

@@ -60,13 +60,24 @@ def _estimate(count, n, seed):
                       n=n, seed=seed)
 
 
+def check_seeds(seed, count=1):
+    """Refuse seeds ``seed .. seed + count - 1`` (one per point of a
+    sweep or validation run) that leave the Philox key's range,
+    0..2**128 - 1; the message names the seed and the count given."""
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be in 0..2**128 - 1, got {seed}")
+    if seed + count > 1 << 128:
+        raise ValueError(f"seed {seed} with {count} points needs seeds up to "
+                         f"seed + {count - 1}, past 2**128 - 1; the seed can be "
+                         f"at most 2**128 - {count}")
+
+
 def _count(pair, n, seed, events):
     """Draw n pairs in chunks: ``events(gm, ge)`` returns boolean arrays,
     and each one's count over all draws becomes an estimate."""
     if n < 1000:
         raise ValueError("n must be at least 1000")
-    if not 0 <= seed < 1 << 128:  # the Philox key's range
-        raise ValueError(f"seed must be in 0..2**128 - 1, got {seed}")
+    check_seeds(seed)
     sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
     chunk = functools.partial(_chunk_counts, pair, seed, events)
     # numpy's Poisson and gamma samplers release the GIL; imported here,

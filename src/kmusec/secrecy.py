@@ -131,7 +131,8 @@ def _survival(pair, rate_scale, ctl):
     z = beta_Y / (beta_X + beta_Y), where it loses the small side as
     z -> 1. The channel with the larger rate (s beta_M for the main link)
     goes first, so that z <= 1/2; the other side is one minus the sum,
-    and ``est_error`` bounds both."""
+    and ``est_error`` bounds both, the rounding of that difference
+    included."""
     m_shape, m_mean, m_rate = fading.gamma_mixture(pair.main)
     e_shape, e_mean, e_rate = fading.gamma_mixture(pair.eve)
     m_rate *= rate_scale
@@ -153,7 +154,9 @@ def _survival(pair, rate_scale, ctl):
             sides = (1.0 - value, value)
     except (ArithmeticError, ValueError) as exc:
         raise _double_failure("survival series", exc) from exc
-    return sides, kt, lt, err
+    # one minus the sum rounds by at most half an ulp of 1, and by at
+    # most the sum itself
+    return sides, kt, lt, err + min(value, 2.0 ** -54)
 
 
 def _series_result(survival, side):

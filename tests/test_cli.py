@@ -480,6 +480,22 @@ def test_seed_out_of_range_exit_2(capsys, argv, seed):
     assert f"seed must be in 0..2**128 - 1, got {seed}" in err
 
 
+@pytest.mark.parametrize("argv,seed,count", [
+    (("sweep", "--preset", "d2d", "--variable", "gamma_bar_m_db", "--start", "0",
+      "--stop", "3", "--steps", "2", "--with-mc", "1000"), 2 ** 128 - 1, 2),
+    (("validate", "--grid", "small", "--mc-n", "1000"), 2 ** 128 - 11, 12)])
+def test_seed_span_beyond_range_exit_2(capsys, survival_calls, argv, seed, count):
+    # point i draws from seed + i: a seed in range whose last point's seed
+    # is not is refused before any work, naming the seed typed and the count
+    code, out, err = run(capsys, *argv, "--seed", str(seed))
+    assert (code, out) == (2, "")
+    assert f"seed {seed} with {count} points" in err
+    assert f"at most 2**128 - {count}" in err
+    assert survival_calls == []
+    code, out, err = run(capsys, *argv, "--seed", str(seed - 1))
+    assert code == 0, err
+
+
 class TestSharedSeries:
     """SPSC and SOP^L at rate 0 are the two sides of one survival series,
     and SPSC does not depend on the rate, so each distinct survival

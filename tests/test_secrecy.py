@@ -118,6 +118,21 @@ class TestSpscSeries:
         tol = 8.0 * EPS * (1.0 + math.lgamma(mu_m + mu_e + 1.0))
         assert float(abs(spsc.value - ref)) <= tol
         assert float(abs(lower.value - (1 - ref))) <= tol
+        # est_error counts that rounding too
+        assert float(abs(spsc.value - ref)) <= spsc.est_error
+        assert float(abs(lower.value - (1 - ref))) <= lower.est_error
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.3])
+    def test_rayleigh_rounding_within_est_error(self, ratio):
+        # Rayleigh on both links: SPSC is gbar_M / (gbar_M + gbar_E); the
+        # series' rounding misses it by a few ulps, which est_error bounds
+        p = pair(0.0, 1.0, ratio, 0.0, 1.0, 1.0)
+        spsc, lower = spsc_series(p), sop_lower(p)
+        with mpref.mp.workdps(mpref.DPS):
+            ref = mpref.mp.mpf(ratio) / (mpref.mp.mpf(ratio) + 1)
+            assert abs(spsc.value - ref) <= spsc.est_error
+            assert abs(lower.value - (1 - ref)) <= lower.est_error
+        assert 0.0 < spsc.est_error < 1e-14
 
     def test_d2d_against_monte_carlo(self):
         # frozen independent MC: 10^7 draws, estimate 0.6782541, se 1.477e-4
