@@ -2,7 +2,7 @@
 
 Analytical SPSC and secure-outage evaluations (series, closed form,
 quadrature), a Monte Carlo oracle, channel sampling and envelope-trace
-parameter fitting, behind a compiled-or-pure kernel backend.
+parameter fitting, on pure-Python series kernels.
 """
 from kmusec._backend import backend_name
 from kmusec.errors import ConvergenceError, QuadratureError

@@ -1,17 +1,15 @@
-"""Kernel backend selection.
+"""The two kernel names the benchmark harness in ``kmubench/`` reads.
 
-The hot series kernels exist twice: a compiled Cython extension
-(``kmusec._ckernels``) and a pure-Python twin (``kmusec._pykernels``).
-The compiled one is used when it can be imported, the pure one otherwise.
+The library's numerical kernels are the pure-Python ``kmusec._pykernels``,
+which the library modules import directly. ``kernels`` is that module, for
+``kmubench/tracer.py``'s ``Patches`` to wrap; ``backend_name()``, exported
+as ``kmusec.backend_name``, is what ``kmubench/worker.py`` records with
+every timed run. Once the harness stops reading them (ROADMAP item 1),
+both names can go.
 """
-try:
-    from kmusec import _ckernels as kernels
-    name = "c"
-except ImportError:
-    from kmusec import _pykernels as kernels
-    name = "python"
+from kmusec import _pykernels as kernels  # noqa: F401
 
 
 def backend_name():
-    """Active kernel implementation: ``'c'`` or ``'python'``."""
-    return name
+    """The kernel implementation: always ``'python'``."""
+    return "python"

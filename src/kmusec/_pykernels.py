@@ -1,9 +1,8 @@
 """Pure-Python numerical kernels.
 
-This module is the fallback twin of the compiled extension
-``kmusec._ckernels``; both expose the same functions with the same
-algorithms, and the test suite checks that they agree. Everything here
-is scalar and free of module state, so concurrent use is safe.
+The hot series of the library (Marcum-Q, the survival double series)
+and the scalar special functions behind ``kmusec.specfun``. Everything
+here is scalar and free of module state, so concurrent use is safe.
 
 Conventions used throughout:
 
@@ -371,15 +370,17 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
         F_{l+1} = ((mu_m+l) F_l + (mu_e+k)) / ((1-z)(mu_e+k+mu_m+l)),
 
     carried in the normalization gh_l = (1-z)^(l-l0) F_l / F_l0, which
-    is non-increasing and rescaled before it can underflow. For z <= 1/2
-    the seeds come in blocks of 32 outer terms: the Gauss series sums the
-    seed at the top of a block, and the exact relation (DLMF 15.5)
+    is non-increasing and rescaled before it can underflow. The seeds come
+    in blocks of 32 outer terms: the Gauss series sums the seed at the top
+    of a block, and the exact relation (DLMF 15.5)
 
         F(k) = 1 + z (p+q0)/(p+1) F(k+1),  p = mu_e+k, q0 = mu_m+l0,
 
     fills the rest downward, each step adding positive terms (upward it
-    would cancel by about 1/z per step). For z > 1/2 each seed comes from
-    the incomplete-beta form. Each inner sum runs in a log-scaled frame
+    would cancel by about 1/z per step). The Gauss series needs z <= 1/2,
+    so the channel with the larger rate goes first (beta_m >= beta_e, as
+    ``secrecy._survival`` orders them); the other order raises
+    ``ValueError``. Each inner sum runs in a log-scaled frame
     (terms relative to the starting term, renormalized on growth), so the
     l range near the Poisson mode of alpha_m stays reachable even when
     the l = 0 term underflows; its stop test is taken in logs, and only
@@ -394,6 +395,9 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
     (the log's absolute error is relative in the term, and each inner
     step adds a few eps; 8 eps also covers the seeds' 1e-15 truncation).
     """
+    if beta_m < beta_e:
+        raise ValueError(f"survival_series requires beta_m >= beta_e, "
+                         f"got {beta_m} < {beta_e}")
     total_be = beta_m + beta_e
     z = beta_e / total_be
     ln_z = math.log(beta_e) - math.log(total_be)
@@ -435,15 +439,11 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
     while True:
         p = mu_e + k
         # seed F at l = l0
-        if z <= 0.5:
-            if (k & 31) == 0:
-                _seed_block(mu_e, k, q0, z, max_terms, seeds)
-            f0 = seeds[k & 31]
-            ln_f0 = math.log(f0)
-            inv_f0 = 1.0 / f0
-        else:
-            ln_f0 = _log_f1_beta(p + q0, p + 1.0, z)
-            inv_f0 = math.exp(-ln_f0) if -ln_f0 > _LOG_TINY else 0.0
+        if (k & 31) == 0:
+            _seed_block(mu_e, k, q0, z, max_terms, seeds)
+        f0 = seeds[k & 31]
+        ln_f0 = math.log(f0)
+        inv_f0 = 1.0 / f0
         # log of the (k, l0) term: Poisson weights in k and l0, gamma
         # factors, powers of z and 1-z, and the hypergeometric seed; mag
         # sums the magnitudes of its addends

@@ -1,4 +1,4 @@
-"""Exception types shared by both kernel backends."""
+"""Exception types shared by the kernels and the library modules."""
 
 
 class ConvergenceError(RuntimeError):

@@ -13,7 +13,7 @@ import numpy as np
 # the density's Bessel factor comes from its power series at small
 # argument, from scipy.special's ive at larger, and from the kernels only
 # beyond ive's range; the distribution function runs on scipy.special
-from kmusec._backend import kernels as _k
+from kmusec import _pykernels as _k
 
 #: the former kappa -> 0 stand-in: every path takes kappa = 0 itself, the
 #: gamma law, and no library code reads it; kmubench/workloads.py imports it

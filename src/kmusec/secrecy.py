@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kmusec import fading
-from kmusec._backend import kernels as _k
+from kmusec import _pykernels as _k
 from kmusec.errors import ConvergenceError, PrecisionError, QuadratureError
 from kmusec.fading import KappaMuParams, integer_mu
 from kmusec.specfun import DEFAULT_CONTROL
@@ -128,11 +128,10 @@ def _survival(pair, rate_scale, ctl):
     l_terms, est_error)`` for s = rate_scale.
 
     The kernel sums Pr(X > Y) with its hypergeometric factor at
-    z = beta_Y / (beta_X + beta_Y), where it loses the small side as
-    z -> 1. The channel with the larger rate (s beta_M for the main link)
-    goes first, so that z <= 1/2; the other side is one minus the sum,
-    and ``est_error`` bounds both, the rounding of that difference
-    included."""
+    z = beta_Y / (beta_X + beta_Y) and takes only z <= 1/2, so the
+    channel with the larger rate (s beta_M for the main link) goes
+    first; the other side is one minus the sum, and ``est_error`` bounds
+    both, the rounding of that difference included."""
     m_shape, m_mean, m_rate = fading.gamma_mixture(pair.main)
     e_shape, e_mean, e_rate = fading.gamma_mixture(pair.eve)
     m_rate *= rate_scale

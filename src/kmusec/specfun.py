@@ -3,13 +3,12 @@
 Log-gamma, incomplete gamma, modified Bessel I of real order, Gauss
 hypergeometric 2F1 and the generalized Marcum Q-function, each with a
 slow quadrature/series reference usable as an internal oracle. All
-functions are pure; the heavy series live in the selected kernel
-backend (compiled or pure Python).
+functions are pure; the heavy series live in ``kmusec._pykernels``.
 """
 import math
 from dataclasses import dataclass
 
-from kmusec._backend import kernels as _k
+from kmusec import _pykernels as _k
 from kmusec.errors import QuadratureError
 
 

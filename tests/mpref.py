@@ -105,3 +105,70 @@ def gamma_escape(mu_m, mu_e, gamma_bar_m, gamma_bar_e, rate):
         b_e = mp.mpf(mu_e) / mp.mpf(gamma_bar_e)
         w = b_e / (b_m * mp.exp(mp.mpf(rate)) + b_e)
         return mp.betainc(mu_e, mu_m, 0, w, regularized=True)
+
+
+def _poisson(lam):
+    """``(n0, weights)``: the Poisson(lam) weights e^-lam lam^n / n! for
+    n = n0, n0 + 1, ..., cut on each side of the mode where they fall
+    below 1e-40; past the cut the weights shrink at least geometrically,
+    so the mass left out is of that order."""
+    if lam == 0:
+        return 0, [mp.mpf(1)]
+    mode = int(lam)
+    peak = mp.exp(-lam + mode * mp.log(lam) - mp.loggamma(mode + 1))
+    below, w, n = [], peak, mode
+    while n > 0:
+        w = w * n / lam
+        n -= 1
+        if w < 1e-40:
+            break
+        below.append(w)
+    above, w, n = [peak], peak, mode
+    while True:
+        n += 1
+        w = w * lam / n
+        if w < 1e-40:
+            break
+        above.append(w)
+    return mode - len(below), below[::-1] + above
+
+
+def survival(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e):
+    """Pr(X_M > X_E) for independent X | l ~ Gamma(mu + l, rate beta),
+    l ~ Poisson(alpha), one set per channel: the sum over k and l of the
+    Poisson weights of means alpha_E and alpha_M times I_z(mu_E + k,
+    mu_M + l), z = beta_E / (beta_M + beta_E). One ``betainc`` at the top
+    k and the lowest l seeds all of I: downward in its first argument by
+    I_z(a, b) = I_z(a+1, b) + z^a (1-z)^b / (a B(a, b)) (DLMF 8.17.20),
+    then upward in its second by I_z(a, b+1) = I_z(a, b) + z^a (1-z)^b /
+    (b B(a, b)) (DLMF 8.17.21); every step adds a positive term, and
+    each increment follows from its neighbour by a rational factor.
+    Identical channels give exactly 1/2 by symmetry, without a sum."""
+    if (mu_m, alpha_m, beta_m) == (mu_e, alpha_e, beta_e):
+        return mp.mpf(1) / 2
+    with mp.workdps(DPS):
+        mu_m, mu_e, beta_m, beta_e = (mp.mpf(v) for v in (mu_m, mu_e, beta_m, beta_e))
+        z = beta_e / (beta_m + beta_e)
+        k0, wk = _poisson(mp.mpf(alpha_e))
+        l0, wl = _poisson(mp.mpf(alpha_m))
+        b0 = mu_m + l0
+        a = mu_e + k0 + len(wk) - 1
+        ib = mp.betainc(a, b0, 0, z, regularized=True)
+        # e = z^a (1-z)^b0 / (a B(a, b0)), the step down from a
+        e = mp.exp(a * mp.log(z) + b0 * mp.log1p(-z) + mp.loggamma(a + b0)
+                   - mp.loggamma(a + 1) - mp.loggamma(b0))
+        total = 0
+        for j in range(len(wk) - 1, -1, -1):
+            if j < len(wk) - 1:
+                e *= (a + 1) / (z * (a + b0))
+                ib += e
+            # the inner sum over l; d = z^a (1-z)^b / (b B(a, b))
+            i, d, inner = ib, e * a / b0, 0
+            for n, w in enumerate(wl):
+                b = b0 + n
+                inner += w * i
+                i += d
+                d *= (1 - z) * (a + b) / (b + 1)
+            total += wk[j] * inner
+            a -= 1
+        return total

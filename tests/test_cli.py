@@ -216,6 +216,17 @@ def test_huge_finite_shape_exit_3(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["spsc", "--km", "1", "--um", "1e308", "--ke", "1", "--ue", "1", "--method", "series"],
+    ["spsc", "--km", "1", "--um", "1", "--ke", "1", "--ue", "1e308", "--method", "series"]])
+def test_huge_mu_exit_3(capsys, argv):
+    # the rate (1+kappa) mu / gbar overflows to inf at mu 1e308; a kernel
+    # summing on with it once gave SPSC 0.0 (or 1.0), exit 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "gamma-mixture shape, mean or rate is not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("--gbar-e-linear", "1e-320", "--method", "closed"),
     ("--gbar-m-linear", "1e308", "--gbar-e-linear", "1e-308"),
     ("--gbar-m-linear", "1e-320"),

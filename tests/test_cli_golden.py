@@ -1,13 +1,10 @@
 """Byte-for-byte CLI output on a fixed command list.
 
 The expected stdout and exit code of each command are pinned in
-``data/cli_golden.json``, recorded on the pure-Python kernels. The
-commands run in one child interpreter in which the compiled extension
-cannot be imported, so the check holds whichever backend the suite
-itself uses. The ``fit`` commands read traces that the child first draws
-from the model into a temporary directory, named ``{traces}`` in their
-argv. After a change that is meant to alter the output, rewrite the
-file with
+``data/cli_golden.json``. The commands run in one child interpreter.
+The ``fit`` commands read traces that the child first draws from the
+model into a temporary directory, named ``{traces}`` in their argv.
+After a change that is meant to alter the output, rewrite the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -85,9 +82,7 @@ TRACE_SAMPLES = 20_000
 
 _RUNNER = """
 import contextlib, io, json, os, sys, tempfile
-sys.modules["kmusec._ckernels"] = None  # the pure-Python kernels
-from kmusec import backend_name, cli, estimate
-assert backend_name() == "python"
+from kmusec import cli, estimate
 from kmusec.fading import KappaMuParams
 commands, traces, n = json.loads(sys.argv[1])
 out = []
@@ -107,8 +102,8 @@ json.dump(out, sys.stdout)
 
 
 def run_commands(commands):
-    """Run each command through ``cli.main`` in one child interpreter on
-    the pure-Python kernels; return its argv, exit code and stdout."""
+    """Run each command through ``cli.main`` in one child interpreter;
+    return its argv, exit code and stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kmusec.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}
