@@ -172,3 +172,26 @@ def survival(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e):
             total += wk[j] * inner
             a -= 1
         return total
+
+
+def marcum_q(m, alpha, beta):
+    """Generalized Marcum Q_m(alpha, beta): the sum over l of the Poisson
+    weights of mean alpha^2 / 2 times Q(m + l, beta^2 / 2), the regularized
+    upper gamma. One ``gammainc`` at the lowest l seeds all of Q, upward by
+    Q(a+1, y) = Q(a, y) + y^a e^-y / Gamma(a+1) (DLMF 8.8.6), each step
+    adding a positive term."""
+    if beta == 0:
+        return mp.mpf(1)
+    with mp.workdps(DPS):
+        y = mp.mpf(beta) ** 2 / 2
+        l0, weights = _poisson(mp.mpf(alpha) ** 2 / 2)
+        a = mp.mpf(m) + l0
+        q = mp.gammainc(a, y, mp.inf, regularized=True)
+        e = mp.exp(a * mp.log(y) - y - mp.loggamma(a + 1))
+        total = 0
+        for w in weights:
+            total += w * q
+            q += e
+            e *= y / (a + 1)
+            a += 1
+        return total

@@ -4,17 +4,13 @@ Frozen expected values were computed with independent high-precision
 oracles (40-digit mpmath arithmetic): Stirling-plus-recurrence for
 log-gamma, adaptive quadrature of defining integrals for the incomplete
 gamma and Marcum-Q, and extended-precision partial sums for the Bessel
-and hypergeometric series. The survival series' 2F1 seeds and sums are
-checked against live 30-digit mpmath (``mpref``).
+and hypergeometric series.
 """
 import math
 
-import mpmath as mp
 import pytest
 from scipy.integrate import quad
 
-import mpref
-from kmusec import _pykernels as pyk
 from kmusec import specfun
 from kmusec.errors import ConvergenceError
 from kmusec.specfun import SeriesControl
@@ -278,67 +274,3 @@ def test_non_finite_arguments_refused(fn, name, args, arg, bad):
     fn(**args)  # the valid arguments pass
     with pytest.raises(ValueError, match=f"^{name} requires a finite {arg}, got {bad}$"):
         fn(**dict(args, **{arg: bad}))
-
-
-class TestSeedBlock:
-    """The 2F1(1, p+q0; p+1; z) factors of the survival series come in
-    blocks of 32 outer terms: the Gauss series at the block's top, the
-    rest recurred down from it. Against 30-digit mpmath, the worst of a
-    grid cell's 96 seeds (three blocks) misses by no more than the worst
-    direct Gauss series over the same p, which the seeds replace."""
-
-    @pytest.mark.parametrize("mu_e", [0.05, 0.6, 1.0, 3.0, 50.0])
-    def test_seeds_against_mpmath(self, mu_e):
-        eps = 2.0 ** -52
-        for q0 in (0.05, 1.0, 3.0, 30.0, 1000.0):
-            for z in (1e-4, 0.01, 0.1, 0.3, 0.5):
-                seed_miss = direct_miss = 0.0
-                for k in (0, 32, 64):
-                    seeds = [0.0] * 32
-                    pyk._seed_block(mu_e, k, q0, z, 10000, seeds)
-                    for i, seed in enumerate(seeds):
-                        p = mu_e + (k + i)
-                        direct = pyk._gauss_series(1.0, p + q0, p + 1.0, z, 1e-15, 10000)
-                        with mp.workdps(30):
-                            ref = mp.hyp2f1(1, mp.mpf(p) + q0, mp.mpf(p) + 1, z)
-                            seed_miss = max(seed_miss, float(abs(seed / ref - 1)))
-                            direct_miss = max(direct_miss, float(abs(direct / ref - 1)))
-                assert seed_miss <= direct_miss, (q0, z, seed_miss / eps, direct_miss / eps)
-                if q0 <= 30.0:
-                    assert seed_miss <= 16 * eps, (q0, z, seed_miss / eps)
-
-
-#: channel pairs as ``survival_series`` arguments (mu_m, mu_e, alpha_m,
-#: alpha_e, beta_m, beta_e); the test puts the larger rate first
-SURVIVAL_CASES = [
-    (0.91, 0.92, 1.07 * 0.91, 1.11 * 0.92, 2.07 * 0.91 / 2.0, 2.11 * 0.92),
-    (1.0, 1.0, 15.0, 12.0, 16.0 / 2.0, 13.0),
-    (2.0, 3.0, 8.0, 6.0, 5.0, 9.0),
-    (1.0, 1.0, 15.0, 12.0, 16.0 / 1000.0, 13.0),
-    (1.0, 1.0, 1e-9, 1e-9, 1.0 / 3.0, 1.0),
-    (10.0, 10.0, 500.0, 500.0, 510.0, 510.0),
-    # Poisson mean 0 on the outer side, on the inner side and on both
-    (1.0, 1.0, 15.0, 0.0, 16.0 / 2.0, 1.0),
-    (2.0, 3.0, 0.0, 6.0, 5.0, 9.0),
-    (1.0, 1.0, 0.0, 0.0, 1.0 / 3.0, 1.0),
-    (1000.0, 2.0, 0.0, 0.0, 1000.0 / 1.5, 2.0),
-    # inner sums from l0 > 0 (alpha_m > 600), and z near 1e-4
-    (5.0, 3.0, 2000.0, 4.0, 90.5, 7.0),
-    (1.5, 2.0, 3.0, 2.5, 1e4, 1.0),
-]
-
-
-class TestSurvivalSeries:
-    @pytest.mark.parametrize("args", SURVIVAL_CASES)
-    def test_against_mpmath(self, args):
-        mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e = args
-        if beta_m < beta_e:
-            # the larger rate first, as secrecy._survival orders the channels
-            args = (mu_e, mu_m, alpha_e, alpha_m, beta_e, beta_m)
-        value, _, _, est_error = pyk.survival_series(*args)
-        assert abs(value - mpref.survival(*args)) <= est_error
-
-    def test_smaller_rate_first_refused(self):
-        # the z > 1/2 order, which no library call makes
-        with pytest.raises(ValueError, match="requires beta_m >= beta_e"):
-            pyk.survival_series(1.0, 1.0, 15.0, 12.0, 8.0, 13.0)
