@@ -123,39 +123,49 @@ def _double_failure(what, cause):
     return PrecisionError(f"{what} cannot be evaluated in double precision ({cause})")
 
 
-def _survival(pair, rate_scale, ctl):
-    """``((Pr(gamma_M > s gamma_E), Pr(gamma_M <= s gamma_E)), k_terms,
-    l_terms, est_error)`` for s = rate_scale.
+def _survival_row(main, eve, rate_scale):
+    """``(row, main_first)``: the ``survival_series`` arguments of
+    Pr(gamma_M > s gamma_E) for s = rate_scale, and whether the main
+    channel goes first in them.
 
     The kernel sums Pr(X > Y) with its hypergeometric factor at
     z = beta_Y / (beta_X + beta_Y) and takes only z <= 1/2, so the
     channel with the larger rate (s beta_M for the main link) goes
-    first; the other side is one minus the sum, and ``est_error`` bounds
-    both, the rounding of that difference included."""
-    m_shape, m_mean, m_rate = fading.gamma_mixture(pair.main)
-    e_shape, e_mean, e_rate = fading.gamma_mixture(pair.eve)
+    first."""
+    m_shape, m_mean, m_rate = fading.gamma_mixture(main)
+    e_shape, e_mean, e_rate = fading.gamma_mixture(eve)
     m_rate *= rate_scale
     if not all(map(math.isfinite, (m_shape, m_mean, m_rate, e_shape, e_mean, e_rate))):
         # at mu 1e308, say, the rate (1+kappa) mu / gbar overflows, and so
         # may the main rate times e^{R_S} near ``_MAX_RATE``
         raise _double_failure("survival series",
                               "a gamma-mixture shape, mean or rate is not finite")
-    try:
-        if m_rate >= e_rate:
-            value, kt, lt, err = _k.survival_series(
-                m_shape, e_shape, m_mean, e_mean, m_rate, e_rate,
-                ctl.abs_tol, max_terms=ctl.max_terms)
-            sides = (value, 1.0 - value)
-        else:
-            value, kt, lt, err = _k.survival_series(
-                e_shape, m_shape, e_mean, m_mean, e_rate, m_rate,
-                ctl.abs_tol, max_terms=ctl.max_terms)
-            sides = (1.0 - value, value)
-    except (ArithmeticError, ValueError) as exc:
-        raise _double_failure("survival series", exc) from exc
+    if m_rate >= e_rate:
+        return (m_shape, e_shape, m_mean, e_mean, m_rate, e_rate), True
+    return (e_shape, m_shape, e_mean, m_mean, e_rate, m_rate), False
+
+
+def _survival_sides(series, main_first):
+    """``((Pr(gamma_M > s gamma_E), Pr(gamma_M <= s gamma_E)), k_terms,
+    l_terms, est_error)`` from the kernel's result for ``_survival_row``'s
+    row: one side is the sum, the other one minus it, and ``est_error``
+    bounds both, the rounding of that difference included."""
+    value, kt, lt, err = series
+    sides = (value, 1.0 - value) if main_first else (1.0 - value, value)
     # one minus the sum rounds by at most half an ulp of 1, and by at
     # most the sum itself
     return sides, kt, lt, err + min(value, 2.0 ** -54)
+
+
+def _survival(pair, rate_scale, ctl):
+    """``_survival_sides`` of one survival series, summed by the scalar
+    kernel."""
+    row, main_first = _survival_row(pair.main, pair.eve, rate_scale)
+    try:
+        series = _k.survival_series(*row, ctl.abs_tol, max_terms=ctl.max_terms)
+    except (ArithmeticError, ValueError) as exc:
+        raise _double_failure("survival series", exc) from exc
+    return _survival_sides(series, main_first)
 
 
 def _series_result(survival, side):
@@ -185,21 +195,35 @@ def sop_lower(pair, ctl=None):
 
 def series_many(pairs, ctl=None):
     """``[(spsc_series(pair, ctl), sop_lower(pair, ctl)) for pair in
-    pairs]``, summing the survival series once per distinct (main, eve,
-    rate scale) of the batch. SPSC is the upper side at scale 1 and SOP^L
-    the lower side at scale e^{R_S}, so at rate 0 both come from one
-    series, and SPSC is summed once for all rates of a channel pair."""
+    pairs]``, equal bit for bit, summing the survival series once per
+    distinct (main, eve, rate scale) of the batch, all of them in one
+    ``survival_series_many`` call. SPSC is the upper side at scale 1 and
+    SOP^L the lower side at scale e^{R_S}, so at rate 0 both come from one
+    series, and SPSC is summed once for all rates of a channel pair. A
+    failing batch raises what the first failing series would raise
+    alone."""
     ctl = ctl or DEFAULT_CONTROL
-    survivals = {}
-
-    def series(pair, scale, side):
-        key = (pair.main, pair.eve, scale)
-        if key not in survivals:
-            survivals[key] = _survival(pair, scale, ctl)
-        return _series_result(survivals[key], side)
-
-    return [(series(pair, 1.0, 0), series(pair, math.exp(pair.rate), 1))
-            for pair in pairs]
+    wanted = [((pair.main, pair.eve, 1.0), (pair.main, pair.eve, math.exp(pair.rate)))
+              for pair in pairs]
+    keys = list(dict.fromkeys(key for both in wanted for key in both))
+    rows, orders, failure = [], [], None
+    for main, eve, scale in keys:
+        try:
+            row, main_first = _survival_row(main, eve, scale)
+        except PrecisionError as exc:
+            failure = exc  # raised unless an earlier series fails first
+            break
+        rows.append(row)
+        orders.append(main_first)
+    try:
+        series = _k.survival_series_many(rows, ctl.abs_tol, ctl.max_terms) if rows else []
+    except (ArithmeticError, ValueError) as exc:
+        raise _double_failure("survival series", exc) from exc
+    if failure is not None:
+        raise failure
+    survivals = dict(zip(keys, map(_survival_sides, series, orders)))
+    return [(_series_result(survivals[upper], 0), _series_result(survivals[lower], 1))
+            for upper, lower in wanted]
 
 
 def _gauss_kronrod_21():

@@ -4,8 +4,9 @@ import pytest
 
 @pytest.fixture
 def survival_calls(monkeypatch):
-    """The argument tuples of every survival-series kernel call made
-    through ``secrecy._k`` during the test."""
+    """The argument tuples of every survival series summed through
+    ``secrecy._k`` during the test: one per ``survival_series`` call and
+    one per row of a ``survival_series_many`` call."""
     from kmusec import secrecy
 
     calls = []
@@ -18,6 +19,11 @@ def survival_calls(monkeypatch):
         def survival_series(self, *args, **kwargs):
             calls.append(args)
             return kernels.survival_series(*args, **kwargs)
+
+        def survival_series_many(self, rows, *args, **kwargs):
+            rows = list(rows)
+            calls.extend(rows)
+            return kernels.survival_series_many(rows, *args, **kwargs)
 
     monkeypatch.setattr(secrecy, "_k", Counting())
     return calls

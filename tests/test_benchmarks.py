@@ -87,7 +87,7 @@ def test_bench_sweep_split_runs():
               ("fig4", "fig2-rice", "fig2-nakagami", "d2d", "ban", "v2v")]
     assert list(out) == sweeps + ["fig4 rate", "total"]
     for part in out.values():
-        assert set(part) == {"series_ms", "sop_exact_ms"}
+        assert set(part) == {"per_key_ms", "series_many_ms", "sop_exact_ms"}
         assert all(ms > 0.0 for ms in part.values())
 
 

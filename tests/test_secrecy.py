@@ -12,7 +12,7 @@ import pytest
 
 from kmusec import fading, secrecy
 from kmusec.cli import SWEEP_VARIABLES, SweepSpec
-from kmusec.errors import PrecisionError, QuadratureError
+from kmusec.errors import ConvergenceError, PrecisionError, QuadratureError
 from kmusec.fading import KappaMuParams, make_special_case
 from kmusec.secrecy import (ClosedFormParams, EvalResult, QuadSpec,
                             WiretapPair, secrecy_capacity, series_many,
@@ -316,6 +316,25 @@ class TestSeriesMany:
     def test_empty(self, survival_calls):
         assert series_many([]) == []
         assert survival_calls == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("huge_at", [0, 1, 3])
+    @pytest.mark.parametrize("max_terms", [10_000, 5])
+    def test_error_equals_separate_calls(self, huge_at, max_terms):
+        # good pairs around the mu = 1e308 pair of tests/test_cli.py's
+        # exit-3 case, whose rate is not finite; under a 5-term cap the
+        # good pairs' series fail too, and the first failing series, in
+        # the order the single calls meet them, sets the error
+        pairs = [pair(4.0, 1.4, gbm, 2.0, 1.2, 1.0, rate=RS_1DB) for gbm in (0.5, 20.0, 3.0)]
+        pairs.insert(huge_at, pair(1.0, 1e308, 1.0, 1.0, 1.0, 1.0))
+        ctl = SeriesControl(max_terms=max_terms)
+        with pytest.raises(ConvergenceError) as separate:
+            [(spsc_series(p, ctl), sop_lower(p, ctl)) for p in pairs]
+        with pytest.raises(type(separate.value)) as batched:
+            series_many(pairs, ctl)
+        assert str(batched.value) == str(separate.value)
+        if max_terms == 10_000:
+            assert isinstance(batched.value, PrecisionError)
 
 
 class TestSopExact:
