@@ -855,9 +855,10 @@ def _inner_lockstep(cols, p, mu_m, alpha_m, one_mz, l0, inv_f0, tol_frame, log_s
 
 
 def _survival_stops(rows, abs_tol, max_terms):
-    # survival_series' outer stop over the rows' summed columns, laid out
-    # one row per row: sets row.result, or leaves it None for the scalar
-    # kernel, and returns the rows that need more columns
+    # survival_series' outer stop over the rows' summed columns, one array
+    # row per row, padded with columns that are never small: sets
+    # row.result, or leaves it None for the scalar kernel, and returns the
+    # rows that need more columns
     if not rows:
         return rows
     width = max(row.columns["inner"].size for row in rows)
@@ -885,12 +886,13 @@ def _survival_stops(rows, abs_tol, max_terms):
         w_tail = _mapped(math.exp, log_wk[rs, cs], failed, rs)
         rho_k = alpha_e[rs] / (cs + 2.0)
         w_tail = w_tail * rho_k / (1.0 - rho_k)
+        # left to right along each row, as the scalar kernel adds
+        total = np.cumsum(inner, axis=1)
+        est_error = np.cumsum(addends.reshape(len(rows), 3 * width), axis=1)
     passed = w_tail < 0.5 * abs_tol
     stopping, first = np.unique(rs[passed], return_index=True)
     stops = dict(zip(stopping.tolist(), zip(cs[passed][first].tolist(),
                                             w_tail[passed][first].tolist())))
-    total = np.cumsum(inner, axis=1)
-    est_error = np.cumsum(addends.reshape(len(rows), 3 * width), axis=1)
     more = []
     for r, row in enumerate(rows):
         if failed[r]:

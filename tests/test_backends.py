@@ -74,7 +74,7 @@ class TestScalarAgreement:
         (1.0, 150.0, 149.0), (1.0, 100.0, 99.5), (5.0, 120.0, 121.0),
         (3.0, 50.0, 49.0), (2.0, 38.0, 37.0)])
     def test_marcum_large_mean_within_est_error(self, m, alpha, beta):
-        # Poisson means 1,250 to 11,250: the rounding of the log
+        # Poisson means 722 to 11,250: the rounding of the log
         # prefactors, not the truncation, sets the error here
         value, _, est_error = pyk.marcum_q_series(m, alpha, beta)
         assert abs(value - float(mpref.marcum_q(m, alpha, beta))) <= est_error
@@ -134,11 +134,12 @@ def _lines_run(functions, call):
             lines.add(source[frame.f_lineno - first].strip())
         return local
 
+    previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code in sources else None)
     try:
         return call(), lines
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
 
 
 def _random_rows(seed, count):
