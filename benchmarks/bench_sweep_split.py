@@ -13,7 +13,10 @@ call (``series_many_ms``); the two must give equal results. The sweep's
 exact SOPs (``sop_exact_many``) are timed too. The two series paths run in
 alternating repetitions, which of them goes first alternating as well;
 each figure is the median over ``--reps`` timed repetitions, after one
-untimed warm-up, in ms, printed as JSON.
+untimed warm-up, in ms, printed as JSON. One more untimed ``series_many``
+call counts the sweep's series (``rows``) and those of them that
+``survival_series_many`` hands to the scalar ``survival_series``
+(``scalar_rows``).
 """
 import argparse
 import json
@@ -21,7 +24,7 @@ import math
 import statistics
 import time
 
-from kmusec import cli, secrecy
+from kmusec import _pykernels, cli, secrecy
 from kmusec.specfun import SeriesControl
 
 SWEEPS = [(preset, "gamma_bar_m_db", -10.0, 30.0, None)
@@ -54,6 +57,23 @@ def per_key(pairs, ctl):
             for pair in pairs]
 
 
+def row_counts(pairs, ctl):
+    """``(rows, scalar_rows)`` of one ``series_many(pairs, ctl)`` call: the
+    rows of its ``survival_series_many`` call, and the calls that made to
+    the scalar ``survival_series``."""
+    rows, scalar_rows = [], []
+    many, scalar = _pykernels.survival_series_many, _pykernels.survival_series
+    _pykernels.survival_series_many = lambda batch, *args: rows.append(len(batch)) or many(
+        batch, *args)
+    _pykernels.survival_series = lambda *args, **kwargs: scalar_rows.append(args) or scalar(
+        *args, **kwargs)
+    try:
+        secrecy.series_many(pairs, ctl)
+    finally:
+        _pykernels.survival_series_many, _pykernels.survival_series = many, scalar
+    return sum(rows), len(scalar_rows)
+
+
 def alternating_ms(fns, reps):
     """Median ms of each of ``fns`` over ``reps`` rounds, after one untimed
     warm-up; each round runs them all, and the round's first one rotates."""
@@ -82,12 +102,15 @@ def main():
         per_key_ms, series_many_ms = alternating_ms(
             [lambda: per_key(pairs, ctl), lambda: secrecy.series_many(pairs, ctl)],
             args.reps)
+        rows, scalar_rows = row_counts(pairs, ctl)
         out[f"{preset} {variable}"] = {
             "per_key_ms": per_key_ms, "series_many_ms": series_many_ms,
             "sop_exact_ms": alternating_ms([lambda: secrecy.sop_exact_many(pairs)],
-                                           args.reps)[0]}
+                                           args.reps)[0],
+            "rows": rows, "scalar_rows": scalar_rows}
     out["total"] = {key: sum(v[key] for v in out.values())
-                    for key in ("per_key_ms", "series_many_ms", "sop_exact_ms")}
+                    for key in ("per_key_ms", "series_many_ms", "sop_exact_ms", "rows",
+                                "scalar_rows")}
     print(json.dumps(out, indent=1))
 
 

@@ -4,10 +4,13 @@ The hot series of the library (Marcum-Q, the survival double series)
 and the scalar special functions behind ``kmusec.specfun``. Everything
 here is free of module state, so concurrent use is safe, and everything
 is scalar except ``survival_series_many``, which sums the survival
-series of many rows at once in numpy and returns, bit for bit, what
-``survival_series`` returns for each. ``secrecy.series_many`` (a sweep's
-or a validation's series) calls it; single pairs stay on the scalar
-kernel, which is also the reference the batched one is tested against.
+series of many rows at once in one numpy pass and returns, bit for bit,
+what ``survival_series`` returns for each. A row whose outer stop lies
+past the columns that pass gave it is summed by ``survival_series``, and
+so is the whole batch, row by row, where the pass cannot carry it (an
+exception, a term cap). ``secrecy.series_many`` (a sweep's or a
+validation's series) calls it; single pairs stay on the scalar kernel,
+which is also the reference the batched one is tested against.
 
 Conventions used throughout:
 
@@ -34,7 +37,7 @@ def log_gamma(x):
     return math.lgamma(x)
 
 
-def gammainc_upper_reg(s, x, tol=1e-16, max_iter=500):
+def gammainc_upper_reg(s, x):
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x)/Gamma(s).
 
     Series expansion of the lower function for x < s + 1, Lentz
@@ -52,11 +55,11 @@ def gammainc_upper_reg(s, x, tol=1e-16, max_iter=500):
         ap = s
         term = 1.0 / s
         total = term
-        for _ in range(max_iter):
+        for _ in range(500):
             ap += 1.0
             term *= x / ap
             total += term
-            if term < total * tol:
+            if term < total * 1e-16:
                 break
         else:
             raise ConvergenceError("incomplete gamma series did not converge")
@@ -67,7 +70,7 @@ def gammainc_upper_reg(s, x, tol=1e-16, max_iter=500):
     c = 1.0 / tiny
     d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
-    for i in range(1, max_iter):
+    for i in range(1, 500):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -79,7 +82,7 @@ def gammainc_upper_reg(s, x, tol=1e-16, max_iter=500):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < 1e-16:
             return math.exp(log_pref) * h
     raise ConvergenceError("incomplete gamma continued fraction did not converge")
 
@@ -156,7 +159,7 @@ def bessel_i(v, x):
     return ie * math.exp(x)
 
 
-def betainc_reg(p, q, x, tol=1e-16, max_iter=400):
+def betainc_reg(p, q, x):
     """Regularized incomplete beta I_x(p, q) by Lentz continued fraction."""
     if p <= 0.0 or q <= 0.0:
         raise ValueError("betainc_reg requires p, q > 0")
@@ -165,7 +168,7 @@ def betainc_reg(p, q, x, tol=1e-16, max_iter=400):
     if x >= 1.0:
         return 1.0
     if x > (p + 1.0) / (p + q + 2.0):
-        return 1.0 - betainc_reg(q, p, 1.0 - x, tol, max_iter)
+        return 1.0 - betainc_reg(q, p, 1.0 - x)
     log_pref = (math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q)
                 + p * math.log(x) + q * math.log1p(-x))
     tiny = 1e-300
@@ -175,7 +178,7 @@ def betainc_reg(p, q, x, tol=1e-16, max_iter=400):
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter):
+    for m in range(1, 400):
         m2 = 2 * m
         aa = m * (q - m) * x / ((p + m2 - 1.0) * (p + m2))
         d = 1.0 + aa * d
@@ -196,7 +199,7 @@ def betainc_reg(p, q, x, tol=1e-16, max_iter=400):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < 1e-16:
             return math.exp(log_pref) * h / p
     raise ConvergenceError("incomplete beta continued fraction did not converge")
 
@@ -252,12 +255,13 @@ def _log_f1_beta(b, c, z):
             - p * math.log(z) - q * math.log1p(-z))
 
 
-def gauss_2f1(a, b, c, z, rel_tol=1e-12, max_terms=10000):
+def gauss_2f1(a, b, c, z, max_terms=10000):
     """Gauss hypergeometric 2F1(a, b; c; z) for 0 <= z < 1, c > 0.
 
     Dispatch: exact terminating transform when c - b is a nonpositive
     integer, direct series for z <= 0.5, incomplete-beta form for the
-    a = 1 shape at z > 0.5, direct series with a term cap otherwise.
+    a = 1 shape at z > 0.5, direct series with a term cap otherwise. The
+    direct series stops once its tail bound is below 1e-12 of the sum.
     """
     if z == 0.0:
         return 1.0
@@ -265,10 +269,10 @@ def gauss_2f1(a, b, c, z, rel_tol=1e-12, max_terms=10000):
     if cb <= 0.0 and cb == math.floor(cb):
         return _pfaff_terminating(a, c, z, int(-cb) + 1)
     if z <= 0.5:
-        return _gauss_series(a, b, c, z, rel_tol, max_terms)
+        return _gauss_series(a, b, c, z, 1e-12, max_terms)
     if a == 1.0 and c > 1.0 and b - c + 1.0 > 0.0:
         return math.exp(_log_f1_beta(b, c, z))
-    return _gauss_series(a, b, c, z, rel_tol, max_terms)
+    return _gauss_series(a, b, c, z, 1e-12, max_terms)
 
 
 def marcum_q_series(m, alpha, beta, abs_tol=1e-12, max_terms=10000):
@@ -419,7 +423,7 @@ def _survival_constants(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e):
 
 
 def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
-                    abs_tol=1e-12, rel_tol=1e-10, max_terms=10000):
+                    abs_tol=1e-12, max_terms=10000):
     """Double series for Pr(gamma_M > gamma_E) between two channels with
     gamma-family parameters (mu, alpha = kappa*mu, beta = (1+kappa)*mu/gbar).
 
@@ -603,46 +607,17 @@ def _first_tail_pass(alpha_e, ln_ae, abs_tol, max_terms):
     return hi
 
 
-def _mapped(fn, values, bad, where=None):
+def _mapped(fn, values):
     # fn over the floats of a 1-D array, called on each as the scalar kernel
-    # calls it; an element fn raises on reads NaN and sets bad[where[i]]
-    values = values.tolist()
-    try:
-        return np.array([fn(v) for v in values], dtype=float)
-    except (ArithmeticError, ValueError):
-        out = []
-        for i, v in enumerate(values):
-            try:
-                out.append(fn(v))
-            except (ArithmeticError, ValueError):
-                out.append(math.nan)
-                bad[i if where is None else where[i]] = True
-        return np.array(out, dtype=float)
+    # calls it
+    return np.array([fn(v) for v in values.tolist()], dtype=float)
 
 
-def _mapped_unique(fn, values, bad):
+def _mapped_unique(fn, values):
     # _mapped over the distinct values only, which the columns of a sweep
     # share (p = mu_e + k, say)
     distinct, inverse = np.unique(values, return_inverse=True)
-    bad_distinct = np.zeros(distinct.size, dtype=bool)
-    out = _mapped(fn, distinct, bad_distinct)[inverse]
-    bad |= bad_distinct[inverse]
-    return out
-
-
-class _Row:
-    """A row of ``survival_series_many``: its arguments and constants, its
-    2F1 seeds so far, the per-column results of its columns summed so far,
-    how many columns it wants, and, once known, its result (``None`` while
-    unknown, and for a row left to the scalar kernel)."""
-
-    def __init__(self, args, constants, wanted):
-        self.args = args
-        self.constants = constants
-        self.wanted = wanted
-        self.seeds = []
-        self.columns = None
-        self.result = None
+    return _mapped(fn, distinct)[inverse]
 
 
 def survival_series_many(rows, abs_tol=1e-12, max_terms=10000):
@@ -654,85 +629,72 @@ def survival_series_many(rows, abs_tol=1e-12, max_terms=10000):
     larger rate first; a change to that kernel's recurrence, stop tests or
     error terms must change this one too. Each (row, k) inner sum is a
     column here, and all columns of the batch advance over l together as
-    numpy arrays: each step makes the scalar kernel's float operations in
-    its order, every lgamma, log and exp is ``math``'s, mapped over the
-    elements, and the outer sums are taken left to right (``np.cumsum``),
-    so each row's result is the scalar one. The outer stop depends on the
-    inner sums only through its run of small terms: a row first gets the
-    columns up to one past the first k whose Poisson tail passes (most
-    rows stop at that k or the next), then four more at a time until the
-    run stops it, and columns past its stop are discarded. A row the lockstep cannot carry, because one of its
-    columns raised or hit a term cap or its l would pass 2^53, is summed
-    by ``survival_series`` itself, which raises that row's error; rows
-    are finished in order, so a batch raises its first failing row's
-    error. A batch of one costs several times the scalar kernel, which is
-    what single pairs use.
+    numpy arrays in one pass: each step makes the scalar kernel's float
+    operations in its order, every lgamma, log and exp is ``math``'s,
+    mapped over the elements, and the outer sums are taken left to right
+    (``np.cumsum``), so each row's result is the scalar one. The outer
+    stop depends on the inner sums only through its run of small terms:
+    a row gets the columns up to one past the first k whose Poisson tail
+    passes, and most rows stop at that k or the next. A row whose stop
+    lies past its columns is summed by ``survival_series`` itself. So is
+    the whole batch, row by row, where the lockstep cannot carry it: a
+    constant, seed or ``math`` call raised, an outer or inner sum would
+    pass its term cap, or an l would pass 2^53. Then a batch raises its
+    first failing row's error. A batch of one costs several times the
+    scalar kernel, which is what single pairs use.
     """
     rows = [tuple(row) for row in rows]
-    batch = {}
-    for i, args in enumerate(rows):
-        try:
-            constants = _survival_constants(*args)
-            first = _first_tail_pass(args[3], constants[4], abs_tol, max_terms)
-        except (ArithmeticError, ValueError):
-            continue
-        if first is not None and constants[5] + max_terms + 2 < 2 ** 53:
-            batch[i] = _Row(args, constants, min(max(first, 2) + 2, max_terms + 1))
-    pending = list(batch.values())
-    while pending:
-        pending = _survival_stops(_survival_columns(pending, abs_tol, max_terms),
-                                  abs_tol, max_terms)
-    return [batch[i].result if i in batch and batch[i].result is not None
-            else survival_series(*args, abs_tol, max_terms=max_terms)
-            for i, args in enumerate(rows)]
+    try:
+        results = _survival_lockstep(rows, abs_tol, max_terms)
+    except (ArithmeticError, ValueError, ConvergenceError):
+        results = [None] * len(rows)
+    return [survival_series(*args, abs_tol, max_terms=max_terms) if result is None
+            else result for args, result in zip(rows, results)]
 
 
-def _survival_columns(rows, abs_tol, max_terms):
-    # sums each row's columns from its last summed one up to the one it
-    # wants, and appends their inner sums, addends of est_error (inner
-    # tail, skipped mass, rounding), inner steps and failures to
-    # row.columns; returns the rows whose seeds could be had
-    ln_abs_tol = math.log(abs_tol)
-    summed, consts, ks, seeds = [], [], [], []
-    for row in rows:
-        start = 0 if row.columns is None else row.columns["inner"].size
+def _survival_lockstep(rows, abs_tol, max_terms):
+    # survival_series_many's one pass: each row's result, or None where its
+    # outer stop lies past its columns; raises where it cannot carry a row
+    if not rows:
+        return []
+    consts, counts, seeds = [], [], []
+    for args in rows:
         (z, ln_z, ln_1mz, one_mz, ln_ae, l0, ln_l0, ln_skip_l, q0, lg_q0,
-         mag0, mag_z, mag_1mz) = row.constants
-        mu_m, mu_e, alpha_m, alpha_e = row.args[:4]
-        try:
-            while len(row.seeds) < row.wanted:
-                block = [0.0] * 32
-                _seed_block(mu_e, len(row.seeds), q0, z, max_terms, block)
-                row.seeds.extend(block)
-        except (ArithmeticError, ValueError, ConvergenceError):
-            continue  # left to the scalar kernel, which raises or sums it
-        summed.append(row)
+         mag0, mag_z, mag_1mz) = _survival_constants(*args)
+        mu_m, mu_e, alpha_m, alpha_e = args[:4]
+        first = _first_tail_pass(alpha_e, ln_ae, abs_tol, max_terms)
+        if first is None or l0 + max_terms + 2 >= 2 ** 53:
+            raise ConvergenceError("the outer stop or l is out of the lockstep's reach")
+        count = min(max(first, 2) + 2, max_terms + 1)
+        block = [0.0] * 32
+        for k in range(0, count, 32):
+            _seed_block(mu_e, k, q0, z, max_terms, block)
+            seeds.extend(block[:count - k])
         consts.append((mu_m, mu_e, alpha_m, alpha_e, one_mz, ln_z, ln_1mz, ln_ae, l0,
                        ln_l0, ln_skip_l, q0, lg_q0, mag0, mag_z, mag_1mz))
-        ks.append(np.arange(start, row.wanted))
-        seeds.extend(row.seeds[start:row.wanted])
-    if not summed:
-        return summed
-    counts = [k.size for k in ks]
+        counts.append(count)
+    # each column is outer term kc of row r
+    r = np.repeat(np.arange(len(rows)), counts)
+    kc = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    consts = np.array(consts)
     (mu_m, mu_e, alpha_m, alpha_e, one_mz, ln_z, ln_1mz, ln_ae, l0, ln_l0, ln_skip_l,
-     q0, lg_q0, mag0, mag_z, mag_1mz) = np.repeat(np.array(consts), counts, axis=0).T
-    k = np.concatenate(ks).astype(float)
+     q0, lg_q0, mag0, mag_z, mag_1mz) = consts[r].T
     f0 = np.array(seeds)
-    n = k.size
-    bad = np.zeros(n, dtype=bool)
+    n = kc.size
+    k = kc.astype(float)
     with np.errstate(all="ignore"):
         # the log of each (k, l0) term and the magnitude of its addends
         p = mu_e + k
-        ln_f0 = _mapped(math.log, f0, bad)
-        log_wk = -alpha_e - _mapped_unique(math.lgamma, k + 1.0, bad)
+        ln_f0 = _mapped(math.log, f0)
+        log_wk = -alpha_e - _mapped_unique(math.lgamma, k + 1.0)
         mag = mag0 - log_wk
         k_ln_ae = k * ln_ae
         later = k > 0.0
         log_wk = np.where(later, log_wk + k_ln_ae, log_wk)
         mag = np.where(later, mag + np.abs(k_ln_ae), mag)
-        lg_p = _mapped_unique(math.lgamma, p, bad)
-        ln_p = _mapped_unique(math.log, p, bad)
-        lg_pq = _mapped_unique(math.lgamma, p + q0, bad)
+        lg_p = _mapped_unique(math.lgamma, p)
+        ln_p = _mapped_unique(math.log, p)
+        lg_pq = _mapped_unique(math.lgamma, p + q0)
         log_ts = (log_wk + p * ln_z + q0 * ln_1mz - alpha_m
                   - lg_p - ln_p - lg_q0 + lg_pq + ln_f0)
         mag = mag + (p * mag_z + q0 * mag_1mz + np.abs(lg_p) + np.abs(ln_p)
@@ -741,44 +703,70 @@ def _survival_columns(rows, abs_tol, max_terms):
         finite = np.isfinite(log_ts)
         log_scale = np.where(finite, log_ts, -math.inf)
         acc = finite.astype(float)
-        ln_inner_tol = ln_abs_tol - _mapped_unique(math.log, 8.0 * (1.0 + k * k), bad)
+        ln_inner_tol = math.log(abs_tol) - _mapped_unique(math.log, 8.0 * (1.0 + k * k))
         steps = np.zeros(n)
         tail = np.zeros(n)
         looped = np.flatnonzero((alpha_m > 0.0) & (acc > 0.0))
         if looped.size:
             frame = np.minimum(np.maximum(ln_inner_tol[looped] - log_scale[looped], -700.0),
                                700.0)
-            tol_frame = _mapped(math.exp, frame, bad, looped) * (1.0 + 1e-9)
+            tol_frame = _mapped(math.exp, frame) * (1.0 + 1e-9)
             _inner_lockstep(looped, p, mu_m, alpha_m, one_mz, l0, 1.0 / f0, tol_frame,
-                            log_scale, ln_inner_tol, max_terms, acc, steps, tail, bad)
+                            log_scale, ln_inner_tol, max_terms, acc, steps, tail)
         ln_inner = np.full(n, -math.inf)
         pos = np.flatnonzero(acc > 0.0)
-        ln_inner[pos] = log_scale[pos] + _mapped(math.log, acc[pos], bad, pos)
+        ln_inner[pos] = log_scale[pos] + _mapped(math.log, acc[pos])
         inner = np.zeros(n)
         pos = np.flatnonzero(ln_inner > _LOG_TINY)
-        inner[pos] = _mapped(math.exp, ln_inner[pos], bad, pos)
+        inner[pos] = _mapped(math.exp, ln_inner[pos])
         skip = np.zeros(n)
         skip_log = log_wk + ln_skip_l
         pos = np.flatnonzero((ln_skip_l > -math.inf) & (skip_log > _LOG_TINY))
-        skip[pos] = _mapped(math.exp, skip_log[pos], bad, pos)
+        skip[pos] = _mapped(math.exp, skip_log[pos])
         rounding = np.where(inner > 0.0, 8.0 * 2.220446049250313e-16
                             * (mag + (steps + 1.0)) * inner, 0.0)
-    addends = np.stack([tail, skip, rounding], axis=1)
-    for row, part in zip(summed, np.split(np.arange(n), np.cumsum(counts)[:-1])):
-        new = {"inner": inner[part], "log_wk": log_wk[part], "addends": addends[part],
-               "steps": steps[part], "bad": bad[part]}
-        if row.columns is not None:
-            new = {key: np.concatenate([row.columns[key], value]) for key, value in new.items()}
-        row.columns = new
-    return summed
+
+        # survival_series' outer stop, over one array row per row, padded
+        # with columns that are never small: a run of three small outer
+        # terms past the Poisson mode of alpha_e, where the Poisson tail in
+        # k passes
+        shape = (len(rows), max(counts))
+        inner_rk = np.full(shape, math.inf)
+        inner_rk[r, kc] = inner
+        log_wk_rk = np.zeros(shape)
+        log_wk_rk[r, kc] = log_wk
+        addends = np.zeros(shape + (3,))  # inner tail, skipped mass, rounding
+        addends[r, kc] = np.stack([tail, skip, rounding], axis=1)
+        steps_rk = np.zeros(shape)
+        steps_rk[r, kc] = steps
+        alpha_e = consts[:, 3]
+        small = inner_rk < abs_tol / 10.0
+        run = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+        run &= np.arange(3.0, shape[1] + 1.0) > alpha_e[:, None]
+        rs, cs = np.nonzero(run)
+        cs = cs + 2
+        w_tail = _mapped(math.exp, log_wk_rk[rs, cs])
+        rho_k = alpha_e[rs] / (cs + 2.0)
+        w_tail = w_tail * rho_k / (1.0 - rho_k)
+        # left to right along each row, as the scalar kernel adds
+        total = np.cumsum(inner_rk, axis=1)
+        est_error = np.cumsum(addends.reshape(shape[0], 3 * shape[1]), axis=1)
+        l_max = np.maximum.accumulate(steps_rk, axis=1)
+    passed = w_tail < 0.5 * abs_tol
+    stopping, at = np.unique(rs[passed], return_index=True)
+    results = [None] * len(rows)
+    for i, c, w in zip(stopping.tolist(), cs[passed][at].tolist(), w_tail[passed][at].tolist()):
+        results[i] = (min(float(total[i, c]), 1.0), c + 1, int(consts[i, 8] + l_max[i, c]),
+                      float(est_error[i, 3 * c + 2]) + w)
+    return results
 
 
 def _inner_lockstep(cols, p, mu_m, alpha_m, one_mz, l0, inv_f0, tol_frame, log_scale,
-                    ln_inner_tol, max_terms, acc, steps, tail, bad):
+                    ln_inner_tol, max_terms, acc, steps, tail):
     # the inner sums of columns ``cols``, each started at t = 1 in its
     # frame, all advanced over l together; as a column stops it writes its
     # sum (acc), its steps past l0, its tail bound and its frame
-    # (log_scale), and marks bad a column that hit the term cap or raised.
+    # (log_scale). Raises ConvergenceError where a column hits the term cap.
     # Stopped columns run on, their values unused, until a quarter of the
     # state has stopped and is dropped in one copy.
     renorm = 1e250
@@ -823,7 +811,7 @@ def _inner_lockstep(cols, p, mu_m, alpha_m, one_mz, l0, inv_f0, tol_frame, log_s
             acc_[js] /= renorm
             log_scale[c] += ln_renorm
             frame = np.minimum(np.maximum(ln_inner_tol[c] - log_scale[c], -700.0), 700.0)
-            tol[js] = _mapped(math.exp, frame, bad, c) * (1.0 + 1e-9)
+            tol[js] = _mapped(math.exp, frame) * (1.0 + 1e-9)
         rho = am * (1.0 + pp / ml) / l1
         near = (rho < 1.0) & (t * rho <= tol * (1.0 - rho))
         if near.any():
@@ -832,11 +820,9 @@ def _inner_lockstep(cols, p, mu_m, alpha_m, one_mz, l0, inv_f0, tol_frame, log_s
             js = js[live[js]]
             c = col[js].astype(int)
             ratio = rho[js] / (1.0 - rho[js])
-            ln_tail = (log_scale[c] + _mapped(math.log, t[js], bad, c)
-                       + _mapped(math.log, ratio, bad, c))
+            ln_tail = log_scale[c] + _mapped(math.log, t[js]) + _mapped(math.log, ratio)
             done = ln_tail <= ln_inner_tol[c]
-            tail[c[done]] = _mapped(math.exp, ln_tail[done], bad, c[done])
-            done |= bad[c]
+            tail[c[done]] = _mapped(math.exp, ln_tail[done])
             live[js[done]] = False
             stopped.append(js[done])
         if stopped:
@@ -845,64 +831,11 @@ def _inner_lockstep(cols, p, mu_m, alpha_m, one_mz, l0, inv_f0, tol_frame, log_s
             acc[c] = acc_[js]
             steps[c] = i
             stopped_since += js.size
-        if i > max_terms:
-            bad[col[live].astype(int)] = True
-            break
+        if i > max_terms and live.any():
+            raise ConvergenceError(
+                f"inner series hit the {max_terms}-term cap before abs_tol")
         if 4 * stopped_since >= live.size:
             state = state[:, live]
             live = np.ones(state.shape[1], dtype=bool)
             stopped_since = 0
 
-
-def _survival_stops(rows, abs_tol, max_terms):
-    # survival_series' outer stop over the rows' summed columns, one array
-    # row per row, padded with columns that are never small: sets
-    # row.result, or leaves it None for the scalar kernel, and returns the
-    # rows that need more columns
-    if not rows:
-        return rows
-    width = max(row.columns["inner"].size for row in rows)
-    inner = np.full((len(rows), width), math.inf)
-    log_wk = np.zeros((len(rows), width))
-    addends = np.zeros((len(rows), width, 3))
-    steps = np.zeros((len(rows), width))
-    for r, row in enumerate(rows):
-        n = row.columns["inner"].size
-        inner[r, :n] = row.columns["inner"]
-        log_wk[r, :n] = row.columns["log_wk"]
-        addends[r, :n] = row.columns["addends"]
-        steps[r, :n] = row.columns["steps"]
-    failed = np.array([row.columns["bad"].any() for row in rows])
-    alpha_e = np.array([row.args[3] for row in rows])
-    # a run of three small outer terms past the Poisson mode of alpha_e,
-    # where the Poisson tail in k passes
-    small = inner < abs_tol / 10.0
-    run = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-    run &= np.arange(3.0, width + 1.0) > alpha_e[:, None]
-    run[failed] = False
-    rs, cs = np.nonzero(run)
-    cs = cs + 2
-    with np.errstate(all="ignore"):
-        w_tail = _mapped(math.exp, log_wk[rs, cs], failed, rs)
-        rho_k = alpha_e[rs] / (cs + 2.0)
-        w_tail = w_tail * rho_k / (1.0 - rho_k)
-        # left to right along each row, as the scalar kernel adds
-        total = np.cumsum(inner, axis=1)
-        est_error = np.cumsum(addends.reshape(len(rows), 3 * width), axis=1)
-    passed = w_tail < 0.5 * abs_tol
-    stopping, first = np.unique(rs[passed], return_index=True)
-    stops = dict(zip(stopping.tolist(), zip(cs[passed][first].tolist(),
-                                            w_tail[passed][first].tolist())))
-    more = []
-    for r, row in enumerate(rows):
-        if failed[r]:
-            continue
-        if r in stops:
-            c, w = stops[r]
-            row.result = (min(float(total[r, c]), 1.0), c + 1,
-                          row.constants[5] + int(steps[r, :c + 1].max()),
-                          float(est_error[r, 3 * c + 2]) + w)
-        elif row.columns["inner"].size <= max_terms:
-            row.wanted = min(row.columns["inner"].size + 4, max_terms + 1)
-            more.append(row)
-    return more

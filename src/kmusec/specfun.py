@@ -1,9 +1,10 @@
 """Self-contained special-function kernel.
 
 Log-gamma, incomplete gamma, modified Bessel I of real order, Gauss
-hypergeometric 2F1 and the generalized Marcum Q-function, each with a
-slow quadrature/series reference usable as an internal oracle. All
-functions are pure; the heavy series live in ``kmusec._pykernels``.
+hypergeometric 2F1 and the generalized Marcum Q-function. The Marcum
+Q-function alone has a slow quadrature reference, ``marcum_q_reference``,
+usable as an internal oracle; the tests check the others against mpmath.
+All functions are pure; the heavy series live in ``kmusec._pykernels``.
 """
 import math
 from dataclasses import dataclass
@@ -90,7 +91,7 @@ def gauss_2f1(a, b, c, z, ctl=None):
         raise ValueError(f"gauss_2f1 requires c > 0, got {c}")
     if not 0.0 <= z < 1.0:
         raise ValueError(f"gauss_2f1 requires 0 <= z < 1, got {z}")
-    return _k.gauss_2f1(a, b, c, z, 1e-12, ctl.max_terms)
+    return _k.gauss_2f1(a, b, c, z, ctl.max_terms)
 
 
 def _marcum_args(fn, m, alpha, beta):

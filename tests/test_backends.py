@@ -158,6 +158,16 @@ def _random_rows(seed, count):
     return rows
 
 
+def _count_scalar_calls(monkeypatch):
+    """The positional arguments of each ``survival_series`` call made from
+    here on, which still sums as before."""
+    calls = []
+    scalar = pyk.survival_series
+    monkeypatch.setattr(pyk, "survival_series", lambda *args, **kwargs: calls.append(
+        args) or scalar(*args, **kwargs))
+    return calls
+
+
 def _outcome(call):
     try:
         return call()
@@ -183,7 +193,7 @@ class TestSurvivalMany:
             (2.0, 1.5, 4.0, 0.0, 2.0, 1.0),              # alpha_e = 0: one outer term
             (1.0, 1.0, 0.0, 0.0, 1.0, 1.0),              # both
             (5.0, 3.0, 2000.0, 4.0, 90.5, 7.0),          # l0 > 0
-            (3.0, 3.0, 19.5, 0.1, 1.17, 0.55),           # columns extended
+            (3.0, 3.0, 19.5, 0.1, 1.17, 0.55),           # stop past the columns
             *SURVIVAL_CASES[:6],
         ]
         rows = [row if row[4] >= row[5] else (row[1], row[0], row[3], row[2], row[5], row[4])
@@ -204,14 +214,28 @@ class TestSurvivalMany:
         assert {"log_scale[c] += ln_renorm", "e[low] /= gh[low]"} <= ran
         assert many == scalar
 
-    def test_columns_extended(self):
+    def test_scalar_fallbacks(self, monkeypatch):
         # the run of small terms ends four columns past the first whose
-        # Poisson tail passes, beyond the columns first summed
+        # Poisson tail passes, beyond the row's columns: that row alone is
+        # summed by the scalar kernel, once, and the rest of a batch is not
         row = (3.0, 3.0, 19.5, 0.1, 1.17, 0.55)
-        many, ran = _lines_run([pyk._survival_stops],
-                               lambda: pyk.survival_series_many([row]))
-        assert "more.append(row)" in ran
-        assert many == [pyk.survival_series(*row)]
+        ordinary = [(1.0, 1.0, 15.0, 12.0, 8.0, 7.0), (2.0, 3.0, 8.0, 6.0, 9.0, 5.0)]
+        batch = ordinary[:1] + [row] + ordinary[1:]
+        scalar = [pyk.survival_series(*args) for args in batch]
+        capped = ordinary[:1] + [(1.0, 2.0, 41.404, 28.814, 9.9919, 0.19309)] + ordinary[1:]
+        scalar_capped = [pyk.survival_series(*args, 1e-12, max_terms=79) for args in capped]
+        calls = _count_scalar_calls(monkeypatch)
+        assert pyk.survival_series_many([row]) == [scalar[1]]
+        assert calls == [row + (1e-12,)]
+        calls.clear()
+        assert pyk.survival_series_many(batch) == scalar
+        assert calls == [row + (1e-12,)]
+        calls.clear()
+        # with this term cap a column past the middle row's stop hits it, so
+        # the lockstep cannot carry the batch and every row is summed by the
+        # scalar kernel, once and in order; none of them raises
+        assert pyk.survival_series_many(capped, 1e-12, 79) == scalar_capped
+        assert calls == [args + (1e-12,) for args in capped]
 
     def test_failure_past_the_stop_does_not_raise(self, monkeypatch):
         # with this term cap the column past the row's stop hits it and the
