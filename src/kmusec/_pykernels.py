@@ -41,7 +41,8 @@ def gammainc_upper_reg(s, x):
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x)/Gamma(s).
 
     Series expansion of the lower function for x < s + 1, Lentz
-    continued fraction otherwise (the usual regime split).
+    continued fraction otherwise (the usual regime split); either stops at
+    a relative step below 1e-16, and raises if none comes within 500 steps.
     """
     if s <= 0.0:
         raise ValueError(f"gammainc_upper_reg requires s > 0, got {s}")
@@ -160,7 +161,9 @@ def bessel_i(v, x):
 
 
 def betainc_reg(p, q, x):
-    """Regularized incomplete beta I_x(p, q) by Lentz continued fraction."""
+    """Regularized incomplete beta I_x(p, q) by Lentz continued fraction,
+    stopped at a relative step below 1e-16; raises if none comes within
+    400 steps."""
     if p <= 0.0 or q <= 0.0:
         raise ValueError("betainc_reg requires p, q > 0")
     if x <= 0.0:
