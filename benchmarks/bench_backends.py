@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Time the pure-Python kernels on three micro-loops.
+"""Time the pure-Python kernels on four micro-loops.
 
 The hot paths on representative workloads: the Marcum-Q series
 (distribution evaluations), the survival double series at one metric
-point, and a 41-point mean-SNR sweep of it. The survival calls put the
-channel with the larger rate first, as every library call does:
+point, a 41-point mean-SNR sweep of it, and a fixed seeded grid of it
+over the analytic_grid benchmark workload's box. The survival calls put
+the channel with the larger rate first, as every library call does:
 
     python benchmarks/bench_backends.py
 
 prints the mean milliseconds per loop. The checkout's ``src`` is
 appended to the import path, so a ``kmusec`` already on it comes first.
 """
+import math
 import os
+import random
 import sys
 import time
 
@@ -63,11 +66,33 @@ def survival_sweep(k):
     return run
 
 
+def survival_grid(k):
+    # 60 seeded rows over the analytic_grid workload's box: kappa 0.2..12
+    # (log-uniform) and mu 0.5..3 per side, the main mean SNR -10..50 dB
+    # against 0 dB, and the main rate scaled by e^R, R in 0..2 nats, as
+    # SOP^L scales it
+    rng = random.Random(26)
+    rows = []
+    for _ in range(60):
+        km, ke = (math.exp(rng.uniform(math.log(0.2), math.log(12.0))) for _ in range(2))
+        um, ue = (rng.uniform(0.5, 3.0) for _ in range(2))
+        gbar_m = 10.0 ** (rng.uniform(-10.0, 50.0) / 10.0) / math.exp(rng.uniform(0.0, 2.0))
+        main = (um, km * um, (1.0 + km) * um / gbar_m)
+        eve = (ue, ke * ue, (1.0 + ke) * ue)
+        first, second = (main, eve) if main[2] >= eve[2] else (eve, main)
+        rows.append((first[0], second[0], first[1], second[1], first[2], second[2]))
+    def run():
+        for args in rows:
+            k.survival_series(*args)
+    return run
+
+
 def main():
     workloads = [
         ("marcum_q x400", marcum_workload, 20),
         ("survival point", survival_point, 200),
         ("survival sweep x41", survival_sweep, 10),
+        ("survival grid x60", survival_grid, 5),
     ]
     print(f"{'workload':<22}{'python':>12}")
     for name, make, repeat in workloads:

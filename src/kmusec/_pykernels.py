@@ -8,7 +8,8 @@ series of many rows at once in one numpy pass and returns, bit for bit,
 what ``survival_series`` returns for each. A row whose outer stop lies
 past the columns that pass gave it is summed by ``survival_series``, and
 so is the whole batch, row by row, where the pass cannot carry it (an
-exception, a term cap). ``secrecy.series_many`` (a sweep's or a
+exception, a term cap, a term whose log is +inf or NaN, which the scalar
+kernel refuses). ``secrecy.series_many`` (a sweep's or a
 validation's series) calls it; single pairs stay on the scalar kernel,
 which is also the reference the batched one is tested against.
 
@@ -453,7 +454,12 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
     l range near the Poisson mode of alpha_m stays reachable even when
     the l = 0 term underflows; its stop test is taken in logs, and only
     once a linear pre-test against the tolerance in that frame, widened
-    by a relative 1e-9, shows it can pass.
+    by a relative 1e-9, shows it can pass. Both are skipped, exactly,
+    while l + 1 <= alpha_m: rounding is monotone, so there the majorant
+    rho = alpha_m (1 + p/(mu_m+l)) / (l+1) is >= alpha_m / (l+1) >= 1.
+    A term whose log is -inf underflowed and is zero; +inf or NaN (a 2F1
+    seed past the double range, from a shape or Poisson mean of about a
+    thousand on the larger-rate side) raises ``OverflowError``.
 
     Returns ``(value, k_terms, l_terms_max, est_error)``; ``est_error``
     adds the geometric bound of every truncated inner sum and of the
@@ -471,9 +477,11 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
     (z, ln_z, ln_1mz, one_mz, ln_ae, l0, ln_l0, ln_skip_l, q0, lg_q0,
      mag0, mag_z, mag_1mz) = _survival_constants(
          mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e)
-    ln_abs_tol = math.log(abs_tol)
+    log, exp, lgamma, inf = math.log, math.exp, math.lgamma, math.inf
+    ln_abs_tol = log(abs_tol)
     renorm = 1e250
-    ln_renorm = math.log(renorm)
+    ln_renorm = log(renorm)
+    l_cap = float(l0 + max_terms)  # the inner index runs as a float, exact to 2^53
 
     total = 0.0
     est_error = 0.0
@@ -487,45 +495,52 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
         if (k & 31) == 0:
             _seed_block(mu_e, k, q0, z, max_terms, seeds)
         f0 = seeds[k & 31]
-        ln_f0 = math.log(f0)
-        inv_f0 = 1.0 / f0
+        ln_f0 = log(f0)
         # log of the (k, l0) term: Poisson weights in k and l0, gamma
         # factors, powers of z and 1-z, and the hypergeometric seed; mag
         # sums the magnitudes of its addends
-        log_wk = -alpha_e - math.lgamma(k + 1.0)
+        log_wk = -alpha_e - lgamma(k + 1.0)
         mag = mag0 - log_wk
         if k > 0:
-            log_wk += k * ln_ae
-            mag += abs(k * ln_ae)
-        lg_p = math.lgamma(p)
-        lg_pq = math.lgamma(p + q0)
+            k_ln_ae = k * ln_ae
+            log_wk += k_ln_ae
+            mag += abs(k_ln_ae)
+        lg_p = lgamma(p)
+        ln_p = log(p)
+        lg_pq = lgamma(p + q0)
         log_ts = (log_wk + p * ln_z + q0 * ln_1mz - alpha_m
-                  - lg_p - math.log(p) - lg_q0 + lg_pq + ln_f0)
-        mag += (p * mag_z + q0 * mag_1mz + abs(lg_p) + abs(math.log(p))
+                  - lg_p - ln_p - lg_q0 + lg_pq + ln_f0)
+        mag += (p * mag_z + q0 * mag_1mz + abs(lg_p) + abs(ln_p)
                 + abs(lg_pq) + abs(ln_f0))
         if l0 > 0:
             log_ts += ln_l0
-        # inner sum in a frame scaled by exp(log_scale)
-        log_scale = log_ts if math.isfinite(log_ts) else -math.inf
-        t = 1.0 if math.isfinite(log_ts) else 0.0
+        if not log_ts < inf:  # a factor overflowed: the term is not zero
+            raise OverflowError(f"the log of outer term {k} is {log_ts}")
+        # inner sum in a frame scaled by exp(log_scale); a log of -inf is a zero term
+        log_scale = log_ts
+        t = 1.0 if log_ts > -inf else 0.0
         acc = t
-        gh = 1.0        # (1-z)^(l-l0) F_l / F_l0, starts at 1, non-increasing
-        e = inv_f0      # (1-z)^(l-l0) / F_l0; always <= gh
         l = l0
-        ln_inner_tol = ln_abs_tol - math.log(8.0 * (1.0 + float(k) * k))
+        ln_inner_tol = ln_abs_tol - log(8.0 * (1.0 + float(k) * k))
         if alpha_m > 0.0 and t > 0.0:
+            if l_cap + 2.0 >= 2.0 ** 53:  # past 2^53 l would stall short of its cap
+                raise ConvergenceError(f"inner series hit the {max_terms}-term cap before abs_tol")
             # the stop tolerance in the frame, clamped to the double range
-            tol_frame = math.exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
+            tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
+            gh = 1.0        # (1-z)^(l-l0) F_l / F_l0, starts at 1, non-increasing
+            e = 1.0 / f0    # (1-z)^(l-l0) / F_l0; always <= gh
+            lf = float(l0)
+            l1, ml, pm = lf + 1.0, mu_m + lf, p + mu_m
             while True:
-                num = (mu_m + l) * gh + p * e
-                t *= alpha_m * num / ((l + 1.0) * (mu_m + l) * gh)
-                gh = num / (p + mu_m + l)
+                num = ml * gh + p * e
+                t *= alpha_m * num / (l1 * ml * gh)
+                gh = num / (pm + lf)
                 e *= one_mz
                 if gh < 1e-200:
                     # the term update only sees e/gh, so a joint rescale is exact
                     e /= gh
                     gh = 1.0
-                l += 1
+                lf, l1, ml = l1, l1 + 1.0, mu_m + l1
                 acc += t
                 if t == 0.0:
                     break
@@ -533,25 +548,28 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
                     t /= renorm
                     acc /= renorm
                     log_scale += ln_renorm
-                    tol_frame = math.exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
-                # majorant of all later term ratios (uses F_{l+1}/F_l <= 1/(1-z))
-                rho = alpha_m * (1.0 + p / (mu_m + l)) / (l + 1.0)
-                # the linear pre-test passes wherever the log test can, so
-                # the logs run once per sum, not once per term
-                if rho < 1.0 and t * rho <= tol_frame * (1.0 - rho):
-                    ln_tail = log_scale + math.log(t) + math.log(rho / (1.0 - rho))
-                    if ln_tail <= ln_inner_tol:
-                        est_error += math.exp(ln_tail)
-                        break
-                if l - l0 > max_terms:
+                    tol_frame = exp(min(max(ln_inner_tol - log_scale, -700.0), 700.0)) * (1.0 + 1e-9)
+                # majorant of all later term ratios (uses F_{l+1}/F_l <= 1/(1-z)),
+                # >= 1 while l + 1 <= alpha_m
+                if l1 > alpha_m:
+                    rho = alpha_m * (1.0 + p / ml) / l1
+                    # the linear pre-test passes wherever the log test can, so
+                    # the logs run once per sum, not once per term
+                    if rho < 1.0 and t * rho <= tol_frame * (1.0 - rho):
+                        ln_tail = log_scale + log(t) + log(rho / (1.0 - rho))
+                        if ln_tail <= ln_inner_tol:
+                            est_error += exp(ln_tail)
+                            break
+                if lf > l_cap:
                     raise ConvergenceError(
                         f"inner series hit the {max_terms}-term cap before abs_tol")
-        ln_inner = log_scale + math.log(acc) if acc > 0.0 else -math.inf
-        inner = math.exp(ln_inner) if ln_inner > _LOG_TINY else 0.0
-        if ln_skip_l > -math.inf:
+            l = int(lf)
+        ln_inner = log_scale + log(acc) if acc > 0.0 else -inf
+        inner = exp(ln_inner) if ln_inner > _LOG_TINY else 0.0
+        if ln_skip_l > -inf:
             # mass skipped below l0, bounded by the lower Poisson tail
             skip = log_wk + ln_skip_l
-            est_error += math.exp(skip) if skip > _LOG_TINY else 0.0
+            est_error += exp(skip) if skip > _LOG_TINY else 0.0
         if inner > 0.0:
             # rounding: the log's absolute error is relative in the term
             est_error += 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * inner
@@ -566,7 +584,7 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
         k += 1
         if k > alpha_e and small_run >= 3:
             rho_k = alpha_e / (k + 1.0)
-            w_tail = math.exp(log_wk) * rho_k / (1.0 - rho_k)
+            w_tail = exp(log_wk) * rho_k / (1.0 - rho_k)
             if w_tail < 0.5 * abs_tol:
                 est_error += w_tail
                 break
@@ -641,10 +659,11 @@ def survival_series_many(rows, abs_tol=1e-12, max_terms=10000):
     passes, and most rows stop at that k or the next. A row whose stop
     lies past its columns is summed by ``survival_series`` itself. So is
     the whole batch, row by row, where the lockstep cannot carry it: a
-    constant, seed or ``math`` call raised, an outer or inner sum would
-    pass its term cap, or an l would pass 2^53. Then a batch raises its
-    first failing row's error. A batch of one costs several times the
-    scalar kernel, which is what single pairs use.
+    constant, seed or ``math`` call raised, a term's log is +inf or NaN,
+    an outer or inner sum would pass its term cap, or an l would pass
+    2^53. Then a batch raises its first failing row's error. A batch of
+    one costs several times the scalar kernel, which is what single pairs
+    use.
     """
     rows = [tuple(row) for row in rows]
     try:
@@ -703,9 +722,11 @@ def _survival_lockstep(rows, abs_tol, max_terms):
         mag = mag + (p * mag_z + q0 * mag_1mz + np.abs(lg_p) + np.abs(ln_p)
                      + np.abs(lg_pq) + np.abs(ln_f0))
         log_ts = np.where(l0 > 0.0, log_ts + ln_l0, log_ts)
-        finite = np.isfinite(log_ts)
-        log_scale = np.where(finite, log_ts, -math.inf)
-        acc = finite.astype(float)
+        if not (log_ts < math.inf).all():
+            # a +inf or NaN log, which the scalar kernel refuses
+            raise OverflowError("the log of a term is +inf or NaN")
+        log_scale = log_ts
+        acc = (log_ts > -math.inf).astype(float)
         ln_inner_tol = math.log(abs_tol) - _mapped_unique(math.log, 8.0 * (1.0 + k * k))
         steps = np.zeros(n)
         tail = np.zeros(n)

@@ -9,6 +9,7 @@ batched survival kernel is checked against the scalar one, which is its
 reference: equal tuples, and equal errors.
 """
 import inspect
+import math
 import random
 import sys
 
@@ -201,6 +202,34 @@ class TestSurvivalMany:
         scalar = [pyk.survival_series(*row, abs_tol) for row in rows]
         assert pyk.survival_series_many(rows, abs_tol) == scalar
         assert [pyk.survival_series_many([row], abs_tol)[0] for row in rows] == scalar
+
+    @pytest.mark.parametrize("abs_tol", [1e-12, 1e-14])
+    def test_stop_test_skip_boundary(self, abs_tol):
+        # the scalar kernel skips its inner stop test while l + 1 <= alpha_m,
+        # the batched one never does: alpha_m on integers and their
+        # neighbours, in (0, 1), 0, and past 600, where the sums start at l0 > 0
+        alphas = [v for a in (1.0, 2.0, 3.0, 27.0, 2000.0)
+                  for v in (math.nextafter(a, 0.0), a, math.nextafter(a, math.inf))]
+        alphas += [0.25, 0.999, 0.0]
+        rows = [(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e) for alpha_m in alphas
+                for mu_m, mu_e, alpha_e, beta_m, beta_e in (
+                    (1.0, 1.0, 2.0, 3.0, 1.0), (0.5, 2.0, 0.0, 1.0, 1.0), (3.7, 0.3, 5.0, 9.0, 0.3))]
+        scalar = [pyk.survival_series(*row, abs_tol) for row in rows]
+        assert pyk.survival_series_many(rows, abs_tol) == scalar
+        assert [pyk.survival_series_many([row], abs_tol)[0] for row in rows] == scalar
+
+    @pytest.mark.parametrize("row", [
+        (2500.0, 60.0, 0.0, 0.0, 500.0, 240.0),        # shape 2,500 on the larger-rate side
+        (10.5, 1.0, 10500.0, 1.0, 10510.5, 2000.0)])   # Poisson mean 10,500, l0 = 6,371
+    def test_overflowed_term_refused(self, row):
+        # the row's 2F1 seed overflows, so a term's log is +inf: both kernels
+        # raise, the row alone and inside a batch of ordinary rows
+        ordinary = [(1.0, 1.0, 15.0, 12.0, 8.0, 7.0), (2.0, 3.0, 8.0, 6.0, 9.0, 5.0)]
+        expected = _outcome(lambda: pyk.survival_series(*row))
+        assert issubclass(expected[0], ArithmeticError)
+        assert _outcome(lambda: pyk.survival_series_many([row])) == expected
+        assert _outcome(lambda: pyk.survival_series_many(ordinary[:1] + [row] + ordinary[1:])) \
+            == expected
 
     def test_renormalization_and_rescale(self):
         # inner sums that outgrow 1e250 in their frame, and whose 2F1

@@ -119,7 +119,7 @@ def test_bench_backends_offers_the_harness_loops():
 
     assert bb._pykernels is _pykernels
     assert hasattr(bb, "_ckernels")  # None where the twin is not built
-    for make in (bb.marcum_workload, bb.survival_point, bb.survival_sweep):
+    for make in (bb.marcum_workload, bb.survival_point, bb.survival_sweep, bb.survival_grid):
         make(bb._pykernels)()
 
 

@@ -227,6 +227,23 @@ def test_huge_mu_exit_3(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("spsc", "--km", "0", "--um", "60", "--gbar-m-linear", "0.25", "--ke", "0", "--ue", "2500",
+     "--gbar-e-linear", "5"),
+    ("sop", "--km", "0", "--um", "60", "--gbar-m-linear", "0.25", "--ke", "0", "--ue", "2500",
+     "--gbar-e-linear", "5", "--bound", "lower"),
+    ("spsc", "--km", "1000", "--um", "10.5", "--gbar-m-linear", "1", "--ke", "1", "--ue", "1",
+     "--gbar-e-linear", "0.001", "--method", "series")])
+def test_overflowed_series_term_exit_3(capsys, argv):
+    # the survival series' 2F1 seed overflows past a shape or a Poisson
+    # mean of about a thousand on the larger-rate side; counted as a zero
+    # term, it once printed SPSC 1.0 (truth about 0), SOP^L 0.0 and SPSC
+    # 0.0 (Monte Carlo 1.0), each with exit 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "survival series cannot be evaluated in double precision" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("--gbar-e-linear", "1e-320", "--method", "closed"),
     ("--gbar-m-linear", "1e308", "--gbar-e-linear", "1e-308"),
     ("--gbar-m-linear", "1e-320"),

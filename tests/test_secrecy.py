@@ -5,7 +5,9 @@ integrations of the SPSC/outage integrands; Monte Carlo references were
 drawn once with an independent generator (numpy PCG64, Poisson-gamma
 mixture, 10^7 draws) and frozen together with their standard errors.
 """
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from kmusec.specfun import DEFAULT_CONTROL, SeriesControl
 
 import mpref
 
+BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "benchmarks")
 RS_1DB = 10.0 ** 0.1  # the "1 dB" target rate read as 10^(1/10) nats
 EPS = np.finfo(float).eps
 #: cluster parameters of the gamma-law (kappa = 0) checks
@@ -335,6 +339,28 @@ class TestSeriesMany:
         assert str(batched.value) == str(separate.value)
         if max_terms == 10_000:
             assert isinstance(batched.value, PrecisionError)
+
+
+class TestEstErrorAudit:
+    """The Tier-1 subset of ``benchmarks/audit_est_error.py``: seeded
+    gamma-law pairs, mu up to 1e4 per side, whose SPSC and SOP^L must lie
+    within ``est_error`` plus half an ulp of the exact incomplete-beta law,
+    or be refused. Its seed and size are fixed; an overflowed series term
+    once made it miss 12 times with ``est_error`` 0."""
+
+    def test_tier1_subset(self):
+        spec = importlib.util.spec_from_file_location(
+            "audit_est_error", os.path.join(BENCHMARKS, "audit_est_error.py"))
+        audit = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(audit)
+        record = audit.audit(audit.TIER1_SEED, audit.TIER1_PAIRS)
+        assert (record["seed"], record["pairs"]) == (26, 300)
+        for method in ("spsc", "sop_lower"):
+            counts = record["methods"][method]
+            assert counts["missed"] == 0, counts["worst"]
+            assert counts["passed"] + counts["refused"] + counts["no_reference"] == 300
+            # most pairs are summed, not refused or left without a reference
+            assert counts["passed"] >= 285
 
 
 class TestSopExact:
