@@ -9,12 +9,16 @@ the channel with the larger rate first, as every library call does:
 
     python benchmarks/bench_backends.py
 
-prints the mean milliseconds per loop. The checkout's ``src`` is
-appended to the import path, so a ``kmusec`` already on it comes first.
+prints, per loop, the median milliseconds of one loop call over its
+repetitions (5 to 200), each timed alone after one untimed warm-up call:
+a mean over the calls moved with every pause of a shared host. The
+checkout's ``src`` is appended to the import path, so a ``kmusec``
+already on it comes first.
 """
 import math
 import os
 import random
+import statistics
 import sys
 import time
 
@@ -29,11 +33,16 @@ from kmusec import _pykernels  # noqa: E402
 _ckernels = None
 
 
-def time_call(fn, repeat):
-    t0 = time.perf_counter()
+def median_call(fn, repeat):
+    """Median seconds of one ``fn()`` over ``repeat`` calls, after one
+    untimed warm-up call."""
+    fn()
+    times = []
     for _ in range(repeat):
+        t0 = time.perf_counter()
         fn()
-    return (time.perf_counter() - t0) / repeat
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def marcum_workload(k):
@@ -96,7 +105,7 @@ def main():
     ]
     print(f"{'workload':<22}{'python':>12}")
     for name, make, repeat in workloads:
-        t_py = time_call(make(_pykernels), repeat)
+        t_py = median_call(make(_pykernels), repeat)
         print(f"{name:<22}{t_py * 1e3:>10.3f}ms")
 
 

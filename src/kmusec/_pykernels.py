@@ -31,6 +31,15 @@ from kmusec.errors import ConvergenceError
 _LOG_TINY = -745.0  # below this, exp() underflows to zero
 
 
+def _poisson_start(x):
+    # the first index l0 of a sum weighted by the Poisson(x) law: about 40
+    # standard deviations below the mean, so the mass skipped below it is
+    # negligible (its callers bound it and add it to est_error). l0 is 0
+    # for x up to about 1,661 and positive above: the expression is
+    # negative below x = 1,659.4 and under 1 up to 1,661.4
+    return max(int(x - 40.0 * math.sqrt(x) - 30.0), 0)
+
+
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
     if x <= 0.0:
@@ -184,25 +193,18 @@ def betainc_reg(p, q, x):
     h = d
     for m in range(1, 400):
         m2 = 2 * m
-        aa = m * (q - m) * x / ((p + m2 - 1.0) * (p + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(p + m) * (p + q + m) * x / ((p + m2) * (p + m2 + 1.0))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and the odd coefficient of step m, in that order
+        for aa in (m * (q - m) * x / ((p + m2 - 1.0) * (p + m2)),
+                   -(p + m) * (p + q + m) * x / ((p + m2) * (p + m2 + 1.0))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-16:
             return math.exp(log_pref) * h / p
     raise ConvergenceError("incomplete beta continued fraction did not converge")
@@ -263,18 +265,16 @@ def gauss_2f1(a, b, c, z, max_terms=10000):
     """Gauss hypergeometric 2F1(a, b; c; z) for 0 <= z < 1, c > 0.
 
     Dispatch: exact terminating transform when c - b is a nonpositive
-    integer, direct series for z <= 0.5, incomplete-beta form for the
-    a = 1 shape at z > 0.5, direct series with a term cap otherwise. The
-    direct series stops once its tail bound is below 1e-12 of the sum.
+    integer, incomplete-beta form for the a = 1 shape at z > 0.5, direct
+    series with a term cap otherwise. The direct series stops once its
+    tail bound is below 1e-12 of the sum.
     """
     if z == 0.0:
         return 1.0
     cb = c - b
     if cb <= 0.0 and cb == math.floor(cb):
         return _pfaff_terminating(a, c, z, int(-cb) + 1)
-    if z <= 0.5:
-        return _gauss_series(a, b, c, z, 1e-12, max_terms)
-    if a == 1.0 and c > 1.0 and b - c + 1.0 > 0.0:
+    if z > 0.5 and a == 1.0 and c > 1.0 and b - c + 1.0 > 0.0:
         return math.exp(_log_f1_beta(b, c, z))
     return _gauss_series(a, b, c, z, 1e-12, max_terms)
 
@@ -308,12 +308,8 @@ def marcum_q_series(m, alpha, beta, abs_tol=1e-12, max_terms=10000):
     if x == 0.0:
         return gammainc_upper_reg(m, y), 1, 0.0
     # for very large x, skip the negligible lower Poisson tail
-    l0 = 0
+    l0 = _poisson_start(x)
     skipped = 0.0
-    if x > 600.0:
-        l0 = int(x - 40.0 * math.sqrt(x) - 30.0)
-        if l0 < 0:
-            l0 = 0
     # Poisson weights run in a frame scaled by the starting weight, so the
     # significant l range stays reachable even when that weight underflows
     ln_scale = -x
@@ -362,14 +358,14 @@ def marcum_q_series(m, alpha, beta, abs_tol=1e-12, max_terms=10000):
         if rho < 1.0 and w > 0.0:
             ln_tail = ln_scale + math.log(w) + math.log(rho / (1.0 - rho))
             if ln_tail < ln_abs_tol:
-                value = math.exp(ln_scale + math.log(total)) if total > 0.0 else 0.0
                 tail = math.exp(ln_tail)
-                rounding = 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * value
-                return min(value, 1.0), l - l0 + 1, tail + skipped + rounding
+                break
         elif w == 0.0:
-            value = math.exp(ln_scale + math.log(total)) if total > 0.0 else 0.0
-            rounding = 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * value
-            return min(value, 1.0), l - l0 + 1, skipped + rounding
+            tail = 0.0
+            break
+    value = math.exp(ln_scale + math.log(total)) if total > 0.0 else 0.0
+    rounding = 8.0 * 2.220446049250313e-16 * (mag + (l - l0 + 1)) * value
+    return min(value, 1.0), l - l0 + 1, tail + skipped + rounding
 
 
 def _seed_block(mu_e, k, q0, z, max_terms, seeds):
@@ -402,11 +398,7 @@ def _survival_constants(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e):
     ln_ae = math.log(alpha_e) if alpha_e > 0.0 else -math.inf
     ln_am = math.log(alpha_m) if alpha_m > 0.0 else 0.0
     # start the inner sums above the negligible lower Poisson tail of alpha_m
-    l0 = 0
-    if alpha_m > 600.0:
-        l0 = int(alpha_m - 40.0 * math.sqrt(alpha_m) - 30.0)
-        if l0 < 0:
-            l0 = 0
+    l0 = _poisson_start(alpha_m)
     ln_skip_l = -math.inf
     if l0 > 0:
         rho_d = l0 / alpha_m

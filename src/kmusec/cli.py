@@ -142,6 +142,12 @@ def _add_series_args(p):
     p.add_argument("--max-terms", type=int, default=10000)
 
 
+def _add_single_args(p):
+    p.add_argument("--mc-n", type=int, default=1_000_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
 def _control(args):
     return SeriesControl(abs_tol=args.abs_tol, max_terms=args.max_terms)
 
@@ -456,9 +462,7 @@ def build_parser():
     _add_series_args(sp)
     sp.add_argument("--method", choices=("auto", "series", "closed", "quadrature", "mc"),
                     default="auto")
-    sp.add_argument("--mc-n", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_single_args(sp)
     sp.set_defaults(func=cmd_spsc)
 
     so = sub.add_parser("sop", help="secure outage probability")
@@ -467,9 +471,7 @@ def build_parser():
     _add_series_args(so)
     so.add_argument("--bound", choices=("exact", "lower"), default="exact")
     so.add_argument("--method", choices=("auto", "mc"), default="auto")
-    so.add_argument("--mc-n", type=int, default=1_000_000)
-    so.add_argument("--seed", type=int, default=0)
-    so.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_single_args(so)
     so.set_defaults(func=cmd_sop)
 
     sw = sub.add_parser("sweep", help="evaluate the metrics over a parameter grid")

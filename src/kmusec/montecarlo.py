@@ -91,17 +91,21 @@ def _count(pair, n, seed, events):
 
 def _outage_events(pair):
     """Events function for (exact, lower-bound) outage at the pair's rate,
-    any rate a ``WiretapPair`` admits: where e^{R_S} times a drawn SNR
+    any rate a ``WiretapPair`` admits. The exact event is gamma_M <=
+    expm1(R_S) + e^{R_S} gamma_E, the threshold ``secrecy.sop_exact_many``
+    integrates, and the lower-bound event gamma_M <= e^{R_S} gamma_E. As
+    expm1(R_S) >= 0 and rounding is monotone, the exact threshold never
+    rounds below the lower-bound one, so the lower-bound event implies the
+    exact one draw by draw; at R_S = 0 both are gamma_M <= gamma_E, the
+    complement of the SPSC event. Where e^{R_S} times a drawn SNR
     overflows, the threshold is infinite and the draw is in outage."""
     ers = math.exp(pair.rate)
+    offset = math.expm1(pair.rate)
 
     def events(gm, ge):
         with np.errstate(over="ignore"):
-            lower = gm <= ers * ge
-            exact = gm <= ers * (1.0 + ge) - 1.0
-        if bool(np.any(lower & ~exact)):
-            raise AssertionError("lower-bound event escaped the exact event")
-        return exact, lower
+            scaled = ers * ge
+            return gm <= offset + scaled, gm <= scaled
     return events
 
 
@@ -115,8 +119,8 @@ def mc_sop_both(pair, n, seed=0):
     """Exact and lower-bound outage estimates on one shared draw stream.
 
     Sharing the stream makes the event inclusion (the lower-bound event
-    implies the exact one for R_S >= 0) hold realization by realization,
-    so the ordering of the two estimates is exact, not statistical.
+    implies the exact one, see ``_outage_events``) hold realization by
+    realization, so the ordering of the two estimates is exact, not statistical.
     """
     return _count(pair, n, seed, _outage_events(pair))
 

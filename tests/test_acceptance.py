@@ -127,8 +127,9 @@ def test_criterion_05_bound_ordering():
                 min_gap = min(min_gap, gap)
     # equality holds analytically at zero rate; allow quadrature noise there
     assert min_gap >= -1e-9
-    # shared-draw MC: the inclusion is checked realization-wise inside
-    # mc_sop_both and the estimates must order exactly
+    # shared-draw MC: the estimates must order exactly; the event inclusion
+    # behind that, draw by draw, is tested in
+    # test_montecarlo.py::TestOutageEvents::test_lower_event_implies_exact
     for rate in (0.0, 0.5, RS_1DB):
         p = pair(4.0, 1.4, 2.0, 2.0, 1.2, 1.0, rate=rate)
         exact, lower = montecarlo.mc_sop_both(p, 400_000, seed=77)

@@ -81,10 +81,20 @@ class TestScalarAgreement:
         assert abs(value - float(mpref.marcum_q(m, alpha, beta))) <= est_error
 
     def test_marcum_large_intensity(self):
-        # Poisson mean 722, summed from l0 > 0 in a scaled frame; the log
-        # prefactors at that size round to about 1e-12 relative
+        # Poisson mean 722, summed from l0 = 0 in a scaled frame (l0 turns
+        # positive only past a mean of about 1,661); the log prefactors at
+        # that size round to about 1e-12 relative
         value, _, _ = pyk.marcum_q_series(2.0, 38.0, 37.0)
         assert value == pytest.approx(float(mpref.marcum_q(2.0, 38.0, 37.0)), rel=1e-11)
+
+    def test_marcum_past_the_poisson_window_edge(self):
+        # Poisson mean 1,700: the sum starts at l0 = 20, and the skipped
+        # lower tail is part of est_error
+        alpha = math.sqrt(3400.0)
+        assert pyk._poisson_start(0.5 * alpha * alpha) == 20
+        for beta in (0.95 * alpha, alpha, 1.05 * alpha):
+            value, _, est_error = pyk.marcum_q_series(1.5, alpha, beta)
+            assert abs(value - float(mpref.marcum_q(1.5, alpha, beta))) <= est_error
 
 
 #: channel pairs as ``survival_series`` arguments (mu_m, mu_e, alpha_m,
@@ -101,7 +111,7 @@ SURVIVAL_CASES = [
     (2.0, 3.0, 0.0, 6.0, 5.0, 9.0),
     (1.0, 1.0, 0.0, 0.0, 1.0 / 3.0, 1.0),
     (1000.0, 2.0, 0.0, 0.0, 1000.0 / 1.5, 2.0),
-    # inner sums from l0 > 0 (alpha_m > 600), and z near 1e-4
+    # inner sums from l0 > 0 (alpha_m past about 1,661), and z near 1e-4
     (5.0, 3.0, 2000.0, 4.0, 90.5, 7.0),
     (1.5, 2.0, 3.0, 2.5, 1e4, 1.0),
 ]
@@ -145,7 +155,7 @@ def _lines_run(functions, call):
 
 def _random_rows(seed, count):
     # larger rate first; Poisson means 0 on either side, up to 2,000 on the
-    # inner side (l0 > 0 above 600), mean-SNR ratios up to 1e4
+    # inner side (l0 > 0 past about 1,661), mean-SNR ratios up to 1e4
     rng = random.Random(seed)
     rows = []
     for _ in range(count):
@@ -207,7 +217,7 @@ class TestSurvivalMany:
     def test_stop_test_skip_boundary(self, abs_tol):
         # the scalar kernel skips its inner stop test while l + 1 <= alpha_m,
         # the batched one never does: alpha_m on integers and their
-        # neighbours, in (0, 1), 0, and past 600, where the sums start at l0 > 0
+        # neighbours, in (0, 1), 0, and 2,000, where the sums start at l0 = 181
         alphas = [v for a in (1.0, 2.0, 3.0, 27.0, 2000.0)
                   for v in (math.nextafter(a, 0.0), a, math.nextafter(a, math.inf))]
         alphas += [0.25, 0.999, 0.0]
@@ -231,17 +241,31 @@ class TestSurvivalMany:
         assert _outcome(lambda: pyk.survival_series_many(ordinary[:1] + [row] + ordinary[1:])) \
             == expected
 
+    @pytest.mark.parametrize("abs_tol", [1e-12, 1e-14])
+    def test_poisson_window_edge(self, abs_tol):
+        # the inner sums start at l0 = 0 up to alpha_m of about 1,661 and at
+        # l0 = 1 just past it
+        rows = [(mu_m, 1.0, alpha_m, alpha_e, beta_m, 1.0) for alpha_m in (1661.0, 1663.0)
+                for mu_m, alpha_e, beta_m in ((1.0, 2.0, 2491.5), (3.0, 0.0, 1400.0))]
+        assert [pyk._survival_constants(*row)[5] for row in rows] == [0, 0, 1, 1]
+        scalar = [pyk.survival_series(*row, abs_tol) for row in rows]
+        assert pyk.survival_series_many(rows, abs_tol) == scalar
+        assert [pyk.survival_series_many([row], abs_tol)[0] for row in rows] == scalar
+
     def test_renormalization_and_rescale(self):
         # inner sums that outgrow 1e250 in their frame, and whose 2F1
-        # ratio falls below 1e-200; from l = 0 and from l0 > 0
-        rows = [(1.0, 500.0, 590.0, 1.0, 1.0, 1.0), (1.0, 1000.0, 700.0, 1.0, 1.0, 1.0)]
-        scalar, ran = _lines_run([pyk.survival_series], lambda: [
-            pyk.survival_series(*row) for row in rows])
-        assert {"t /= renorm", "e /= gh"} <= ran
-        many, ran = _lines_run([pyk._inner_lockstep],
-                               lambda: pyk.survival_series_many(rows))
-        assert {"log_scale[c] += ln_renorm", "e[low] /= gh[low]"} <= ran
-        assert many == scalar
+        # ratio falls below 1e-200, each row on its own: from l0 = 0 at
+        # Poisson means 590 and 700, and from l0 = 181 at 2,000
+        rows = [(1.0, 500.0, 590.0, 1.0, 1.0, 1.0), (1.0, 1000.0, 700.0, 1.0, 1.0, 1.0),
+                (1.0, 1000.0, 2000.0, 1.0, 1.0, 1.0)]
+        for row in rows:
+            scalar, ran = _lines_run([pyk.survival_series],
+                                     lambda: pyk.survival_series(*row))
+            assert {"t /= renorm", "e /= gh"} <= ran, row
+            many, ran = _lines_run([pyk._inner_lockstep],
+                                   lambda: pyk.survival_series_many([row]))
+            assert {"log_scale[c] += ln_renorm", "e[low] /= gh[low]"} <= ran, row
+            assert many == [scalar]
 
     def test_scalar_fallbacks(self, monkeypatch):
         # the run of small terms ends four columns past the first whose

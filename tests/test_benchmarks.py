@@ -93,6 +93,33 @@ def test_bench_sweep_split_runs():
         assert 0 <= part["scalar_rows"] <= part["rows"]
 
 
+def _bytecode(*dirs):
+    """Every file under a ``__pycache__`` in ``dirs``, with its mtime."""
+    return {(os.path.join(top, name), os.stat(os.path.join(top, name)).st_mtime_ns)
+            for d in dirs for top, _, names in os.walk(d) if "__pycache__" in top
+            for name in names}
+
+
+def test_bench_cli_runs():
+    # one command, one repetition, this checkout against itself; the
+    # script compiles bytecode only in its temporary copies
+    dirs = [os.path.join(ROOT, "src"), BENCHMARKS]
+    before = _bytecode(*dirs)
+    out = run_script("bench_cli.py", "--reps", "1", "--command", "spsc", "--against", ROOT)
+    assert _bytecode(*dirs) == before
+    assert list(out) == ["spsc"]
+    assert out["spsc"]["argv"] == "spsc --preset fig2-rice"
+    for side in ("this", "against"):
+        fig = out["spsc"][side]
+        assert set(fig) == {"wall_min_ms", "wall_median_ms", "main_min_ms", "main_median_ms",
+                            "numpy_import_ms", "kmusec_import_ms", "scipy_import_ms",
+                            "kmusec_import_cached_ms", "kmusec_compile_share"}
+        assert 0.0 < fig["main_min_ms"] <= fig["main_median_ms"] < fig["wall_min_ms"]
+        assert fig["numpy_import_ms"] > 0.0 and fig["kmusec_import_ms"] > 0.0
+        assert fig["scipy_import_ms"] == 0.0  # spsc imports no scipy
+        assert fig["kmusec_compile_share"] < 1.0
+
+
 def test_bench_fit_runs():
     out = run_script("bench_fit.py", "--reps", "1")
     assert list(out) == ["d2d", "ban", "v2v", "total"]

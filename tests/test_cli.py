@@ -243,6 +243,34 @@ def test_overflowed_series_term_exit_3(capsys, argv):
     assert "survival series cannot be evaluated in double precision" in err
 
 
+_SMALL_MU = ("--km", "0", "--um", "0.05", "--ke", "0", "--ue", "0.05")
+
+
+def test_small_mu_monte_carlo_exit_0():
+    # with mu 0.05 on both links many drawn SNRs are tiny: the exact outage
+    # threshold e^R (1 + gamma_E) - 1 rounded such a gamma_E to 0 at rate 0,
+    # and a runtime check of the lower bound's inclusion in the exact event
+    # then ended both commands with a traceback (exit 1)
+    proc = _cli_subprocess(("sop", *_SMALL_MU, "--method", "mc", "--mc-n", "100000"),
+                           timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    assert (rec["metric"], rec["method"], rec["terms_k"]) == ("sop_exact", "monte_carlo",
+                                                               100_000)
+    assert 0.0 < rec["value"] < 1.0
+    proc = _cli_subprocess(("sweep", *_SMALL_MU, "--variable", "rate", "--start", "0",
+                            "--stop", "1", "--steps", "2", "--with-mc", "10000"), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert [float(row["value"]) for row in rows] == [0.0, 1.0]
+    at_zero = {key: float(value) for key, value in rows[0].items() if key != "variable"}
+    # at rate 0 the exact and the lower-bound event are the complement of the
+    # SPSC event on the same draws
+    assert at_zero["mc_sop_exact"] == at_zero["mc_sop_lower"]
+    assert at_zero["mc_sop_exact"] + at_zero["mc_spsc"] == pytest.approx(1.0, abs=1e-12)
+    assert float(rows[1]["mc_sop_lower"]) <= float(rows[1]["mc_sop_exact"])
+
+
 @pytest.mark.parametrize("argv", [
     ("--gbar-e-linear", "1e-320", "--method", "closed"),
     ("--gbar-m-linear", "1e308", "--gbar-e-linear", "1e-308"),

@@ -150,6 +150,40 @@ class TestSharedDraws:
         assert abs(lower.estimate - ref) <= 3.0 * lower.std_error
 
 
+#: gamma laws with mu 0.1 or less on both links, where many drawn SNRs
+#: are tiny, and one kappa 1 pair
+SMALL_MU_PAIRS = [(0.0, 0.02, 1.0, 0.0, 0.02, 1.0), (0.0, 0.05, 1.0, 0.0, 0.05, 1.0),
+                  (0.0, 0.1, 1.0, 0.0, 0.1, 1.0), (0.0, 0.02, 3.0, 0.0, 0.1, 1.0),
+                  (1.0, 0.05, 1.0, 1.0, 0.05, 1.0)]
+
+
+class TestOutageEvents:
+    """The exact outage event's threshold is expm1(R_S) + e^{R_S} gamma_E,
+    as the quadrature forms it: it never rounds below the lower bound's
+    e^{R_S} gamma_E, and at rate 0 it is gamma_E itself. The threshold
+    e^{R_S} (1 + gamma_E) - 1 rounded a tiny gamma_E to 0 at rate 0, so
+    the lower-bound event escaped the exact one on such draws."""
+
+    @pytest.mark.parametrize("channels", SMALL_MU_PAIRS)
+    def test_rate_zero_exact_is_spsc_complement(self, channels):
+        n = 200_000
+        spsc, exact, lower = montecarlo.mc_all(pair(*channels), n, seed=50)
+        assert round(spsc.estimate * n) + round(exact.estimate * n) == n
+        assert exact == lower
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 700.0])
+    @pytest.mark.parametrize("channels", SMALL_MU_PAIRS)
+    def test_lower_event_implies_exact(self, channels, rate):
+        p = pair(*channels, rate=rate)
+        events = montecarlo._outage_events(p)
+        for i in range(2):
+            rng = np.random.Generator(np.random.Philox(key=51).jumped(i))
+            gm = _sample_snr_with(rng, p.main, 100_000)
+            ge = _sample_snr_with(rng, p.eve, 100_000)
+            exact, lower = events(gm, ge)
+            assert lower.any() and not (lower & ~exact).any()
+
+
 class TestConvergence:
     def test_doubling_n_halves_std_error(self):
         p = pair(2.0, 1.5, 2.0, 1.0, 0.8, 1.0)
