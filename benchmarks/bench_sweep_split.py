@@ -6,8 +6,8 @@ For each figure sweep of the figure_curves benchmark workload (the six
 presets over ``gamma_bar_m_db`` from -10 to 30 dB, and the ``fig4`` rate
 sweep from 0 to 2.5 nats at 10 dB), the pairs are built as ``cli.cmd_sweep``
 builds them, then the sweep's survival series are timed two ways: one
-``secrecy._survival`` call (the scalar kernel) per distinct (main, eve,
-rate scale), as ``series_many`` summed them before it batched them
+``secrecy._survivals`` call on one key (the scalar kernel) per distinct
+(main, eve, rate scale), as ``series_many`` summed them before it batched them
 (``per_key_ms``), and ``series_many`` itself, one ``survival_series_many``
 call (``series_many_ms``); the two must give equal results. The sweep's
 exact SOPs (``sop_exact_many``) are timed too. The two series paths run in
@@ -43,14 +43,14 @@ def sweep_pairs(preset, variable, start, stop, gbar_m_db, steps=41):
 
 
 def per_key(pairs, ctl):
-    """``series_many(pairs, ctl)`` with one scalar ``_survival`` call per
-    distinct (main, eve, rate scale)."""
+    """``series_many(pairs, ctl)`` with one one-key ``_survivals`` call,
+    which sums by the scalar kernel, per distinct (main, eve, rate scale)."""
     survivals = {}
 
     def series(pair, scale, side):
         key = (pair.main, pair.eve, scale)
         if key not in survivals:
-            survivals[key] = secrecy._survival(pair, scale, ctl)
+            (survivals[key],) = secrecy._survivals([key], ctl)
         return secrecy._series_result(survivals[key], side)
 
     return [(series(pair, 1.0, 0), series(pair, math.exp(pair.rate), 1))

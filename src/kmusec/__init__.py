@@ -8,7 +8,7 @@ from kmusec._backend import backend_name
 from kmusec.errors import ConvergenceError, QuadratureError
 from kmusec.fading import (ClusterSpec, KappaMuParams, envelope_pdf,
                            make_special_case, sample_snr, snr_cdf, snr_pdf)
-from kmusec.montecarlo import McEstimate, mc_all, mc_sop_both, mc_spsc
+from kmusec.montecarlo import McEstimate, mc_all, mc_many, mc_sop_both, mc_spsc
 from kmusec.secrecy import (EvalResult, WiretapPair, secrecy_capacity,
                             series_many, sop_exact, sop_exact_many, sop_lower,
                             spsc_closed_form,
@@ -42,6 +42,7 @@ __all__ = [
     "marcum_q_detail",
     "marcum_q_reference",
     "mc_all",
+    "mc_many",
     "mc_sop_both",
     "mc_spsc",
     "sample_snr",

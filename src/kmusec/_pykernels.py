@@ -440,7 +440,7 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
     fills the rest downward, each step adding positive terms (upward it
     would cancel by about 1/z per step). The Gauss series needs z <= 1/2,
     so the channel with the larger rate goes first (beta_m >= beta_e, as
-    ``secrecy._survival`` orders them); the other order raises
+    ``secrecy._survival_row`` orders them); the other order raises
     ``ValueError``. Each inner sum runs in a log-scaled frame
     (terms relative to the starting term, renormalized on growth), so the
     l range near the Poisson mode of alpha_m stays reachable even when

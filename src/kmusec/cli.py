@@ -148,6 +148,14 @@ def _add_single_args(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+def _mc_jobs(pairs, n, seed, flag):
+    """Monte Carlo jobs, point i drawing from seed + i; refused before any
+    other work where n (named by ``flag``) or a seed is out of range."""
+    montecarlo._check_n(n, flag)
+    montecarlo.check_seeds(seed, len(pairs))
+    return [(pair, n, seed + i) for i, pair in enumerate(pairs)]
+
+
 def _control(args):
     return SeriesControl(abs_tol=args.abs_tol, max_terms=args.max_terms)
 
@@ -295,22 +303,16 @@ def cmd_sweep(args):
         header += ["mc_spsc", "mc_spsc_se", "mc_sop_exact", "mc_sop_exact_se",
                    "mc_sop_lower", "mc_sop_lower_se"]
     grid = spec.grid()
-    if args.with_mc:
-        # point i draws from seed + i
-        montecarlo.check_seeds(args.seed, len(grid))
     pairs = [spec.pair_at(value) for value in grid]
+    jobs = _mc_jobs(pairs, args.with_mc, args.seed, "--with-mc") if args.with_mc else []
     series = secrecy.series_many(pairs, ctl)
     spsc_vals = [spsc.value for spsc, _ in series]
     sopl_vals = [sopl.value for _, sopl in series]
     sop_vals = [r.value for r in secrecy.sop_exact_many(pairs)]
-    rows = []
-    for i, (value, pair) in enumerate(zip(grid, pairs)):
-        row = [args.variable, repr(float(value)), repr(spsc_vals[i]),
-               repr(sop_vals[i]), repr(sopl_vals[i])]
-        if args.with_mc:
-            for mc in montecarlo.mc_all(pair, args.with_mc, args.seed + i):
-                row += [repr(mc.estimate), repr(mc.std_error)]
-        rows.append(row)
+    mcs = montecarlo.mc_many(jobs) if jobs else [()] * len(pairs)
+    rows = [[args.variable, repr(float(value)), repr(spsc), repr(sop), repr(sopl),
+             *(repr(x) for est in ests for x in (est.estimate, est.std_error))]
+            for value, spsc, sop, sopl, ests in zip(grid, spsc_vals, sop_vals, sopl_vals, mcs)]
 
     problems = []
     if args.assert_monotone:
@@ -375,18 +377,18 @@ def cmd_validate(args):
 
     pairs = [WiretapPair(KappaMuParams(km, float(um), b), KappaMuParams(ke, float(ue), 1.0))
              for km, um, ke, ue, b in integer_cfgs + nonint_cfgs]
-    # pair idx draws from seed + idx
-    montecarlo.check_seeds(args.seed, len(pairs))
+    jobs = _mc_jobs(pairs, args.mc_n, args.seed, "--mc-n")
     rated = [WiretapPair(pair.main, pair.eve, rate) for pair in pairs for rate in rates]
     # every exact SOP and series, rate 0 first, each in one batch
     sop_x = [r.value for r in secrecy.sop_exact_many(pairs + rated)]
     series = secrecy.series_many(pairs + rated, ctl)
     min_gap = min(x - sop_l.value for x, (_, sop_l) in zip(sop_x, series))
+    mcs = montecarlo.mc_many(jobs)
     max_closed = 0.0
     max_mc = -math.inf
     max_quad = 0.0
     max_comp = 0.0
-    for idx, pair in enumerate(pairs):
+    for idx, (pair, (mc, _, _)) in enumerate(zip(pairs, mcs)):
         s, sop_l = (r.value for r in series[idx])
         if args.self_test_break:
             s += 1e-6
@@ -394,7 +396,6 @@ def cmd_validate(args):
             c = secrecy.spsc_closed_form(pair).value
             max_closed = max(max_closed, abs(s - c))
         max_quad = max(max_quad, abs(s - (1.0 - sop_x[idx])))
-        mc = montecarlo.mc_spsc(pair, args.mc_n, args.seed + idx)
         max_mc = max(max_mc, abs(s - mc.estimate) - 3.0 * mc.std_error)
         max_comp = max(max_comp, abs(sop_l + s - 1.0))
 

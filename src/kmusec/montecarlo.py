@@ -1,21 +1,21 @@
 """Empirical oracle: simulate wiretap SNR pairs and estimate the
 secrecy metrics with binomial confidence intervals.
 
-The n draws are split into chunks of ``_CHUNK`` pairs; the last one may
-be shorter. Chunk i draws from the counter-based Philox generator keyed
-by the caller's seed and jumped i times (i * 2^128 draws), so chunk 0 is
-the seed's own stream and any n <= ``_CHUNK`` draws exactly that stream.
-Within a chunk the draw order is fixed: main Poisson, main gamma,
-eavesdropper Poisson, eavesdropper gamma. Chunks run in parallel on the
-usable cores and each returns integer event counts, which are summed, so
-every estimate is bit-reproducible for a fixed (pair, n, seed) within
-one build, whatever the number of workers or the order chunks finish in.
-
-Each worker holds one chunk's draws and event arrays at a time, up to
-about 8 MiB, so peak memory grows by about 8 MiB per usable core (one per
-chunk when there are fewer chunks than cores).
+``mc_many`` gives each (pair, n, seed) job of a batch its SPSC, exact
+and lower-bound outage estimates from one draw stream; ``mc_all``,
+``mc_spsc`` and ``mc_sop_both`` are its one-job calls. A job's draws come
+in chunks of ``_CHUNK`` pairs (the last may be shorter): chunk i draws,
+in the order main Poisson, main gamma, eavesdropper Poisson, eavesdropper
+gamma, from the Philox generator keyed by the job's seed and jumped i
+times (i * 2^128 draws), so any n <= ``_CHUNK`` draws the seed's own
+stream. The chunks of all jobs run on one thread pool, one worker per
+usable core (or per chunk, if fewer), and their integer event counts are
+summed per job, so every estimate is bit-reproducible for a fixed (pair,
+n, seed) within one build, whatever the batch, the worker count or the
+order chunks finish in. A worker holds one chunk's draws and events at a
+time, about 10 MiB, so peak memory grows by about 10 MiB per worker.
 """
-import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -46,12 +46,28 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-def _chunk_counts(pair, seed, events, i, m):
-    """Event counts over the m pairs of chunk i."""
+def _events(pair, gm, ge):
+    """The (SPSC, exact outage, lower-bound outage) events of the drawn
+    SNR pairs, at the pair's rate, any rate a ``WiretapPair`` admits. SPSC
+    is gamma_M > gamma_E. The exact event is gamma_M <= expm1(R_S) +
+    e^{R_S} gamma_E, the threshold ``secrecy.sop_exact_many`` integrates,
+    and the lower-bound event gamma_M <= e^{R_S} gamma_E. As expm1(R_S) >= 0
+    and rounding is monotone, the exact threshold never rounds below the
+    lower-bound one, so the lower-bound event implies the exact one draw by
+    draw; at R_S = 0 both are gamma_M <= gamma_E, the complement of the
+    SPSC event. Where e^{R_S} times a drawn SNR overflows, the threshold is
+    infinite and the draw is in outage."""
+    with np.errstate(over="ignore"):
+        scaled = math.exp(pair.rate) * ge
+        return gm > ge, gm <= math.expm1(pair.rate) + scaled, gm <= scaled
+
+
+def _chunk_counts(pair, seed, i, m):
+    """Event counts over the m pairs of chunk i of the pair's seed."""
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
     gm = _sample_snr_with(rng, pair.main, m)
     ge = _sample_snr_with(rng, pair.eve, m)
-    return [int(np.count_nonzero(e)) for e in events(gm, ge)]
+    return [int(np.count_nonzero(e)) for e in _events(pair, gm, ge)]
 
 
 def _estimate(count, n, seed):
@@ -72,62 +88,49 @@ def check_seeds(seed, count=1):
                          f"at most 2**128 - {count}")
 
 
-def _count(pair, n, seed, events):
-    """Draw n pairs in chunks: ``events(gm, ge)`` returns boolean arrays,
-    and each one's count over all draws becomes an estimate."""
+def _check_n(n, name="n"):
+    """Refuse fewer than 1,000 draws; the message names ``name``."""
     if n < 1000:
-        raise ValueError("n must be at least 1000")
-    check_seeds(seed)
-    sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
-    chunk = functools.partial(_chunk_counts, pair, seed, events)
+        raise ValueError(f"{name} must be at least 1000, got {n}")
+
+
+def mc_many(jobs):
+    """One (SPSC, exact outage, lower-bound outage) ``McEstimate`` triple
+    per (pair, n, seed) job, equal to what the job gets alone. Every job's
+    n and seed are checked before any draw, and the chunks of all jobs run
+    on one thread pool."""
+    jobs = list(jobs)
+    for _, n, seed in jobs:
+        _check_n(n)
+        check_seeds(seed)
+    tasks = [(pair, seed, i, min(_CHUNK, n - start))
+             for pair, n, seed in jobs for i, start in enumerate(range(0, n, _CHUNK))]
+    if not tasks:
+        return []
     # numpy's Poisson and gamma samplers release the GIL; imported here,
     # not at module level, to keep the import off every caller's start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(min(_usable_cores(), len(sizes))) as pool:
-        per_chunk = list(pool.map(chunk, range(len(sizes)), sizes))
-    return tuple(_estimate(sum(c), n, seed) for c in zip(*per_chunk))
-
-
-def _outage_events(pair):
-    """Events function for (exact, lower-bound) outage at the pair's rate,
-    any rate a ``WiretapPair`` admits. The exact event is gamma_M <=
-    expm1(R_S) + e^{R_S} gamma_E, the threshold ``secrecy.sop_exact_many``
-    integrates, and the lower-bound event gamma_M <= e^{R_S} gamma_E. As
-    expm1(R_S) >= 0 and rounding is monotone, the exact threshold never
-    rounds below the lower-bound one, so the lower-bound event implies the
-    exact one draw by draw; at R_S = 0 both are gamma_M <= gamma_E, the
-    complement of the SPSC event. Where e^{R_S} times a drawn SNR
-    overflows, the threshold is infinite and the draw is in outage."""
-    ers = math.exp(pair.rate)
-    offset = math.expm1(pair.rate)
-
-    def events(gm, ge):
-        with np.errstate(over="ignore"):
-            scaled = ers * ge
-            return gm <= offset + scaled, gm <= scaled
-    return events
-
-
-def mc_spsc(pair, n, seed=0):
-    """Fraction of draws with gamma_M > gamma_E."""
-    (spsc,) = _count(pair, n, seed, lambda gm, ge: (gm > ge,))
-    return spsc
-
-
-def mc_sop_both(pair, n, seed=0):
-    """Exact and lower-bound outage estimates on one shared draw stream.
-
-    Sharing the stream makes the event inclusion (the lower-bound event
-    implies the exact one, see ``_outage_events``) hold realization by
-    realization, so the ordering of the two estimates is exact, not statistical.
-    """
-    return _count(pair, n, seed, _outage_events(pair))
+    with ThreadPoolExecutor(min(_usable_cores(), len(tasks))) as pool:
+        per_chunk = iter(pool.map(_chunk_counts, *zip(*tasks)))
+        return [tuple(_estimate(sum(c), n, seed)
+                      for c in zip(*itertools.islice(per_chunk, len(range(0, n, _CHUNK)))))
+                for _, n, seed in jobs]
 
 
 def mc_all(pair, n, seed=0):
-    """SPSC, exact and lower-bound outage estimates from one pass over one
-    draw stream; each equals what ``mc_spsc`` and ``mc_sop_both`` give for
-    the same seed."""
-    outage = _outage_events(pair)
-    return _count(pair, n, seed, lambda gm, ge: (gm > ge,) + outage(gm, ge))
+    """SPSC, exact and lower-bound outage estimates from one draw stream:
+    ``mc_many([(pair, n, seed)])[0]``."""
+    return mc_many([(pair, n, seed)])[0]
+
+
+def mc_spsc(pair, n, seed=0):
+    """Fraction of draws with gamma_M > gamma_E: ``mc_all``'s first."""
+    return mc_all(pair, n, seed)[0]
+
+
+def mc_sop_both(pair, n, seed=0):
+    """Exact and lower-bound outage estimates, ``mc_all``'s last two. They
+    share one draw stream, so the event inclusion (``_events``) holds draw
+    by draw and their ordering is exact, not statistical."""
+    return mc_all(pair, n, seed)[1:]

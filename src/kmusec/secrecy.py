@@ -145,41 +145,53 @@ def _survival_row(main, eve, rate_scale):
     return (e_shape, m_shape, e_mean, m_mean, e_rate, m_rate), False
 
 
-def _survival_sides(series, main_first):
-    """``((Pr(gamma_M > s gamma_E), Pr(gamma_M <= s gamma_E)), k_terms,
-    l_terms, est_error)`` from the kernel's result for ``_survival_row``'s
-    row: one side is the sum, the other one minus it, and ``est_error``
-    bounds both, the rounding of that difference included."""
-    value, kt, lt, err = series
-    sides = (value, 1.0 - value) if main_first else (1.0 - value, value)
-    # one minus the sum rounds by at most half an ulp of 1, and by at
-    # most the sum itself
-    return sides, kt, lt, err + min(value, 2.0 ** -54)
-
-
-def _survival(pair, rate_scale, ctl):
-    """``_survival_sides`` of one survival series, summed by the scalar
-    kernel."""
-    row, main_first = _survival_row(pair.main, pair.eve, rate_scale)
+def _survivals(keys, ctl=None):
+    """``(kernel result, main_first)`` of each (main, eve, rate scale)
+    key's ``_survival_row``, each distinct series summed once: by
+    ``survival_series`` when there is one, else all in one
+    ``survival_series_many`` call, which costs several times the scalar
+    kernel for a single row."""
+    ctl = ctl or DEFAULT_CONTROL
+    distinct = list(dict.fromkeys(keys))
+    rows, orders, failure = [], [], None
+    for main, eve, scale in distinct:
+        try:
+            row, main_first = _survival_row(main, eve, scale)
+        except PrecisionError as exc:
+            failure = exc  # raised unless an earlier series fails first
+            break
+        rows.append(row)
+        orders.append(main_first)
     try:
-        series = _k.survival_series(*row, ctl.abs_tol, max_terms=ctl.max_terms)
+        if len(rows) == 1:
+            series = [_k.survival_series(*rows[0], ctl.abs_tol, max_terms=ctl.max_terms)]
+        else:
+            series = _k.survival_series_many(rows, ctl.abs_tol, ctl.max_terms) if rows else []
     except (ArithmeticError, ValueError) as exc:
         raise _double_failure("survival series", exc) from exc
-    return _survival_sides(series, main_first)
+    if failure is not None:
+        raise failure
+    summed = dict(zip(distinct, zip(series, orders)))
+    return [summed[key] for key in keys]
 
 
 def _series_result(survival, side):
-    """The ``EvalResult`` of one side (0: upper, 1: lower) of a
-    ``_survival`` evaluation."""
-    sides, kt, lt, err = survival
-    return EvalResult(value=sides[side], terms_k=kt, terms_l=lt, est_error=err,
+    """The ``EvalResult`` of one side of a ``_survivals`` entry: 0 for
+    Pr(gamma_M > s gamma_E), 1 for Pr(gamma_M <= s gamma_E). One side is
+    the kernel's sum, the other one minus it, and ``est_error`` bounds
+    both, the rounding of that difference included."""
+    (value, kt, lt, err), main_first = survival
+    # one minus the sum rounds by at most half an ulp of 1, and by at
+    # most the sum itself
+    return EvalResult(value=value if (side == 0) == main_first else 1.0 - value,
+                      terms_k=kt, terms_l=lt, est_error=err + min(value, 2.0 ** -54),
                       method="series")
 
 
 def spsc_series(pair, ctl=None):
     """Probability of strictly positive secrecy capacity,
     Pr(gamma_M > gamma_E), by the double series (any real mu > 0)."""
-    return _series_result(_survival(pair, 1.0, ctl or DEFAULT_CONTROL), 0)
+    return _series_result(*_survivals([(pair.main, pair.eve, 1.0)], ctl), 0)
 
 
 def sop_lower(pair, ctl=None):
@@ -190,40 +202,21 @@ def sop_lower(pair, ctl=None):
     Poisson weights in k), so the bound is the complement of the double
     series taken with beta_M scaled by e^{R_S}.
     """
-    return _series_result(_survival(pair, math.exp(pair.rate), ctl or DEFAULT_CONTROL), 1)
+    return _series_result(*_survivals([(pair.main, pair.eve, math.exp(pair.rate))], ctl), 1)
 
 
 def series_many(pairs, ctl=None):
     """``[(spsc_series(pair, ctl), sop_lower(pair, ctl)) for pair in
     pairs]``, equal bit for bit, summing the survival series once per
-    distinct (main, eve, rate scale) of the batch, all of them in one
-    ``survival_series_many`` call. SPSC is the upper side at scale 1 and
-    SOP^L the lower side at scale e^{R_S}, so at rate 0 both come from one
-    series, and SPSC is summed once for all rates of a channel pair. A
-    failing batch raises what the first failing series would raise
-    alone."""
-    ctl = ctl or DEFAULT_CONTROL
-    wanted = [((pair.main, pair.eve, 1.0), (pair.main, pair.eve, math.exp(pair.rate)))
-              for pair in pairs]
-    keys = list(dict.fromkeys(key for both in wanted for key in both))
-    rows, orders, failure = [], [], None
-    for main, eve, scale in keys:
-        try:
-            row, main_first = _survival_row(main, eve, scale)
-        except PrecisionError as exc:
-            failure = exc  # raised unless an earlier series fails first
-            break
-        rows.append(row)
-        orders.append(main_first)
-    try:
-        series = _k.survival_series_many(rows, ctl.abs_tol, ctl.max_terms) if rows else []
-    except (ArithmeticError, ValueError) as exc:
-        raise _double_failure("survival series", exc) from exc
-    if failure is not None:
-        raise failure
-    survivals = dict(zip(keys, map(_survival_sides, series, orders)))
-    return [(_series_result(survivals[upper], 0), _series_result(survivals[lower], 1))
-            for upper, lower in wanted]
+    distinct (main, eve, rate scale) of the batch (``_survivals``). SPSC is
+    the upper side at scale 1 and SOP^L the lower side at scale e^{R_S}, so
+    at rate 0 both come from one series, and SPSC is summed once for all
+    rates of a channel pair. A failing batch raises what the first failing
+    series would raise alone."""
+    survivals = iter(_survivals([key for pair in pairs for key in (
+        (pair.main, pair.eve, 1.0), (pair.main, pair.eve, math.exp(pair.rate)))], ctl))
+    return [(_series_result(upper, 0), _series_result(lower, 1))
+            for upper, lower in zip(survivals, survivals)]
 
 
 def _gauss_kronrod_21():

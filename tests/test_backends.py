@@ -122,7 +122,7 @@ class TestSurvivalAgreement:
     def test_value_and_counts(self, args):
         mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e = args
         if beta_m < beta_e:
-            # the larger rate first, as secrecy._survival orders the channels
+            # the larger rate first, as secrecy._survival_row orders the channels
             args = (mu_e, mu_m, alpha_e, alpha_m, beta_e, beta_m)
         value, _, _, est_error = pyk.survival_series(*args)
         assert abs(value - mpref.survival(*args)) <= est_error

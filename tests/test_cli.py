@@ -552,6 +552,22 @@ def test_seed_span_beyond_range_exit_2(capsys, survival_calls, argv, seed, count
     assert code == 0, err
 
 
+@pytest.mark.parametrize("argv,flag,n", [
+    (("sweep", "--preset", "fig4", "--variable", "gamma_bar_m_db", "--start", "-10",
+      "--stop", "30", "--steps", "41", "--with-mc", "500"), "--with-mc", 500),
+    (("sweep", "--preset", "d2d", "--variable", "rate", "--start", "0",
+      "--stop", "1", "--steps", "2", "--with-mc", "-1000"), "--with-mc", -1000),
+    (("validate", "--grid", "small", "--mc-n", "999"), "--mc-n", 999)])
+def test_mc_n_below_minimum_exit_2(capsys, monkeypatch, survival_calls, argv, flag, n):
+    # refused before any series or quadrature work, naming the flag
+    quadratures = []
+    monkeypatch.setattr(secrecy, "sop_exact_many", quadratures.append)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{flag} must be at least 1000, got {n}" in err
+    assert survival_calls == quadratures == []
+
+
 class TestSharedSeries:
     """SPSC and SOP^L at rate 0 are the two sides of one survival series,
     and SPSC does not depend on the rate, so each distinct survival

@@ -58,6 +58,17 @@ class TestParallelChunks:
             results.append(fn(self.PAIR, self.N, seed=40))
         assert results[0] == results[1] == results[2]
 
+    def test_worker_count_invisible_in_batch(self, monkeypatch):
+        # several chunks and one, at rates 0, 0.3 and 700 nats, in one pool:
+        # each job's triple is the one it gets alone
+        jobs = [(pair(1.07, 0.91, 2.0, 1.11, 0.92, 1.0, rate=0.0), self.N, 44),
+                (self.PAIR, 50_000, 45),
+                (pair(1.07, 0.91, 2.0, 1.11, 0.92, 1.0, rate=700.0), self.N, 46)]
+        alone = [montecarlo.mc_all(*job) for job in jobs]
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cores", lambda: workers)
+            assert montecarlo.mc_many(jobs) == alone
+
     def test_one_chunk_is_the_seed_stream(self):
         n = montecarlo._CHUNK
         rng = np.random.Generator(np.random.Philox(key=41))
@@ -71,11 +82,12 @@ class TestParallelChunks:
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
         threads = set()
 
-        def events(gm, ge):
+        def events(pair, gm, ge):
             threads.add(threading.current_thread())
             raise AssertionError("raised in a worker")
+        monkeypatch.setattr(montecarlo, "_events", events)
         with pytest.raises(AssertionError, match="raised in a worker"):
-            montecarlo._count(self.PAIR, self.N, 43, events)
+            montecarlo.mc_all(self.PAIR, self.N, 43)
         assert threads and threading.main_thread() not in threads
 
 
@@ -175,12 +187,11 @@ class TestOutageEvents:
     @pytest.mark.parametrize("channels", SMALL_MU_PAIRS)
     def test_lower_event_implies_exact(self, channels, rate):
         p = pair(*channels, rate=rate)
-        events = montecarlo._outage_events(p)
         for i in range(2):
             rng = np.random.Generator(np.random.Philox(key=51).jumped(i))
             gm = _sample_snr_with(rng, p.main, 100_000)
             ge = _sample_snr_with(rng, p.eve, 100_000)
-            exact, lower = events(gm, ge)
+            _, exact, lower = montecarlo._events(p, gm, ge)
             assert lower.any() and not (lower & ~exact).any()
 
 
@@ -197,6 +208,17 @@ class TestConvergence:
             montecarlo.mc_spsc(pair(1, 1, 1, 1, 1, 1), 999, seed=0)
         with pytest.raises(ValueError):
             montecarlo.mc_sop_both(pair(1, 1, 1, 1, 1, 1), 10, seed=0)
+
+    @pytest.mark.parametrize("bad,match", [((999, 1), "n must be at least 1000"),
+                                           ((1000, -1), "seed must be in")])
+    def test_batch_checked_before_any_draw(self, monkeypatch, bad, match):
+        draws = []
+        monkeypatch.setattr(montecarlo, "_sample_snr_with", lambda *args: draws.append(args))
+        jobs = [(pair(1, 1, 1, 1, 1, 1), 1000, 0), (pair(1, 1, 1, 1, 1, 1), *bad)]
+        with pytest.raises(ValueError, match=match):
+            montecarlo.mc_many(jobs)
+        assert draws == []
+        assert montecarlo.mc_many([]) == []
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 128])
     def test_seed_range(self, seed):

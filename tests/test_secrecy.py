@@ -21,7 +21,7 @@ from kmusec.secrecy import (ClosedFormParams, EvalResult, QuadSpec,
                             sop_exact, sop_lower, spsc_closed_form,
                             spsc_rayleigh_reference, spsc_rice_reference,
                             spsc_series)
-from kmusec.specfun import DEFAULT_CONTROL, SeriesControl
+from kmusec.specfun import SeriesControl
 
 import mpref
 
@@ -278,10 +278,11 @@ class TestSopLower:
             with pytest.raises(PrecisionError):
                 sop_lower(p)
             return
-        sides, _, _, _ = secrecy._survival(p, math.exp(rate), DEFAULT_CONTROL)
-        assert sop_lower(p).value == sides[1]
+        (survival,) = secrecy._survivals([(p.main, p.eve, math.exp(rate))])
+        upper, lower = (secrecy._series_result(survival, side).value for side in (0, 1))
+        assert sop_lower(p).value == lower
         ref = mpref.gamma_escape(mu_m, mu_e, 1.0, 1.0, rate)
-        assert float(abs(sides[0] - ref) / ref) <= 1e-12
+        assert float(abs(upper - ref) / ref) <= 1e-12
 
 
 class TestSeriesMany:
@@ -320,6 +321,27 @@ class TestSeriesMany:
     def test_empty(self, survival_calls):
         assert series_many([]) == []
         assert survival_calls == []
+
+    def test_one_series_takes_the_scalar_kernel(self, monkeypatch):
+        # a batch of one distinct series, and each single-pair call, sums
+        # it with survival_series: the lockstep costs several times more
+        # for a single row
+        scalar_calls, many_calls = [], []
+        scalar, many = secrecy._k.survival_series, secrecy._k.survival_series_many
+        monkeypatch.setattr(secrecy._k, "survival_series", lambda *args, **kwargs: (
+            scalar_calls.append(args) or scalar(*args, **kwargs)))
+        monkeypatch.setattr(secrecy._k, "survival_series_many", lambda *args, **kwargs: (
+            many_calls.append(args) or many(*args, **kwargs)))
+        at_rate_0 = pair(4.0, 1.4, 2.0, 2.0, 1.2, 1.0)
+        rated = pair(4.0, 1.4, 2.0, 2.0, 1.2, 1.0, rate=RS_1DB)
+        for call in (lambda: series_many([at_rate_0, at_rate_0]),
+                     lambda: spsc_series(rated), lambda: sop_lower(rated)):
+            scalar_calls.clear()
+            call()
+            assert len(scalar_calls) == 1
+        assert many_calls == []
+        assert series_many([rated]) == [(spsc_series(rated), sop_lower(rated))]
+        assert len(many_calls) == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("huge_at", [0, 1, 3])
