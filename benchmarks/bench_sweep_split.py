@@ -14,9 +14,10 @@ exact SOPs (``sop_exact_many``) are timed too. The two series paths run in
 alternating repetitions, which of them goes first alternating as well;
 each figure is the median over ``--reps`` timed repetitions, after one
 untimed warm-up, in ms, printed as JSON. One more untimed ``series_many``
-call counts the sweep's series (``rows``) and those of them that
+call counts the sweep's series (``rows``) and the rows that
 ``survival_series_many`` hands to the scalar ``survival_series``
-(``scalar_rows``).
+(``scalar_rows``), which it does only for a whole batch its lockstep
+pass cannot carry.
 """
 import argparse
 import json

@@ -5,13 +5,14 @@ and the scalar special functions behind ``kmusec.specfun``. Everything
 here is free of module state, so concurrent use is safe, and everything
 is scalar except ``survival_series_many``, which sums the survival
 series of many rows at once in one numpy pass and returns, bit for bit,
-what ``survival_series`` returns for each. A row whose outer stop lies
-past the columns that pass gave it is summed by ``survival_series``, and
-so is the whole batch, row by row, where the pass cannot carry it (an
+what ``survival_series`` returns for each. Both stop the outer sum on
+its Poisson tail alone (``_outer_stop``), so the pass gives each row
+exactly its outer terms; a whole batch the pass cannot carry (an
 exception, a term cap, a term whose log is +inf or NaN, which the scalar
-kernel refuses). ``secrecy.series_many`` (a sweep's or a
-validation's series) calls it; single pairs stay on the scalar kernel,
-which is also the reference the batched one is tested against.
+kernel refuses) is summed by ``survival_series``, row by row.
+``secrecy.series_many`` (a sweep's or a validation's series) calls it;
+single pairs stay on the scalar kernel, which is also the reference the
+batched one is tested against.
 
 Conventions used throughout:
 
@@ -453,9 +454,14 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
     seed past the double range, from a shape or Poisson mean of about a
     thousand on the larger-rate side) raises ``OverflowError``.
 
+    The outer sum stops past the Poisson mode of alpha_e, once the
+    Poisson(alpha_e) mass after the last term is bounded below abs_tol/2
+    (each outer term is at most its Poisson weight in k), whatever the
+    inner sums are; ``_outer_stop`` finds the same stop from alpha_e alone.
+
     Returns ``(value, k_terms, l_terms_max, est_error)``; ``est_error``
     adds the geometric bound of every truncated inner sum and of the
-    outer tail (each outer term is at most its Poisson weight in k), and
+    outer tail, and
     for rounding 8 eps times each outer term times the sum of the
     magnitudes of its log's addends and the count of its inner terms
     (the log's absolute error is relative in the term, and each inner
@@ -478,7 +484,6 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
     total = 0.0
     est_error = 0.0
     l_max = 0
-    small_run = 0  # consecutive outer terms below abs_tol / 10
     seeds = [0.0] * 32
     k = 0
     while True:
@@ -569,14 +574,12 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
             l_max = l
         total += inner
 
-        # outer stopping: past the Poisson mode the remaining outer mass is
-        # bounded by the Poisson tail in k; a run of small terms is also
-        # required so that a non-monotone start cannot exit early
-        small_run = small_run + 1 if inner < abs_tol / 10.0 else 0
+        # outer stopping: every later outer term is at most its Poisson
+        # weight in k, so the rest is at most the Poisson mass after k,
+        # bounded as in _outer_stop, which forms the same expression
         k += 1
-        if k > alpha_e and small_run >= 3:
-            rho_k = alpha_e / (k + 1.0)
-            w_tail = exp(log_wk) * rho_k / (1.0 - rho_k)
+        if k > alpha_e:
+            w_tail = exp(log_wk) * (alpha_e / k) / (1.0 - alpha_e / (k + 1.0))
             if w_tail < 0.5 * abs_tol:
                 est_error += w_tail
                 break
@@ -586,38 +589,25 @@ def survival_series(mu_m, mu_e, alpha_m, alpha_e, beta_m, beta_e,
     return min(total, 1.0), k, l_max, est_error
 
 
-def _outer_tail(alpha_e, ln_ae, k):
-    # the Poisson tail that survival_series' outer stop weighs after outer
-    # term k: the term's log weight, formed as the kernel forms it, times
-    # rho/(1-rho)
-    log_wk = -alpha_e - math.lgamma(k + 1.0)
-    if k > 0:
-        log_wk += k * ln_ae
-    rho_k = alpha_e / (k + 2.0)
-    return math.exp(log_wk) * rho_k / (1.0 - rho_k)
-
-
-def _first_tail_pass(alpha_e, ln_ae, abs_tol, max_terms):
-    # a k <= max_terms past alpha_e - 1 whose Poisson tail passes the outer
-    # stop and whose predecessor's does not (the first such k while the
-    # tail falls), found by doubling and bisection; None if there is none
-    lo = max(0, math.floor(alpha_e)) - 1  # the tail after lo is not tested
-    if lo >= max_terms:
-        return None
-    step = 1
-    hi = lo + 1
-    while not _outer_tail(alpha_e, ln_ae, hi) < 0.5 * abs_tol:
-        if hi >= max_terms:
-            return None
-        lo, step = hi, 2 * step
-        hi = min(lo + step, max_terms)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _outer_tail(alpha_e, ln_ae, mid) < 0.5 * abs_tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _outer_stop(alpha_e, ln_ae, abs_tol, max_terms):
+    # survival_series' outer stop, which depends on alpha_e alone: the
+    # count of outer terms it sums and the Poisson tail it weighs after the
+    # last, w_k (alpha_e/(k+1)) / (1 - alpha_e/(k+2)) (the first omitted
+    # weight times a geometric series in the ratio bound alpha_e/(k+2)),
+    # each log weight formed as the kernel forms it
+    k = 0
+    while True:
+        log_wk = -alpha_e - math.lgamma(k + 1.0)
+        if k > 0:
+            log_wk += k * ln_ae
+        k += 1
+        if k > alpha_e:
+            w_tail = math.exp(log_wk) * (alpha_e / k) / (1.0 - alpha_e / (k + 1.0))
+            if w_tail < 0.5 * abs_tol:
+                return k, w_tail
+        if k > max_terms:
+            raise ConvergenceError(
+                f"outer series hit the {max_terms}-term cap before abs_tol")
 
 
 def _mapped(fn, values):
@@ -640,46 +630,44 @@ def survival_series_many(rows, abs_tol=1e-12, max_terms=10000):
 
     A row holds the six channel arguments of ``survival_series``, the
     larger rate first; a change to that kernel's recurrence, stop tests or
-    error terms must change this one too. Each (row, k) inner sum is a
-    column here, and all columns of the batch advance over l together as
-    numpy arrays in one pass: each step makes the scalar kernel's float
+    error terms must change this one too. The outer stop depends on
+    alpha_e alone (``_outer_stop``), so each row gets exactly the outer
+    terms the scalar kernel sums. Each (row, k) inner sum is a column
+    here, and all columns of the batch advance over l together as numpy
+    arrays in one pass: each step makes the scalar kernel's float
     operations in its order, every lgamma, log and exp is ``math``'s,
     mapped over the elements, and the outer sums are taken left to right
-    (``np.cumsum``), so each row's result is the scalar one. The outer
-    stop depends on the inner sums only through its run of small terms:
-    a row gets the columns up to one past the first k whose Poisson tail
-    passes, and most rows stop at that k or the next. A row whose stop
-    lies past its columns is summed by ``survival_series`` itself. So is
-    the whole batch, row by row, where the lockstep cannot carry it: a
-    constant, seed or ``math`` call raised, a term's log is +inf or NaN,
-    an outer or inner sum would pass its term cap, or an l would pass
-    2^53. Then a batch raises its first failing row's error. A batch of
-    one costs several times the scalar kernel, which is what single pairs
-    use.
+    (``np.cumsum``), so each row's result is the scalar one. Where the
+    lockstep cannot carry the batch (a constant, seed or ``math`` call
+    raised, a term's log is +inf or NaN, an outer or inner sum would pass
+    its term cap, or an l would pass 2^53), the whole batch is summed by
+    ``survival_series``, row by row, and raises its first failing row's
+    error. A batch of one costs several times the scalar kernel, which is
+    what single pairs use.
     """
     rows = [tuple(row) for row in rows]
     try:
-        results = _survival_lockstep(rows, abs_tol, max_terms)
+        return _survival_lockstep(rows, abs_tol, max_terms)
     except (ArithmeticError, ValueError, ConvergenceError):
-        results = [None] * len(rows)
-    return [survival_series(*args, abs_tol, max_terms=max_terms) if result is None
-            else result for args, result in zip(rows, results)]
+        return [survival_series(*args, abs_tol, max_terms=max_terms) for args in rows]
 
 
 def _survival_lockstep(rows, abs_tol, max_terms):
-    # survival_series_many's one pass: each row's result, or None where its
-    # outer stop lies past its columns; raises where it cannot carry a row
+    # survival_series_many's one pass: each row's result; raises where it
+    # cannot carry a row
     if not rows:
         return []
-    consts, counts, seeds = [], [], []
+    consts, counts, tails, seeds = [], [], [], []
+    stops = {}  # _outer_stop of each distinct alpha_e
     for args in rows:
         (z, ln_z, ln_1mz, one_mz, ln_ae, l0, ln_l0, ln_skip_l, q0, lg_q0,
          mag0, mag_z, mag_1mz) = _survival_constants(*args)
         mu_m, mu_e, alpha_m, alpha_e = args[:4]
-        first = _first_tail_pass(alpha_e, ln_ae, abs_tol, max_terms)
-        if first is None or l0 + max_terms + 2 >= 2 ** 53:
-            raise ConvergenceError("the outer stop or l is out of the lockstep's reach")
-        count = min(max(first, 2) + 2, max_terms + 1)
+        if l0 + max_terms + 2 >= 2 ** 53:
+            raise ConvergenceError("l is out of the lockstep's reach")
+        if alpha_e not in stops:
+            stops[alpha_e] = _outer_stop(alpha_e, ln_ae, abs_tol, max_terms)
+        count, w_tail = stops[alpha_e]
         block = [0.0] * 32
         for k in range(0, count, 32):
             _seed_block(mu_e, k, q0, z, max_terms, block)
@@ -687,9 +675,11 @@ def _survival_lockstep(rows, abs_tol, max_terms):
         consts.append((mu_m, mu_e, alpha_m, alpha_e, one_mz, ln_z, ln_1mz, ln_ae, l0,
                        ln_l0, ln_skip_l, q0, lg_q0, mag0, mag_z, mag_1mz))
         counts.append(count)
+        tails.append(w_tail)
     # each column is outer term kc of row r
+    starts = np.cumsum(counts) - counts
     r = np.repeat(np.arange(len(rows)), counts)
-    kc = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    kc = np.arange(r.size) - np.repeat(starts, counts)
     consts = np.array(consts)
     (mu_m, mu_e, alpha_m, alpha_e, one_mz, ln_z, ln_1mz, ln_ae, l0, ln_l0, ln_skip_l,
      q0, lg_q0, mag0, mag_z, mag_1mz) = consts[r].T
@@ -742,39 +732,18 @@ def _survival_lockstep(rows, abs_tol, max_terms):
         rounding = np.where(inner > 0.0, 8.0 * 2.220446049250313e-16
                             * (mag + (steps + 1.0)) * inner, 0.0)
 
-        # survival_series' outer stop, over one array row per row, padded
-        # with columns that are never small: a run of three small outer
-        # terms past the Poisson mode of alpha_e, where the Poisson tail in
-        # k passes
+        # each row's outer sums, left to right as the scalar kernel adds,
+        # over one array row per row, padded with zeros, which add exactly
         shape = (len(rows), max(counts))
-        inner_rk = np.full(shape, math.inf)
+        inner_rk = np.zeros(shape)
         inner_rk[r, kc] = inner
-        log_wk_rk = np.zeros(shape)
-        log_wk_rk[r, kc] = log_wk
         addends = np.zeros(shape + (3,))  # inner tail, skipped mass, rounding
         addends[r, kc] = np.stack([tail, skip, rounding], axis=1)
-        steps_rk = np.zeros(shape)
-        steps_rk[r, kc] = steps
-        alpha_e = consts[:, 3]
-        small = inner_rk < abs_tol / 10.0
-        run = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-        run &= np.arange(3.0, shape[1] + 1.0) > alpha_e[:, None]
-        rs, cs = np.nonzero(run)
-        cs = cs + 2
-        w_tail = _mapped(math.exp, log_wk_rk[rs, cs])
-        rho_k = alpha_e[rs] / (cs + 2.0)
-        w_tail = w_tail * rho_k / (1.0 - rho_k)
-        # left to right along each row, as the scalar kernel adds
-        total = np.cumsum(inner_rk, axis=1)
-        est_error = np.cumsum(addends.reshape(shape[0], 3 * shape[1]), axis=1)
-        l_max = np.maximum.accumulate(steps_rk, axis=1)
-    passed = w_tail < 0.5 * abs_tol
-    stopping, at = np.unique(rs[passed], return_index=True)
-    results = [None] * len(rows)
-    for i, c, w in zip(stopping.tolist(), cs[passed][at].tolist(), w_tail[passed][at].tolist()):
-        results[i] = (min(float(total[i, c]), 1.0), c + 1, int(consts[i, 8] + l_max[i, c]),
-                      float(est_error[i, 3 * c + 2]) + w)
-    return results
+        total = np.cumsum(inner_rk, axis=1)[:, -1]
+        est_error = np.cumsum(addends.reshape(shape[0], 3 * shape[1]), axis=1)[:, -1]
+        l_max = consts[:, 8] + np.maximum.reduceat(steps, starts)
+    return [(min(t, 1.0), c, int(l), e + w) for t, c, l, e, w in
+            zip(total.tolist(), counts, l_max.tolist(), est_error.tolist(), tails)]
 
 
 def _inner_lockstep(cols, p, mu_m, alpha_m, one_mz, l0, inv_f0, tol_frame, log_scale,

@@ -179,13 +179,13 @@ def _series_result(survival, side):
     """The ``EvalResult`` of one side of a ``_survivals`` entry: 0 for
     Pr(gamma_M > s gamma_E), 1 for Pr(gamma_M <= s gamma_E). One side is
     the kernel's sum, the other one minus it, and ``est_error`` bounds
-    both, the rounding of that difference included."""
+    each, the rounding of that difference included."""
     (value, kt, lt, err), main_first = survival
-    # one minus the sum rounds by at most half an ulp of 1, and by at
-    # most the sum itself
-    return EvalResult(value=value if (side == 0) == main_first else 1.0 - value,
-                      terms_k=kt, terms_l=lt, est_error=err + min(value, 2.0 ** -54),
-                      method="series")
+    if (side == 0) != main_first:
+        # one minus the sum rounds by at most half an ulp of 1, and by at
+        # most the sum itself
+        value, err = 1.0 - value, err + min(value, 2.0 ** -54)
+    return EvalResult(value=value, terms_k=kt, terms_l=lt, est_error=err, method="series")
 
 
 def spsc_series(pair, ctl=None):

@@ -18,6 +18,7 @@ import pytest
 
 import mpref
 from kmusec import _pykernels as pyk
+from kmusec.errors import ConvergenceError
 
 REL = 5e-13
 EPS = 2.0 ** -52
@@ -204,7 +205,7 @@ class TestSurvivalMany:
             (2.0, 1.5, 4.0, 0.0, 2.0, 1.0),              # alpha_e = 0: one outer term
             (1.0, 1.0, 0.0, 0.0, 1.0, 1.0),              # both
             (5.0, 3.0, 2000.0, 4.0, 90.5, 7.0),          # l0 > 0
-            (3.0, 3.0, 19.5, 0.1, 1.17, 0.55),           # stop past the columns
+            (3.0, 3.0, 19.5, 0.1, 1.17, 0.55),           # alpha_e 0.1, long inner sums
             *SURVIVAL_CASES[:6],
         ]
         rows = [row if row[4] >= row[5] else (row[1], row[0], row[3], row[2], row[5], row[4])
@@ -267,10 +268,11 @@ class TestSurvivalMany:
             assert {"log_scale[c] += ln_renorm", "e[low] /= gh[low]"} <= ran, row
             assert many == [scalar]
 
-    def test_scalar_fallbacks(self, monkeypatch):
-        # the run of small terms ends four columns past the first whose
-        # Poisson tail passes, beyond the row's columns: that row alone is
-        # summed by the scalar kernel, once, and the rest of a batch is not
+    def test_rows_get_exactly_their_columns(self, monkeypatch):
+        # the outer stop depends on alpha_e alone, so the lockstep sums each
+        # row's own outer terms and no more: a row with alpha_e 0.1 and long
+        # inner sums, and a row whose term cap of 79 a column past its stop
+        # would hit, alone and inside a batch, need no scalar call
         row = (3.0, 3.0, 19.5, 0.1, 1.17, 0.55)
         ordinary = [(1.0, 1.0, 15.0, 12.0, 8.0, 7.0), (2.0, 3.0, 8.0, 6.0, 9.0, 5.0)]
         batch = ordinary[:1] + [row] + ordinary[1:]
@@ -279,27 +281,31 @@ class TestSurvivalMany:
         scalar_capped = [pyk.survival_series(*args, 1e-12, max_terms=79) for args in capped]
         calls = _count_scalar_calls(monkeypatch)
         assert pyk.survival_series_many([row]) == [scalar[1]]
-        assert calls == [row + (1e-12,)]
-        calls.clear()
         assert pyk.survival_series_many(batch) == scalar
-        assert calls == [row + (1e-12,)]
-        calls.clear()
-        # with this term cap a column past the middle row's stop hits it, so
-        # the lockstep cannot carry the batch and every row is summed by the
-        # scalar kernel, once and in order; none of them raises
+        assert pyk.survival_series_many(capped[1:2], 1e-12, 79) == scalar_capped[1:2]
         assert pyk.survival_series_many(capped, 1e-12, 79) == scalar_capped
-        assert calls == [args + (1e-12,) for args in capped]
+        assert calls == []
 
-    def test_failure_past_the_stop_does_not_raise(self, monkeypatch):
-        # with this term cap the column past the row's stop hits it and the
-        # row is summed by the scalar kernel, which stops before it
-        row = (1.0, 2.0, 41.404, 28.814, 9.9919, 0.19309)
-        scalar = pyk.survival_series(*row, 1e-12, max_terms=79)
-        fallback = []
-        monkeypatch.setattr(pyk, "survival_series", lambda *args, **kwargs: fallback.append(
-            args) or scalar)
-        assert pyk.survival_series_many([row], 1e-12, 79) == [scalar]
-        assert fallback == [row + (1e-12,)]
+    def test_scalar_fallbacks(self, monkeypatch):
+        # where the lockstep cannot carry a batch, every row is summed by
+        # the scalar kernel, once and in order: at a term cap past 2^53 -
+        # l0 - 2 (which the scalar kernel checks only where an inner sum
+        # runs, and these rows have none) none of them raises, and at a
+        # cap the middle row's outer sum passes the batch raises its error
+        huge = 2 ** 53
+        rows = [(1.0, 1.0, 0.0, 3.0, 2.0, 1.0), (0.5, 2.0, 0.0, 0.0, 1.0, 1.0),
+                (3.7, 0.3, 0.0, 5.0, 9.0, 0.3)]
+        scalar = [pyk.survival_series(*args, 1e-12, max_terms=huge) for args in rows]
+        ordinary = [(1.0, 1.0, 15.0, 12.0, 8.0, 7.0), (2.0, 3.0, 8.0, 6.0, 9.0, 5.0)]
+        capped = ordinary[:1] + [(1.0, 2.0, 41.404, 28.814, 9.9919, 0.19309)] + ordinary[1:]
+        expected = _outcome(lambda: pyk.survival_series(*capped[1], 1e-12, max_terms=60))
+        assert issubclass(expected[0], ConvergenceError)
+        calls = _count_scalar_calls(monkeypatch)
+        assert pyk.survival_series_many(rows, 1e-12, huge) == scalar
+        assert calls == [args + (1e-12,) for args in rows]
+        calls.clear()
+        assert _outcome(lambda: pyk.survival_series_many(capped, 1e-12, 60)) == expected
+        assert calls == [args + (1e-12,) for args in capped[:2]]
 
     @pytest.mark.parametrize("max_terms", [1, 3, 20, 40, 60, 79, 200])
     def test_errors_equal_scalar(self, max_terms):
@@ -317,6 +323,30 @@ class TestSurvivalMany:
         first_error = next(o for o in scalar if isinstance(o[0], type))
         assert _outcome(lambda: pyk.survival_series_many(rows, 1e-12, max_terms)) \
             == first_error
+
+
+class TestOuterStop:
+    """The survival series stops its outer sum on the Poisson(alpha_e)
+    mass after its last term, which bounds the rest of the series (each
+    outer term is at most its Poisson weight), and on nothing else."""
+
+    ALPHAS = (0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 2.0, 3.7, 5.0, 12.0, 28.814, 50.0, 100.0,
+              300.0, 700.0, 1500.0)
+
+    @pytest.mark.parametrize("abs_tol", [1e-8, 1e-12, 1e-14])
+    def test_tail_bounds_poisson_mass(self, abs_tol):
+        for alpha_e in self.ALPHAS:
+            k, w_tail = pyk._outer_stop(alpha_e, math.log(alpha_e), abs_tol, 10000)
+            with mp.workdps(30):
+                # Pr(X >= k) for X ~ Poisson(alpha_e): the mass after term k - 1
+                mass = mp.gammainc(k, 0, alpha_e, regularized=True)
+            assert mass <= w_tail < 0.5 * abs_tol, (alpha_e, k)
+
+    def test_alpha_e_zero_sums_one_outer_term(self):
+        assert pyk._outer_stop(0.0, -math.inf, 1e-12, 10000) == (1, 0.0)
+        rows = [(2.0, 1.5, 4.0, 0.0, 2.0, 1.0), (1.0, 1.0, 0.0, 0.0, 1.0, 1.0)]
+        assert [pyk.survival_series(*row)[1] for row in rows] == [1, 1]
+        assert [res[1] for res in pyk.survival_series_many(rows)] == [1, 1]
 
 
 class TestSeedBlock:

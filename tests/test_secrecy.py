@@ -110,11 +110,11 @@ class TestSpscSeries:
     def test_gamma_laws_at_rate_zero(self, mu_m, mu_e, gbm, gbe):
         # kappa = 0 on both channels: every outer term past the first
         # weighs exactly 0 and no inner term is summed, so the series is
-        # its k = 0 term; the stop rule ends after three small terms
+        # its k = 0 term, and the outer stop ends there
         p = pair(0.0, mu_m, gbm, 0.0, mu_e, gbe)
         ref = mpref.gamma_escape(mu_m, mu_e, gbm, gbe, 0.0)
         spsc, lower = spsc_series(p), sop_lower(p)
-        assert spsc.terms_k <= 4 and spsc.terms_l == 0
+        assert spsc.terms_k == 1 and spsc.terms_l == 0
         # the term's rounding: log-gammas of size ln Gamma(mu_M + mu_E + 1)
         # cancel to its log, so the miss grows with that size; measured, it
         # is at most 5.3 eps (1 + that size) at mu 0.05 on both sides and
@@ -137,6 +137,16 @@ class TestSpscSeries:
             assert abs(spsc.value - ref) <= spsc.est_error
             assert abs(lower.value - (1 - ref)) <= lower.est_error
         assert 0.0 < spsc.est_error < 1e-14
+
+    def test_summed_side_carries_no_difference_rounding(self):
+        # the main link has the larger rate, so the kernel sums SPSC itself
+        # and only SOP^L, one minus it, rounds that difference
+        p = pair(0.0, 0.22675, 0.0013659, 0.0, 21.962, 65.135)
+        spsc, lower = spsc_series(p), sop_lower(p)
+        ref = mpref.gamma_escape(0.22675, 21.962, 0.0013659, 65.135, 0.0)
+        assert spsc.est_error < 1e-70
+        assert abs(spsc.value - ref) <= spsc.est_error
+        assert abs(lower.value - (1 - ref)) <= lower.est_error
 
     def test_d2d_against_monte_carlo(self):
         # frozen independent MC: 10^7 draws, estimate 0.6782541, se 1.477e-4
